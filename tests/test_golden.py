@@ -1,0 +1,91 @@
+"""Golden digests of canonical output.
+
+Each digest pins the exact bytes the CLI writes for a fixed configuration
+and master seed, so a refactor that silently changes the random stream, a
+query or session count, a bound, or the record format fails here.  Update a
+digest only in a change that alters the stream or the records on purpose,
+and record that change in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from matchleak.cli import main
+
+BENCH_DIGEST = "59feb93b6fa7d1ed50d08ca9b19e7c3c46f852c34ceb682314a7ea3670dce4c1"
+
+# name -> (CLI flags, CSV digest, JSONL digest); every attack once, plus the
+# greedy-cover search of the minimal-leak attack
+RECORD_CASES = {
+    "below_distance": (
+        "--attack below_distance --q 3 --n 6 --epsilon 2",
+        "36f59eb50fbced43e98da6df8f14de7de44e75122fb44e322e7791e80d7939b8",
+        "a5ad96c0f987895e6e7f003d88132d3e41ff21f029bd2b6c19ca49d265a468e8",
+    ),
+    "below_positions": (
+        "--attack below_positions --q 4 --n 5 --epsilon 2",
+        "619adf83e9d6b2c77c2aaa3d0a678d02c32fddccc79da91c4f257a6fd724f7ee",
+        "15d7e9d93915023e57c3871dc12ea07582b76d3bfbdd99b6d5405c429b5c6efe",
+    ),
+    "below_posvalues": (
+        "--attack below_posvalues --q 3 --n 6 --epsilon 2",
+        "07ce067d9bae2b2564e840b5a1ea761f34f13c89265da57f777634e42a9ebcf9",
+        "f6651f1580c1dc44c02d4e7bb94bcdc2aec61e5ebd9dff5536cf575816b2bf2e",
+    ),
+    "minimal": (
+        "--attack minimal --q 2 --n 10 --epsilon 2",
+        "d69303ed6c40447fdb554705214fb37f1c33d41eb07c9437dd8bafba944a4ae8",
+        "c4c2df7fd34344b28bd12d1e819587b7d798d3905d879787c5b3ab759208ef9f",
+    ),
+    "minimal_greedy": (
+        "--attack minimal --q 2 --n 9 --epsilon 2 --strategy greedy",
+        "53a8d3a5afc3d0479f98db3f6000b5e3256bab46e4cc5fc684e56310c6d573b3",
+        "b302d0f39040ea22123f4357051fa7579e81f2092a242c534c9f4a6f35489084",
+    ),
+    "both_distance": (
+        "--attack both_distance --q 4 --n 12 --epsilon 3",
+        "c7e7b201740fca09ffb2c112b1506edf24dd5588421083a013d51640f2270cca",
+        "f154e2ef80d28d4dc1fc50d6d60f986005e34f6997700b69f225649e9632856a",
+    ),
+    "both_positions": (
+        "--attack both_positions --q 5 --n 10 --epsilon 3",
+        "e6144662dbbdcedb53052063ea8f06b5686a98956708e3e0790572967c00fbe6",
+        "08fef749bce45e591602b297ac5f15caee674330516b12648aa0211f947e12ec",
+    ),
+    "both_posvalues": (
+        "--attack both_posvalues --q 5 --n 10 --epsilon 3",
+        "f3c0ee799d909bbdc6e6900a3e94d960c19bc39cb5b0d1656cd7c9ab0b0791bf",
+        "116a26ac73866b934e91a469a0de6181295103f27965196c8a70ee7862f34d99",
+    ),
+    "accumulation": (
+        "--attack accumulation --q 2 --n 10 --epsilon 2 --alpha 1.5",
+        "3645f93ea4853373d4977fd08dd1dfa70ea7c3e10f3689ef365dd1355c24500f",
+        "4a5fcae90ff1a7fdd826fe52a1d78a71b25a8e0c9b30dffb03fb796f46982931",
+    ),
+    "fault_control": (
+        "--attack fault_control --q 2 --n 11 --epsilon 4",
+        "5ab7fb7af5a5c283386f5796353cd3b6f29db59ad7de974fd7a174eed3a3b875",
+        "cba6e1afce731e82f27e45e736aed2fcf1bc2d791b7f97de346584103cb3464d",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_bench_csv_digest(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--trials", "50", "--seed", "0", "--out", str(out)]) == 0
+    assert _sha256(out) == BENCH_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_record_digest(name, fmt, tmp_path):
+    flags, csv_digest, jsonl_digest = RECORD_CASES[name]
+    out = tmp_path / f"{name}.{fmt}"
+    argv = ["attack", *flags.split(), "--trials", "20", "--seed", "3", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert _sha256(out) == (csv_digest if fmt == "csv" else jsonl_digest)
