@@ -55,7 +55,6 @@ from .oracle import (
     Payload,
     Scope,
     SessionShape,
-    new_oracle,
     observation_from_json,
     observation_to_json,
     response_from_json,

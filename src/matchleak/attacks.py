@@ -3,37 +3,36 @@
 Active attacks drive the oracle through ``query`` only and report how many
 queries they spent; passive attacks consume genuine-session observations and
 report sessions instead.  Every routine fails fast with a UsageError when run
-against a different leakage mode than the one it exploits, and none of them
+against a different leakage mode or parameters than its row in the attack
+registry (``ATTACKS``, at the end of this module) declares, and none of them
 ever touches the sealed secret directly (the harness verifies outcomes
-post-hoc through the audit seal).
-
-Worst-case query budgets, with s = q^(n-eps) for the accept-search phase:
-
-==========================  ==========================================
-below-threshold distance    s + (q-1)*eps
-below-threshold positions   s + (q-1)
-below-threshold pos+values  s + 1
-minimal accept bit (q=2)    2^(n-eps) + n + 2*eps + 1
-always distance             n*(q-1) + 1
-always positions            q - 1
-always positions+values     1
-accumulation (passive)      expected sessions in [1/p_min, (ln n + 1)/p_min]
-fault-controlled (passive)  exactly ceil(n/eps) sessions
-==========================  ==========================================
+post-hoc through the audit seal).  The registry is also the one place that
+states each attack's worst-case bound, with s = q^(n-eps) for the
+pinned-coordinate accept search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .covering import greedy_cover, covering_search
+from .bounds import coupon_bracket
+from .covering import covering_search, first_accepted, fixing_centers, greedy_cover
 from .errors import CapacityError, InternalError, UsageError
-from .oracle import ClientModel, MatchResponse, Observation, Oracle, Payload, Scope
+from .oracle import (
+    ClientModel,
+    LeakageMode,
+    MatchResponse,
+    Observation,
+    Oracle,
+    SessionShape,
+)
 from .space import SpaceParams, Template, as_template
 
 # the minimal-leak fallback for n <= 2*eps materializes the whole space
@@ -75,48 +74,57 @@ class SearchStrategy(Enum):
     GREEDY_COVER = "greedy"
 
 
-def _require_mode(oracle: Oracle, scope: Scope, payload: Payload, attack: str) -> None:
-    mode = oracle.mode
-    if mode.scope is not scope or mode.payload is not payload:
-        raise UsageError(
-            f"{attack} requires leakage mode ({scope.value}, {payload.value}); "
-            f"oracle leaks ({mode.scope.value}, {mode.payload.value})"
-        )
-
-
-def _require_eps_below_n(params: SpaceParams, attack: str) -> None:
-    if params.epsilon >= params.n:
-        raise UsageError(f"{attack} needs epsilon < n (got epsilon={params.epsilon}, n={params.n})")
-
-
-def _prefix_candidates(params: SpaceParams) -> Iterator[Template]:
-    """Lexicographic enumeration with the last epsilon coordinates pinned to 0."""
-    tail = (0,) * params.epsilon
-    free = params.n - params.epsilon
-    for head in itertools.product(range(params.q), repeat=free):
-        yield head + tail
-
-
-def _first_accepted(oracle: Oracle) -> tuple[Template, MatchResponse]:
-    """Scan the pinned-coordinate candidates until one is accepted.
-
-    Some candidate agrees with the secret on all free coordinates and is
-    therefore within epsilon of it, so acceptance arrives within q^(n-eps)
-    queries.
-    """
-    for cand in _prefix_candidates(oracle.params):
-        resp = oracle.query(cand)
-        if resp.accepted:
-            return cand, resp
-    raise InternalError("pinned-coordinate search exhausted without an acceptance")
-
-
 def exhaustive_accept_search(oracle: Oracle) -> Template:
     """Find an accepted template in at most q^(n-eps) queries by pinning the
     last epsilon coordinates to 0 and enumerating the rest."""
-    _require_eps_below_n(oracle.params, "exhaustive accept search")
-    point, _ = _first_accepted(oracle)
-    return point
+    params = oracle.params
+    if params.epsilon >= params.n:
+        raise UsageError(f"accept search needs epsilon < n (got epsilon={params.epsilon}, n={params.n})")
+    return first_accepted(oracle, fixing_centers(params))[0]
+
+
+def _climb(oracle: Oracle, y: list[int], cur: int, positions: Iterable[int]) -> Template:
+    """Coordinate-wise climb on the leaked distance from y at distance cur.
+
+    Each position starts at 0 and tries the values 1..q-1: a value that
+    drops the distance is the secret's value, one that raises it proves 0
+    right, and an equal distance means both are wrong.  A response without
+    a distance (a rejected probe under below-threshold scope) counts as a
+    raise.  At most q-1 queries per position.
+    """
+    for pos in positions:
+        if cur == 0:
+            break
+        for v in range(1, oracle.params.q):
+            y[pos] = v
+            d = oracle.query(tuple(y)).distance
+            d = cur + 1 if d is None else d
+            if d < cur:
+                cur = d
+                break
+            if d > cur:
+                y[pos] = 0
+                break
+        else:
+            y[pos] = 0
+    return tuple(y)
+
+
+def _correct(y: Template, resp: MatchResponse) -> Template:
+    """Apply a positions-and-values leak: x_i = y_i + delta_i where flagged."""
+    z = list(y)
+    for pos, delta in resp.error_values.items():
+        z[pos - 1] = y[pos - 1] + delta
+    return tuple(z)
+
+
+def _outcome(oracle: Oracle, q0: int, recovered: Template) -> AttackOutcome:
+    return AttackOutcome(
+        recovered=recovered,
+        queries_used=oracle.query_count - q0,
+        exact_recovery=True,
+        within_ball=True,
+    )
 
 
 # --- below-threshold scenarios ------------------------------------------------
@@ -128,19 +136,17 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
     Scans all q^(n-eps) pinned-coordinate candidates and keeps the accepted
     one with the smallest leaked distance; that candidate matches the secret
     on every free coordinate (its errors are confined to the pinned block,
-    and any free-coordinate mismatch would add to the distance).  A
-    coordinate-wise climb on the pinned block then tests alternative values,
-    keeping a value exactly when the leaked distance drops; rejected probes
-    count as "worse".  Worst case q^(n-eps) + (q-1)*eps queries.
+    and any free-coordinate mismatch would add to the distance).  The
+    distance climb on the pinned block then finishes the job, rejected
+    probes counting as "worse".  Worst case q^(n-eps) + (q-1)*eps queries.
     """
+    ATTACKS["below_distance"].require(oracle)
     params = oracle.params
-    _require_mode(oracle, Scope.BELOW_ONLY, Payload.DISTANCE, "below-threshold distance attack")
-    _require_eps_below_n(params, "below-threshold distance attack")
     q0 = oracle.query_count
 
     best: Template | None = None
     best_d = params.n + 1
-    for cand in _prefix_candidates(params):
+    for cand in fixing_centers(params):
         resp = oracle.query(cand)
         if resp.accepted and resp.distance < best_d:
             best, best_d = cand, resp.distance
@@ -148,36 +154,13 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
                 break
     if best is None:
         raise InternalError("pinned-coordinate search exhausted without an acceptance")
-
-    y = list(best)
-    cur = best_d
-    for pos in range(params.n - params.epsilon, params.n):
-        if cur == 0:
-            break
-        for v in range(1, params.q):
-            y[pos] = v
-            resp = oracle.query(tuple(y))
-            d = resp.distance if resp.accepted else cur + 1
-            if d < cur:
-                cur = d  # v is the secret's value here
-                break
-            if d > cur:
-                y[pos] = 0  # the pinned 0 was already right
-                break
-            # equal: both wrong, keep probing
-        else:
-            y[pos] = 0
-    return AttackOutcome(
-        recovered=tuple(y),
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+    pinned = range(params.n - params.epsilon, params.n)
+    return _outcome(oracle, q0, _climb(oracle, list(best), best_d, pinned))
 
 
 def _fix_from_positions(oracle: Oracle, y: Template, resp: MatchResponse) -> Template:
-    """Shared sweep for the position-leak scenarios: given an accepted point
-    and its flagged positions, pin down the flagged coordinates.
+    """Value sweep for the position leak: given an accepted point and its
+    flagged positions, pin down the flagged coordinates.
 
     Binary alphabet: a flagged coordinate can only be the complement, no
     further queries.  Otherwise sweep candidate values 0..q-2 on all
@@ -187,8 +170,6 @@ def _fix_from_positions(oracle: Oracle, y: Template, resp: MatchResponse) -> Tem
     params = oracle.params
     z = list(y)
     remaining = set(resp.error_positions)
-    if not remaining:
-        return tuple(z)
     if params.q == 2:
         for pos in remaining:
             z[pos - 1] ^= 1
@@ -223,18 +204,10 @@ def attack_below_positions(oracle: Oracle) -> AttackOutcome:
     sweep over the flagged positions (<= q-1 further queries; none for a
     binary alphabet, where flagged means complemented).
     """
-    params = oracle.params
-    _require_mode(oracle, Scope.BELOW_ONLY, Payload.POSITIONS, "below-threshold positions attack")
-    _require_eps_below_n(params, "below-threshold positions attack")
+    ATTACKS["below_positions"].require(oracle)
     q0 = oracle.query_count
-    y, resp = _first_accepted(oracle)
-    recovered = _fix_from_positions(oracle, y, resp)
-    return AttackOutcome(
-        recovered=recovered,
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+    y, resp = first_accepted(oracle, fixing_centers(oracle.params))
+    return _outcome(oracle, q0, _fix_from_positions(oracle, y, resp))
 
 
 def attack_below_positions_values(oracle: Oracle) -> AttackOutcome:
@@ -242,31 +215,13 @@ def attack_below_positions_values(oracle: Oracle) -> AttackOutcome:
     accepted queries.
 
     The accepting query's leak is a complete correction: x_i = y_i + delta_i
-    on flagged positions.  For q = 2 the values add nothing over the flags,
-    so that case runs the positions path.  Worst case q^(n-eps) queries
-    (the contract allows one more for an optional confirmation; none is
-    issued).
+    on flagged positions.  Worst case q^(n-eps) queries (the contract allows
+    one more for an optional confirmation; none is issued).
     """
-    params = oracle.params
-    _require_mode(
-        oracle, Scope.BELOW_ONLY, Payload.POSITIONS_VALUES, "below-threshold positions+values attack"
-    )
-    _require_eps_below_n(params, "below-threshold positions+values attack")
+    ATTACKS["below_posvalues"].require(oracle)
     q0 = oracle.query_count
-    y, resp = _first_accepted(oracle)
-    if params.q == 2:
-        recovered = _fix_from_positions(oracle, y, resp)
-    else:
-        z = list(y)
-        for pos, delta in resp.error_values.items():
-            z[pos - 1] = y[pos - 1] + delta
-        recovered = tuple(z)
-    return AttackOutcome(
-        recovered=recovered,
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+    y, resp = first_accepted(oracle, fixing_centers(oracle.params))
+    return _outcome(oracle, q0, _correct(y, resp))
 
 
 # --- minimal leakage (accept bit only, binary alphabet) -----------------------
@@ -291,9 +246,8 @@ def center_search_binary(oracle: Oracle, start: Sequence[int]) -> Template:
     for some (n, eps) near eps = n-1 no strategy can meet it).
     """
     params = oracle.params
-    if params.q != 2:
-        raise UsageError("center search supports the binary alphabet only")
-    _require_eps_below_n(params, "center search")
+    if params.q != 2 or params.epsilon >= params.n:
+        raise UsageError(f"center search needs q = 2 and epsilon < n (got {params})")
     y0 = as_template(params, start)
     if not oracle.query(y0).accepted:
         raise UsageError("center search requires an accepted starting point")
@@ -303,7 +257,6 @@ def center_search_binary(oracle: Oracle, start: Sequence[int]) -> Template:
 
     z = list(y0)
     visited = [y0]
-    frontier: Template | None = None
     resolved: dict[int, int] = {}
     for i in range(n):
         z[i] ^= 1
@@ -317,8 +270,7 @@ def center_search_binary(oracle: Oracle, start: Sequence[int]) -> Template:
             # the flip onto the frontier went eps-1 -> eps, so it broke i-1
             resolved[i - 1] = 1 - frontier[i - 1]
         break
-
-    if frontier is None:
+    else:  # every flip stayed accepted
         return _eliminate_consistent(oracle, visited)
 
     x = list(frontier)
@@ -328,10 +280,8 @@ def center_search_binary(oracle: Oracle, start: Sequence[int]) -> Template:
             continue
         probe = list(frontier)
         probe[i] ^= 1
-        if oracle.query(tuple(probe)).accepted:
-            x[i] = 1 - frontier[i]
-        else:
-            x[i] = frontier[i]
+        # an accepted flip means the frontier had coordinate i wrong
+        x[i] = frontier[i] ^ oracle.query(tuple(probe)).accepted
     return tuple(x)
 
 
@@ -354,48 +304,37 @@ def _eliminate_consistent(oracle: Oracle, accepted: list[Template]) -> Template:
             f"n={n} exceeds the guard {_ELIMINATION_DIM_GUARD}"
         )
 
-    def enc(t: Sequence[int]) -> int:
-        v = 0
-        for i, b in enumerate(t):
-            v |= b << i
-        return v
-
     def dec(v: int) -> Template:
         return tuple((v >> i) & 1 for i in range(n))
 
     full = (1 << n) - 1
-    accepted_ids = [enc(t) for t in accepted]
+    accepted_ids = [sum(b << i for i, b in enumerate(t)) for t in accepted]
     cand = {
         v
         for v in range(1 << n)
-        if all(bin(v ^ a).count("1") <= eps for a in accepted_ids)
+        if all((v ^ a).bit_count() <= eps for a in accepted_ids)
     }
     if not cand:
         raise InternalError("no template is consistent with the observed responses")
 
     radius = n - eps - 1
-    shells: list[int] = [0]
-    for w in range(1, radius + 1):
-        for bits in itertools.combinations(range(n), w):
-            m = 0
-            for b in bits:
-                m |= 1 << b
-            shells.append(m)
+    # offsets of weight <= radius, as bit masks
+    shells = [
+        sum(1 << b for b in bits) for w in range(radius + 1) for bits in itertools.combinations(range(n), w)
+    ]
 
     while len(cand) > 1:
         first = min(cand)
         second = min(cand - {first})
-        sep = _separator_probe(first, second, n, eps)
-        probe = sep
+        probe = _separator_probe(first, second, n, eps)
         if len(cand) <= _SPLIT_POOL_LIMIT:
-            pool = {sep} | {full ^ c for c in cand}
-            best: tuple[int, int] | None = None
-            for p in sorted(pool):
-                inside = sum(1 for v in cand if bin(v ^ p).count("1") <= eps)
-                worst = max(inside, len(cand) - inside)
-                if best is None or worst < best[0]:
-                    best = (worst, p)
-            probe = best[1]
+
+            def worst(p: int) -> int:
+                inside = sum(1 for v in cand if (v ^ p).bit_count() <= eps)
+                return max(inside, len(cand) - inside)
+
+            # the first probe, in increasing order, with the smallest worst case
+            probe = min(sorted({probe} | {full ^ c for c in cand}), key=worst)
         resp = oracle.query(dec(probe))
         ball = {(full ^ probe) ^ m for m in shells}  # secrets that reject the probe
         if resp.accepted:
@@ -415,25 +354,14 @@ def _separator_probe(u: int, v: int, n: int, eps: int) -> int:
     whenever d(u, v) <= 2*eps + 1, which holds in the n <= 2*eps regime.
     """
     diff = u ^ v
-    d = bin(diff).count("1")
-    if d > eps:
-        w = u
-        moved = 0
-        for i in range(n):
-            if moved == eps + 1:
-                break
-            if (diff >> i) & 1:
-                w ^= 1 << i
-                moved += 1
-        return w
-    w = v
-    extra = eps + 1 - d
+    d = diff.bit_count()
+    w, pick, left = (u, diff, eps + 1) if d > eps else (v, ~diff, eps + 1 - d)
     for i in range(n):
-        if extra == 0:
+        if left == 0:
             break
-        if not (diff >> i) & 1:
+        if (pick >> i) & 1:
             w ^= 1 << i
-            extra -= 1
+            left -= 1
     return w
 
 
@@ -447,24 +375,13 @@ def attack_minimal_binary(
     (<= q^n H(n)/|B| queries).  Phase two hands the point to the center
     search.  Total budget 2^(n-eps) + n + 2*eps + 1 for coordinate fixing.
     """
-    params = oracle.params
-    _require_mode(oracle, Scope.ALWAYS, Payload.NONE, "minimal-leak attack")
-    if params.q != 2:
-        raise UsageError("the minimal-leak attack supports the binary alphabet only")
-    _require_eps_below_n(params, "minimal-leak attack")
-    strategy = SearchStrategy(strategy)
+    ATTACKS["minimal"].require(oracle)
     q0 = oracle.query_count
-    if strategy is SearchStrategy.GREEDY_COVER:
-        y0 = covering_search(oracle, greedy_cover(params))
+    if SearchStrategy(strategy) is SearchStrategy.GREEDY_COVER:
+        y0 = covering_search(oracle, greedy_cover(oracle.params))
     else:
-        y0, _ = _first_accepted(oracle)
-    x = center_search_binary(oracle, y0)
-    return AttackOutcome(
-        recovered=x,
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+        y0, _ = first_accepted(oracle, fixing_centers(oracle.params))
+    return _outcome(oracle, q0, center_search_binary(oracle, y0))
 
 
 # --- leaks on both sides of the threshold --------------------------------------
@@ -473,36 +390,14 @@ def attack_minimal_binary(
 def attack_both_distance(oracle: Oracle) -> AttackOutcome:
     """Hill climb when the distance leaks on every query.
 
-    Query the all-zeros baseline, then fix one coordinate at a time: a
-    candidate value that drops the leaked distance is the secret's value; a
-    value that raises it proves the current value right; equal distance
-    means both are wrong.  Worst case n*(q-1) + 1 queries.
+    Query the all-zeros baseline, then run the distance climb over every
+    coordinate.  Worst case n*(q-1) + 1 queries.
     """
-    params = oracle.params
-    _require_mode(oracle, Scope.ALWAYS, Payload.DISTANCE, "distance hill climb")
+    ATTACKS["both_distance"].require(oracle)
+    n = oracle.params.n
     q0 = oracle.query_count
-    y = [0] * params.n
-    cur = oracle.query(tuple(y)).distance
-    for i in range(params.n):
-        if cur == 0:
-            break
-        for v in range(1, params.q):
-            y[i] = v
-            d = oracle.query(tuple(y)).distance
-            if d < cur:
-                cur = d
-                break
-            if d > cur:
-                y[i] = 0
-                break
-        else:
-            y[i] = 0
-    return AttackOutcome(
-        recovered=tuple(y),
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+    cur = oracle.query((0,) * n).distance
+    return _outcome(oracle, q0, _climb(oracle, [0] * n, cur, range(n)))
 
 
 def attack_both_positions(oracle: Oracle) -> AttackOutcome:
@@ -512,44 +407,25 @@ def attack_both_positions(oracle: Oracle) -> AttackOutcome:
     response equal c.  Whatever stays flagged throughout must be q-1, so the
     last constant is never submitted.  Always exactly q-1 queries.
     """
+    ATTACKS["both_positions"].require(oracle)
     params = oracle.params
-    _require_mode(oracle, Scope.ALWAYS, Payload.POSITIONS, "position-leak sweep")
     q0 = oracle.query_count
     x: list[int | None] = [None] * params.n
     for c in range(params.q - 1):
-        resp = oracle.query((c,) * params.n)
-        flagged = resp.error_positions
+        flagged = oracle.query((c,) * params.n).error_positions
         for i in range(params.n):
             if x[i] is None and (i + 1) not in flagged:
                 x[i] = c
-    recovered = tuple(params.q - 1 if v is None else v for v in x)
-    return AttackOutcome(
-        recovered=recovered,
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+    return _outcome(oracle, q0, tuple(params.q - 1 if v is None else v for v in x))
 
 
 def attack_both_positions_values(oracle: Oracle) -> AttackOutcome:
     """Single-query recovery when positions and values leak on every query:
     any submission comes back with its own full correction."""
-    params = oracle.params
-    _require_mode(
-        oracle, Scope.ALWAYS, Payload.POSITIONS_VALUES, "positions+values single query"
-    )
+    ATTACKS["both_posvalues"].require(oracle)
     q0 = oracle.query_count
-    y = (0,) * params.n
-    resp = oracle.query(y)
-    z = list(y)
-    for pos, delta in resp.error_values.items():
-        z[pos - 1] = y[pos - 1] + delta
-    return AttackOutcome(
-        recovered=tuple(z),
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
+    y = (0,) * oracle.params.n
+    return _outcome(oracle, q0, _correct(y, oracle.query(y)))
 
 
 # --- passive attacks -----------------------------------------------------------
@@ -571,15 +447,6 @@ def resolve_error_value(delta: int, q: int) -> int | None:
     return None
 
 
-def _apply_observation(known: dict[int, int], obs: Observation, q: int) -> None:
-    for pos, delta in obs.errors.items():
-        val = resolve_error_value(delta, q)
-        if val is None:
-            continue
-        if known.setdefault(pos, val) != val:
-            raise InternalError(f"observations disagree on coordinate {pos}")
-
-
 def collect_observations(
     params: SpaceParams,
     observations: Iterable[Observation],
@@ -588,19 +455,25 @@ def collect_observations(
     """Fold observations into a partial template.
 
     Stops as soon as every target position (1-based; default: all) is known,
-    or when the stream ends.  Returns the partial template and the number of
-    observations consumed.
+    testing that before pulling each observation, so a lazy stream is never
+    drawn further than needed; also stops when the stream ends.  Returns the
+    partial template and the number of observations consumed.
     """
     tgt = set(target) if target is not None else set(range(1, params.n + 1))
+    q = params.q
     known: dict[int, int] = {}
     used = 0
-    for obs in observations:
-        if tgt <= known.keys():
+    stream = iter(observations)
+    while not tgt <= known.keys():
+        obs = next(stream, None)
+        if obs is None:
             break
         used += 1
-        _apply_observation(known, obs, params.q)
-    partial = PartialTemplate(tuple(known.get(i + 1) for i in range(params.n)))
-    return partial, used
+        for pos, delta in obs.errors.items():
+            val = resolve_error_value(delta, q)
+            if val is not None and known.setdefault(pos, val) != val:
+                raise InternalError(f"observations disagree on coordinate {pos}")
+    return PartialTemplate(tuple(known.get(i + 1) for i in range(params.n))), used
 
 
 def accumulation_collect(
@@ -620,10 +493,8 @@ def accumulation_collect(
     template is also completed into a guess that is guaranteed to sit inside
     the acceptance ball.
     """
+    ATTACKS["accumulation"].require(oracle)
     params = oracle.params
-    _require_mode(oracle, Scope.BELOW_ONLY, Payload.POSITIONS_VALUES, "accumulation")
-    if params.q != 2:
-        raise UsageError("accumulation collects exact values for the binary alphabet only")
     variable = set(client.variable_positions())
     tgt = set(target) if target is not None else set(variable)
     if not tgt:
@@ -632,16 +503,13 @@ def accumulation_collect(
         dead = sorted(tgt - variable)
         raise UsageError(f"target coordinates {dead} never err; collection cannot terminate")
 
-    known: dict[int, int] = {}
-    sessions = 0
-    while not tgt <= known.keys():
-        if max_sessions is not None and sessions >= max_sessions:
-            raise CapacityError(f"collection incomplete after {sessions} sessions")
-        obs = oracle.genuine_session(client, rng)
-        sessions += 1
-        _apply_observation(known, obs, params.q)
+    def sessions() -> Iterable[Observation]:
+        for done in itertools.count():
+            if max_sessions is not None and done >= max_sessions:
+                raise CapacityError(f"collection incomplete after {done} sessions")
+            yield oracle.genuine_session(client, rng)
 
-    partial = PartialTemplate(tuple(known.get(i + 1) for i in range(params.n)))
+    partial, used = collect_observations(params, sessions(), tgt)
     unknown = params.n - partial.known_count()
     within = unknown <= params.epsilon
     return AttackOutcome(
@@ -649,7 +517,7 @@ def accumulation_collect(
         queries_used=0,
         exact_recovery=unknown == 0,
         within_ball=within,
-        sessions_used=sessions,
+        sessions_used=used,
         ball_guess=partial.fill(0) if within else None,
     )
 
@@ -660,26 +528,145 @@ def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
 
     Exactly ceil(n/epsilon) sessions, zero queries, exact recovery.
     """
-    params = oracle.params
-    _require_mode(oracle, Scope.BELOW_ONLY, Payload.POSITIONS_VALUES, "fault-controlled collection")
-    if params.q != 2:
-        raise UsageError("fault-controlled collection supports the binary alphabet only")
-    if params.epsilon < 1:
-        raise UsageError("fault-controlled collection needs epsilon >= 1")
-    known: dict[int, int] = {}
-    sessions = 0
-    for lo in range(1, params.n + 1, params.epsilon):
-        chunk = range(lo, min(lo + params.epsilon, params.n + 1))
-        obs = oracle.faulted_session(chunk)
-        sessions += 1
-        _apply_observation(known, obs, params.q)
-    if len(known) != params.n:
+    ATTACKS["fault_control"].require(oracle)
+    n, eps = oracle.params.n, oracle.params.epsilon
+    chunks = (range(lo, min(lo + eps, n + 1)) for lo in range(1, n + 1, eps))
+    partial, used = collect_observations(oracle.params, map(oracle.faulted_session, chunks))
+    if None in partial.coords:
         raise InternalError("fault-controlled sessions left coordinates unknown")
-    recovered = tuple(known[i + 1] for i in range(params.n))
     return AttackOutcome(
-        recovered=recovered,
+        recovered=partial.coords,
         queries_used=0,
         exact_recovery=True,
         within_ball=True,
-        sessions_used=sessions,
+        sessions_used=used,
     )
+
+
+# --- attack registry -------------------------------------------------------------
+
+
+def client_for(config: Any, params: SpaceParams) -> ClientModel:
+    """The genuine client an experiment configuration describes: uniform,
+    or rare-first with exponent config.alpha."""
+    shape = SessionShape(config.session_shape)
+    if config.alpha is None:
+        return ClientModel.uniform(params.n, shape)
+    return ClientModel.rare_first(params.n, config.alpha, shape)
+
+
+def accumulation_bracket(params: SpaceParams, config: Any) -> tuple[float, float]:
+    """Bracket on the expected sessions of accumulation_collect: the coupon
+    bracket at the smallest per-session observation chance, each end taken
+    at the end of that chance's interval which keeps it valid."""
+    client = client_for(config, params)
+    lo_p, hi_p = client.observation_chance(params.epsilon)
+    coupons = len(client.variable_positions())
+    return coupon_bracket(coupons, hi_p)[0], coupon_bracket(coupons, lo_p)[1]
+
+
+@lru_cache(maxsize=32)
+def _greedy_cover_size(params: SpaceParams) -> int:
+    return len(greedy_cover(params))
+
+
+def _accept_search(params: SpaceParams, config: Any = None) -> int:
+    """Worst-case queries of the accept search: the configured greedy
+    cover's size, or q^(n-eps) for the pinned-coordinate scan."""
+    if config is not None and config.strategy == SearchStrategy.GREEDY_COVER.value:
+        return _greedy_cover_size(params)
+    return params.q ** (params.n - params.epsilon)
+
+
+@dataclass(frozen=True, slots=True)
+class AttackSpec:
+    """One attack's row in ``ATTACKS``: everything the lab knows about it
+    besides its code.
+
+    The harness validates configurations, runs trials, checks bounds and
+    builds the bench table from these rows; ``bounds.worst_case_queries``
+    reads its per-mode worst case here; every attack checks its own mode and
+    parameters against its row.
+
+    * ``run(oracle, config, rng)`` runs one trial.  It is a lambda so that
+      the attack function is looked up in this module when the trial runs.
+    * ``bound(params, config)`` is what each trial's ``counter`` ("queries"
+      or "sessions") is checked against; config None means the default
+      strategy.
+    * With ``bracket`` set the per-trial count is random: the bound is
+      informational, and the summary checks the mean against
+      ``bracket(params, config)``.
+    * Rows with a ``bench`` label form the bench table, in registry order.
+    """
+
+    id: str
+    mode: LeakageMode
+    run: Callable[[Oracle, Any, np.random.Generator], AttackOutcome]
+    bound: Callable[[SpaceParams, Any], float | int]
+    counter: str = "queries"
+    binary: bool = False
+    eps_below_n: bool = False
+    eps_positive: bool = False
+    bracket: Callable[[SpaceParams, Any], tuple[float, float]] | None = None
+    bench: str | None = None
+
+    def require(self, oracle: Oracle) -> None:
+        """Fail fast, before any interaction, unless the oracle leaks this
+        attack's mode over parameters it runs at."""
+        if oracle.mode != self.mode:
+            raise UsageError(f"{self.id} requires leakage mode {self.mode}; oracle leaks {oracle.mode}")
+        self.check(oracle.params)
+
+    def check(self, params: SpaceParams) -> None:
+        """Raise UsageError unless the attack runs at these parameters."""
+        if self.binary and params.q != 2:
+            raise UsageError(f"attack {self.id!r} needs q = 2 (got q={params.q})")
+        if self.eps_below_n and params.epsilon >= params.n:
+            raise UsageError(
+                f"attack {self.id!r} needs epsilon < n (got epsilon={params.epsilon}, n={params.n})"
+            )
+        if self.eps_positive and params.epsilon < 1:
+            raise UsageError(f"attack {self.id!r} needs epsilon >= 1")
+
+
+ATTACKS: dict[str, AttackSpec] = {
+    spec.id: spec
+    for spec in (
+        AttackSpec("below_distance", LeakageMode.parse("below", "distance"),
+                   run=lambda o, c, rng: attack_below_distance(o),
+                   bound=lambda p, c: _accept_search(p) + (p.q - 1) * p.epsilon,
+                   eps_below_n=True, bench="below/distance"),
+        AttackSpec("below_positions", LeakageMode.parse("below", "positions"),
+                   run=lambda o, c, rng: attack_below_positions(o),
+                   bound=lambda p, c: _accept_search(p) + p.q - 1,
+                   eps_below_n=True, bench="below/positions"),
+        AttackSpec("below_posvalues", LeakageMode.parse("below", "posvalues"),
+                   run=lambda o, c, rng: attack_below_positions_values(o),
+                   bound=lambda p, c: _accept_search(p) + 1,
+                   eps_below_n=True, bench="below/posvalues"),
+        AttackSpec("accumulation", LeakageMode.parse("below", "posvalues"),
+                   run=lambda o, c, rng: accumulation_collect(o, client_for(c, o.params), rng),
+                   bound=lambda p, c: accumulation_bracket(p, c)[1], bracket=accumulation_bracket,
+                   counter="sessions", binary=True, eps_positive=True, bench="below/posvalues accumulation"),
+        AttackSpec("minimal", LeakageMode.parse("both", "none"),
+                   run=lambda o, c, rng: attack_minimal_binary(o, SearchStrategy(c.strategy)),
+                   bound=lambda p, c: _accept_search(p, c) + p.n + 2 * p.epsilon + 1,
+                   binary=True, eps_below_n=True, bench="both/minimal"),
+        AttackSpec("both_distance", LeakageMode.parse("both", "distance"),
+                   run=lambda o, c, rng: attack_both_distance(o),
+                   bound=lambda p, c: p.n * (p.q - 1) + 1,
+                   bench="both/distance"),
+        AttackSpec("both_positions", LeakageMode.parse("both", "positions"),
+                   run=lambda o, c, rng: attack_both_positions(o),
+                   bound=lambda p, c: p.q - 1,
+                   bench="both/positions"),
+        AttackSpec("both_posvalues", LeakageMode.parse("both", "posvalues"),
+                   run=lambda o, c, rng: attack_both_positions_values(o),
+                   bound=lambda p, c: 1,
+                   bench="both/posvalues"),
+        AttackSpec("fault_control", LeakageMode.parse("below", "posvalues"),
+                   run=lambda o, c, rng: fault_controlled_collect(o),
+                   bound=lambda p, c: math.ceil(p.n / p.epsilon),
+                   counter="sessions", binary=True, eps_positive=True),
+    )
+}

@@ -2,8 +2,8 @@
 
 Search-cost estimates for the accept-finding phase (naive pinned-coordinate
 enumeration, greedy-cover size with the harmonic guarantee, and the entropy
-approximation of the optimal-cover size) plus the per-scenario worst-case
-query bound that the harness checks every trial against.
+approximation of the optimal-cover size), the per-mode worst-case query
+bound as the attack registry states it, and the coupon-collector bracket.
 
 Exact integer arithmetic is used wherever a quantity is exact (naive search,
 ball volume, the rational greedy-cover bound); the entropy approximation is
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .oracle import LeakageMode, Payload, Scope
+from .oracle import LeakageMode
 from .space import SpaceParams, ball_volume, harmonic_number_exact, q_ary_entropy
 
 
@@ -40,28 +40,18 @@ class BoundReport:
 
 
 def worst_case_queries(params: SpaceParams, mode: LeakageMode) -> int | None:
-    """Worst-case query count of the attack matching the leakage mode.
+    """Worst-case query count of the active attack matching the leakage mode,
+    as its row in the attack registry states it.
 
     None when no finite per-query bound applies: the accept-bit-only
     scenario is only attacked over the binary alphabet.
     """
-    q, n, eps = params.q, params.n, params.epsilon
-    search = q ** (n - eps)
-    if mode.scope is Scope.BELOW_ONLY:
-        if mode.payload is Payload.DISTANCE:
-            return search + (q - 1) * eps
-        if mode.payload is Payload.POSITIONS:
-            return search + (q - 1)
-        if mode.payload is Payload.POSITIONS_VALUES:
-            return search + 1
-        return None  # normalized away: below-only with no payload
-    if mode.payload is Payload.NONE:
-        return search + n + 2 * eps + 1 if q == 2 else None
-    if mode.payload is Payload.DISTANCE:
-        return n * (q - 1) + 1
-    if mode.payload is Payload.POSITIONS:
-        return q - 1
-    return 1
+    from .attacks import ATTACKS  # deferred: attacks imports coupon_bracket from here
+
+    for spec in ATTACKS.values():
+        if spec.mode == mode and spec.counter == "queries":
+            return None if spec.binary and params.q != 2 else spec.bound(params, None)
+    return None
 
 
 def theoretical_bounds(params: SpaceParams, mode: LeakageMode) -> BoundReport:

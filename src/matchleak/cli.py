@@ -65,14 +65,17 @@ def _load_config_file(path: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _DEFAULTS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _BOOL_KEYS:
-            values[key] = val.lower() in ("1", "true", "yes")
-        else:
-            values[key] = val
+        try:
+            if key in _INT_KEYS:
+                values[key] = int(val)
+            elif key in _FLOAT_KEYS:
+                values[key] = float(val)
+            elif key in _BOOL_KEYS:
+                values[key] = val.lower() in ("1", "true", "yes")
+            else:
+                values[key] = val
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
 
@@ -81,7 +84,7 @@ def _resolve(args: argparse.Namespace, key: str):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if getattr(args, "_file_values", None) and key in args._file_values:
+    if key in args._file_values:
         return args._file_values[key]
     return _DEFAULTS[key]
 
@@ -124,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--payload", choices=["none", "distance", "positions", "posvalues"])
     p_attack.add_argument("--strategy", choices=["fixing", "greedy"], help="minimal-leak search phase")
     p_attack.add_argument("--audit", help="append every oracle response/observation as JSON lines")
-    p_attack.set_defaults(func=cmd_attack)
+    p_attack.set_defaults(func=_run_and_report)
 
     p_bench = sub.add_parser("bench", help="run all eight leakage scenarios and print the table")
     _add_space_options(p_bench)
@@ -148,20 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_options(p_acc)
     _add_run_options(p_acc)
     _add_accumulation_options(p_acc)
-    p_acc.set_defaults(func=cmd_accumulate)
+    p_acc.set_defaults(func=_run_and_report, attack="accumulation")
 
     return parser
 
 
-def _prepare(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
-        args._file_values = _load_config_file(args.config)
-    else:
-        args._file_values = {}
-
-
-def _experiment_config(args: argparse.Namespace, attack: str | None = None) -> ExperimentConfig:
-    attack = attack or _resolve(args, "attack")
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    attack = _resolve(args, "attack")
     if not attack:
         raise UsageError("no attack selected (use --attack or a config file)")
     timing = bool(_resolve(args, "timing"))
@@ -198,8 +194,9 @@ def _print_summary(summary: dict) -> None:
     print(f"ok: {int(summary['ok'])}")
 
 
-def _run_and_report(args: argparse.Namespace, attack: str | None = None) -> int:
-    config = _experiment_config(args, attack)
+def _run_and_report(args: argparse.Namespace) -> int:
+    """The attack and accumulate subcommands: one experiment, summarized."""
+    config = _experiment_config(args)
     audit_path = _resolve(args, "audit") if hasattr(args, "audit") else None
     if audit_path:
         with open(audit_path, "w") as sink:
@@ -219,18 +216,7 @@ def _run_and_report(args: argparse.Namespace, attack: str | None = None) -> int:
     return 0 if summary["ok"] else 1
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    _prepare(args)
-    return _run_and_report(args)
-
-
-def cmd_accumulate(args: argparse.Namespace) -> int:
-    _prepare(args)
-    return _run_and_report(args, attack="accumulation")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    _prepare(args)
     rows = bench_table(
         q=_resolve(args, "q"),
         n=_resolve(args, "n"),
@@ -247,7 +233,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    _prepare(args)
     params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
     scope = _resolve(args, "scope") or "below"
     payload = _resolve(args, "payload") or "none"
@@ -275,7 +260,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    _prepare(args)
     params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
     method = _resolve(args, "method")
     cover = greedy_cover(params) if method == "greedy" else coordinate_fixing_cover(params)
@@ -298,11 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args._file_values = _load_config_file(args.config) if args.config else {}
         return args.func(args)
-    except (UsageError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,18 +17,19 @@ construction is guarded by a point budget rather than allowed to thrash.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import CapacityError, InternalError, UsageError
-from .oracle import Oracle
+from .oracle import MatchResponse, Oracle
 from .space import (
     SpaceParams,
     Template,
     ball_volume,
+    harmonic_number,
     template_from_index,
     template_index,
 )
@@ -55,17 +56,12 @@ class Cover:
 
 def chvatal_bound(params: SpaceParams) -> float:
     """Greedy set-cover guarantee: q^n H(n) / |B|."""
-    h = math.fsum(1.0 / i for i in range(1, params.n + 1))
-    return params.space_size() * h / ball_volume(params)
+    return params.space_size() * harmonic_number(params.n) / ball_volume(params)
 
 
-def _digit_matrix(params: SpaceParams, size: int) -> np.ndarray:
-    """Digits of indices 0..size-1, shape (size, n), coordinate 1 first."""
-    ids = np.arange(size, dtype=np.int64)
-    digits = np.empty((size, params.n), dtype=np.int64)
-    for i in range(params.n):
-        digits[:, i] = (ids // params.q ** (params.n - 1 - i)) % params.q
-    return digits
+def _guard(points: int, max_points: int, what: str) -> None:
+    if points > max_points:
+        raise CapacityError(f"{what} needs {points} points materialized (guard {max_points})")
 
 
 def _delta_patterns(params: SpaceParams) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -89,10 +85,10 @@ class _BallIndex:
         self.params = params
         self.size = params.space_size()
         self.volume = ball_volume(params)
-        self.digits = _digit_matrix(params, self.size)
-        self.weights = np.array(
-            [params.q ** (params.n - 1 - i) for i in range(params.n)], dtype=np.int64
-        )
+        # place values and digits of every index, coordinate 1 first
+        self.weights = params.q ** np.arange(params.n - 1, -1, -1, dtype=np.int64)
+        self.digits = np.arange(self.size, dtype=np.int64)[:, None] // self.weights
+        self.digits %= params.q
         self.patterns = _delta_patterns(params)
         self.matrix: np.ndarray | None = None
         if self.size * self.volume <= _NEIGHBOR_MATRIX_GUARD:
@@ -104,14 +100,12 @@ class _BallIndex:
         q = self.params.q
         out = np.empty((len(ids), self.volume), dtype=np.int64)
         out[:, 0] = ids
-        col = 1
-        for positions, offsets in self.patterns:
+        for col, (positions, offsets) in enumerate(self.patterns, 1):
             shifted = ids
             for p, off in zip(positions, offsets):
                 digit = self.digits[ids, p]
                 shifted = shifted + ((digit + off) % q - digit) * self.weights[p]
             out[:, col] = shifted
-            col += 1
         return out
 
     def balls(self, ids: np.ndarray) -> np.ndarray:
@@ -120,23 +114,22 @@ class _BallIndex:
         return self._balls(np.asarray(ids, dtype=np.int64))
 
 
-def coordinate_fixing_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:
-    """All q^(n-eps) templates with the last epsilon coordinates pinned to 0.
+def fixing_centers(params: SpaceParams) -> Iterator[Template]:
+    """The q^(n-eps) templates with the last epsilon coordinates pinned to 0,
+    lazily and in lexicographic order.
 
-    Always a certified cover: every point agrees with some center on the
-    free coordinates and differs from it on at most epsilon pinned ones.
+    Every point agrees with one of them on the free coordinates and differs
+    from it on at most epsilon pinned ones, so together they cover Z_q^n.
     """
-    free = params.n - params.epsilon
-    count = params.q**free
-    if count > max_points:
-        raise CapacityError(
-            f"coordinate-fixing cover would hold {count} centers (guard {max_points})"
-        )
     tail = (0,) * params.epsilon
-    centers = tuple(
-        head + tail for head in itertools.product(range(params.q), repeat=free)
-    )
-    return Cover(params=params, centers=centers, certified=True)
+    for head in itertools.product(range(params.q), repeat=params.n - params.epsilon):
+        yield head + tail
+
+
+def coordinate_fixing_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:
+    """The fixing centers as a certified cover (see fixing_centers)."""
+    _guard(params.q ** (params.n - params.epsilon), max_points, "coordinate-fixing cover")
+    return Cover(params=params, centers=tuple(fixing_centers(params)), certified=True)
 
 
 def greedy_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:
@@ -148,10 +141,7 @@ def greedy_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> C
     harmonic-factor guarantee (asserted by callers/tests, not here).
     """
     size = params.space_size()
-    if size > max_points:
-        raise CapacityError(
-            f"greedy cover needs the full space materialized: {size} points (guard {max_points})"
-        )
+    _guard(size, max_points, "greedy cover")
     index = _BallIndex(params)
     gain = np.full(size, index.volume, dtype=np.int64)
     covered = np.zeros(size, dtype=bool)
@@ -177,13 +167,11 @@ def verify_cover(cover: Cover, max_points: int = GREEDY_POINT_GUARD) -> bool:
     center.  Independent of the construction bookkeeping."""
     params = cover.params
     size = params.space_size()
-    if size > max_points:
-        raise CapacityError(f"cannot verify cover over {size} points (guard {max_points})")
+    _guard(size, max_points, "cover verification")
     index = _BallIndex(params)
     covered = np.zeros(size, dtype=bool)
     ids = np.array([template_index(params, c) for c in cover.centers], dtype=np.int64)
-    for row in index.balls(ids):
-        covered[row] = True
+    covered[index.balls(ids).ravel()] = True
     return bool(covered.all())
 
 
@@ -196,16 +184,10 @@ def exact_min_cover_size(params: SpaceParams, max_points: int = EXACT_POINT_GUAR
     Tiny instances only.
     """
     size = params.space_size()
-    if size > max_points:
-        raise CapacityError(f"exact cover limited to {max_points} points, got {size}")
+    _guard(size, max_points, "exact cover")
     index = _BallIndex(params)
     vol = index.volume
-    ball_mask = []
-    for i in range(size):
-        mask = 0
-        for m in index.balls(np.array([i], dtype=np.int64))[0]:
-            mask |= 1 << int(m)
-        ball_mask.append(mask)
+    ball_mask = [sum(1 << int(m) for m in row) for row in index.balls(np.arange(size, dtype=np.int64))]
 
     full = (1 << size) - 1
     best = len(greedy_cover(params, max_points=max_points))
@@ -226,20 +208,28 @@ def exact_min_cover_size(params: SpaceParams, max_points: int = EXACT_POINT_GUAR
     return best
 
 
-def covering_search(oracle: Oracle, cover: Cover) -> Template:
-    """Query the centers in order and return the first accepted one.
+def first_accepted(oracle: Oracle, centers: Iterable[Template]) -> tuple[Template, MatchResponse]:
+    """Query the centers in order and return the first accepted one with
+    its response.
 
-    A certified cover guarantees acceptance before exhaustion, so running
-    out of centers indicates a broken oracle/cover pairing.
+    The centers must cover the space (a certified cover, or fixing_centers),
+    which guarantees acceptance before exhaustion; running out indicates a
+    broken oracle/cover pairing.
     """
+    for center in centers:
+        resp = oracle.query(center)
+        if resp.accepted:
+            return center, resp
+    raise InternalError("covering centers exhausted without an acceptance")
+
+
+def covering_search(oracle: Oracle, cover: Cover) -> Template:
+    """First accepted center of a certified cover (see first_accepted)."""
     if not cover.certified:
         raise UsageError("covering search requires a certified cover")
     if cover.params != oracle.params:
         raise UsageError("cover and oracle disagree on space parameters")
-    for center in cover.centers:
-        if oracle.query(center).accepted:
-            return center
-    raise InternalError("certified cover exhausted without an acceptance")
+    return first_accepted(oracle, cover.centers)[0]
 
 
 # --- export / import ----------------------------------------------------------
@@ -254,24 +244,38 @@ def save_cover(cover: Cover, path: str | Path) -> None:
     lines = [
         f"# q={params.q} n={params.n} epsilon={params.epsilon} certified={int(cover.certified)}"
     ]
-    for c in cover.centers:
-        lines.append("".join(_EXPORT_DIGITS[v] for v in c))
+    lines += ("".join(_EXPORT_DIGITS[v] for v in c) for c in cover.centers)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_cover(path: str | Path) -> Cover:
+    """Read a cover written by save_cover.
+
+    A malformed header raises UsageError.  The header's certification bit is
+    not trusted: the cover loads as certified only if verify_cover confirms
+    it (a space too large to verify loads uncertified).
+    """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise UsageError("cover file missing parameter header")
-    fields = dict(part.split("=") for part in lines[0][1:].split())
-    params = SpaceParams(int(fields["q"]), int(fields["n"]), int(fields["epsilon"]))
+    try:
+        fields = dict(part.split("=", 1) for part in lines[0][1:].split())
+        q, n, eps, certified = (int(fields[key]) for key in ("q", "n", "epsilon", "certified"))
+    except (KeyError, ValueError):
+        raise UsageError(f"malformed cover header {lines[0]!r}") from None
+    params = SpaceParams(q, n, eps)
     centers = []
     for ln in lines[1:]:
         if len(ln) != params.n:
             raise UsageError(f"center {ln!r} has wrong length")
-        centers.append(tuple(_EXPORT_DIGITS.index(ch) for ch in ln))
-    for c in centers:
-        if any(v >= params.q for v in c):
-            raise UsageError("center digit outside the alphabet")
-    return Cover(params=params, centers=tuple(centers), certified=bool(int(fields["certified"])))
+        centers.append(tuple(_EXPORT_DIGITS.find(ch) for ch in ln))
+        if not all(0 <= v < params.q for v in centers[-1]):
+            raise UsageError(f"center {ln!r} has a digit outside the alphabet")
+    cover = Cover(params=params, centers=tuple(centers), certified=False)
+    if certified:
+        try:
+            return replace(cover, certified=verify_cover(cover))
+        except CapacityError:
+            pass
+    return cover

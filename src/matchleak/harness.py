@@ -12,42 +12,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import attacks
-from .attacks import AttackOutcome, PartialTemplate, SearchStrategy
-from .bounds import coupon_bracket, worst_case_queries
-from .covering import greedy_cover
+from .attacks import ATTACKS, AttackOutcome, PartialTemplate, client_for
+from .bounds import coupon_bracket, worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
+from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import ClientModel, LeakageMode, Oracle, Payload, Scope, SessionShape
+from .oracle import LeakageMode, Oracle
 from .space import SpaceParams, hamming_distance, sample_template
-
-ATTACK_MODES: dict[str, LeakageMode] = {
-    "below_distance": LeakageMode(Scope.BELOW_ONLY, Payload.DISTANCE),
-    "below_positions": LeakageMode(Scope.BELOW_ONLY, Payload.POSITIONS),
-    "below_posvalues": LeakageMode(Scope.BELOW_ONLY, Payload.POSITIONS_VALUES),
-    "minimal": LeakageMode(Scope.ALWAYS, Payload.NONE),
-    "both_distance": LeakageMode(Scope.ALWAYS, Payload.DISTANCE),
-    "both_positions": LeakageMode(Scope.ALWAYS, Payload.POSITIONS),
-    "both_posvalues": LeakageMode(Scope.ALWAYS, Payload.POSITIONS_VALUES),
-    "accumulation": LeakageMode(Scope.BELOW_ONLY, Payload.POSITIONS_VALUES),
-    "fault_control": LeakageMode(Scope.BELOW_ONLY, Payload.POSITIONS_VALUES),
-}
-
-BINARY_ONLY = {"minimal", "accumulation", "fault_control"}
-NEEDS_EPS_BELOW_N = {"below_distance", "below_positions", "below_posvalues", "minimal"}
-NEEDS_EPS_POSITIVE = {"accumulation", "fault_control"}
-PASSIVE = {"accumulation", "fault_control"}
-
-CSV_COLUMNS = ("trial", "seed", "queries", "sessions", "exact", "within_ball", "bound", "bound_ok", "ms")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,28 +59,24 @@ class TrialRecord:
     ms: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+
 def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]:
     """Resolve and sanity-check a configuration before any trial runs."""
-    if config.attack not in ATTACK_MODES:
-        known = ", ".join(sorted(ATTACK_MODES))
+    spec = ATTACKS.get(config.attack)
+    if spec is None:
+        known = ", ".join(sorted(ATTACKS))
         raise UsageError(f"unknown attack {config.attack!r}; expected one of: {known}")
     params = SpaceParams(config.q, config.n, config.epsilon)
-    mode = ATTACK_MODES[config.attack]
+    mode = spec.mode
     if config.scope is not None or config.payload is not None:
         if config.scope is None or config.payload is None:
             raise UsageError("scope and payload must be given together")
         wanted = LeakageMode.parse(config.scope, config.payload)
         if wanted != mode:
-            raise UsageError(
-                f"attack {config.attack!r} requires mode ({mode.scope.value}, {mode.payload.value}), "
-                f"got ({wanted.scope.value}, {wanted.payload.value})"
-            )
-    if config.attack in BINARY_ONLY and params.q != 2:
-        raise UsageError(f"attack {config.attack!r} needs q = 2")
-    if config.attack in NEEDS_EPS_BELOW_N and params.epsilon >= params.n:
-        raise UsageError(f"attack {config.attack!r} needs epsilon < n")
-    if config.attack in NEEDS_EPS_POSITIVE and params.epsilon < 1:
-        raise UsageError(f"attack {config.attack!r} needs epsilon >= 1")
+            raise UsageError(f"attack {config.attack!r} requires mode {mode}, got {wanted}")
+    spec.check(params)
     if config.trials < 1:
         raise UsageError("trials must be >= 1")
     if config.workers < 1:
@@ -118,62 +92,13 @@ def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]
     return params, mode
 
 
-def client_for(config: ExperimentConfig, params: SpaceParams) -> ClientModel:
-    shape = SessionShape(config.session_shape)
-    if config.alpha is None:
-        return ClientModel.uniform(params.n, shape)
-    return ClientModel.rare_first(params.n, config.alpha, shape)
-
-
-@lru_cache(maxsize=32)
-def _greedy_cover_size(q: int, n: int, epsilon: int) -> int:
-    return len(greedy_cover(SpaceParams(q, n, epsilon)))
-
-
 def attack_bound(config: ExperimentConfig, params: SpaceParams) -> float | int:
-    """Per-trial bound checked by the harness.
-
-    Active attacks: worst-case queries.  Fault-controlled collection:
-    ceil(n/eps) sessions.  Accumulation: the upper end of the expected-
-    session bracket; the meaningful check there is the summary-level mean,
-    so per-trial bound_ok is informational only.
-    """
-    if config.attack == "accumulation":
-        client = client_for(config, params)
-        _, hi = coupon_bracket(len(client.variable_positions()), client.min_prob())
-        return hi
-    if config.attack == "fault_control":
-        return math.ceil(params.n / params.epsilon)
-    if config.attack == "minimal" and config.strategy == "greedy":
-        size = _greedy_cover_size(params.q, params.n, params.epsilon)
-        return size + params.n + 2 * params.epsilon + 1
-    bound = worst_case_queries(params, ATTACK_MODES[config.attack])
-    if bound is None:
-        raise UsageError(f"no worst-case bound applies to {config.attack!r} at q={params.q}")
-    return bound
-
-
-def _execute(config: ExperimentConfig, oracle: Oracle, rng: np.random.Generator) -> AttackOutcome:
-    a = config.attack
-    if a == "below_distance":
-        return attacks.attack_below_distance(oracle)
-    if a == "below_positions":
-        return attacks.attack_below_positions(oracle)
-    if a == "below_posvalues":
-        return attacks.attack_below_positions_values(oracle)
-    if a == "minimal":
-        return attacks.attack_minimal_binary(oracle, SearchStrategy(config.strategy))
-    if a == "both_distance":
-        return attacks.attack_both_distance(oracle)
-    if a == "both_positions":
-        return attacks.attack_both_positions(oracle)
-    if a == "both_posvalues":
-        return attacks.attack_both_positions_values(oracle)
-    if a == "accumulation":
-        return attacks.accumulation_collect(oracle, client_for(config, oracle.params), rng)
-    if a == "fault_control":
-        return attacks.fault_controlled_collect(oracle)
-    raise UsageError(f"unknown attack {a!r}")
+    """Per-trial bound checked by the harness, from the attack's registry row:
+    worst-case queries for active attacks, sessions for passive ones.  For
+    accumulation it is the upper end of the expected-session bracket; the
+    meaningful check there is the summary-level mean, so per-trial bound_ok
+    is informational only."""
+    return ATTACKS[config.attack].bound(params, config)
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -217,6 +142,7 @@ def run_trial(
     on_observation: Callable | None = None,
 ) -> TrialRecord:
     params, mode = validate_config(config)
+    spec = ATTACKS[config.attack]
     if bound is None:
         bound = attack_bound(config, params)
     seed = trial_seed(config.master_seed, trial)
@@ -224,19 +150,16 @@ def run_trial(
     secret = sample_template(params, rng)
     oracle = Oracle(secret, params, mode, on_response=on_response, on_observation=on_observation)
     t0 = time.perf_counter_ns()
-    outcome = _execute(config, oracle, rng)
+    outcome = spec.run(oracle, config, rng)
     ms = (time.perf_counter_ns() - t0) // 1_000_000
     if oracle.audit_count != 0:
         raise InternalError("attack read the secret outside the query interface")
     exact, within = _verify_outcome(oracle, outcome, params)
     if outcome.queries_used != oracle.query_count:
         raise InternalError("attack under- or over-reported its query count")
-    if config.attack == "accumulation":
-        bound_ok = 1  # bracket applies to the mean; checked in the summary
-    elif config.attack == "fault_control":
-        bound_ok = int(outcome.sessions_used <= bound)
-    else:
-        bound_ok = int(outcome.queries_used <= bound)
+    spent = outcome.sessions_used if spec.counter == "sessions" else outcome.queries_used
+    # a bracketed bound applies to the mean, which the summary checks
+    bound_ok = int(spec.bracket is not None or spent <= bound)
     return TrialRecord(
         trial=trial,
         seed=seed,
@@ -305,19 +228,17 @@ def summarize(config: ExperimentConfig, params: SpaceParams, records: list[Trial
         "not_within_ball": sum(1 for r in records if not r.within_ball),
         "mean_ms": sum(r.ms for r in records) / len(records),
     }
-    if config.attack == "accumulation":
-        client = client_for(config, params)
-        lo, hi = coupon_bracket(len(client.variable_positions()), client.min_prob())
+    spec = ATTACKS[config.attack]
+    if spec.bracket is not None:
+        lo, hi = spec.bracket(params, config)
         mean = summary["sessions_mean"]
         summary["bracket_lo"] = lo
         summary["bracket_hi"] = hi
         summary["bracket_ok"] = int(lo <= mean <= hi)
         # the partial template is a privacy break even when incomplete;
         # exactness is only expected when every coordinate is variable
-        if len(client.variable_positions()) == params.n:
-            summary["ok"] = bool(summary["bracket_ok"] and summary["exact_failures"] == 0)
-        else:
-            summary["ok"] = bool(summary["bracket_ok"])
+        all_variable = len(client_for(config, params).variable_positions()) == params.n
+        summary["ok"] = bool(summary["bracket_ok"] and not (all_variable and summary["exact_failures"]))
     else:
         summary["ok"] = bool(summary["violations"] == 0 and summary["exact_failures"] == 0)
     return summary
@@ -326,8 +247,30 @@ def summarize(config: ExperimentConfig, params: SpaceParams, records: list[Trial
 # --- record emission -----------------------------------------------------------
 
 
-def _format_bound(value: float | int) -> str:
-    return str(value) if isinstance(value, int) else repr(value)
+def _write_rows(kind: type, rows: Iterable, fmt: str, path: str | Path, what: str) -> None:
+    """Write rows of dataclass ``kind`` as CSV (header first) or JSONL, one
+    row per line, with one column per field.
+
+    Values go out as Python formats them (str(float) == repr(float)), so
+    output bytes are deterministic.  Files always end with a newline; no
+    rows yield a header-only CSV (or an empty JSONL).
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise UsageError(f"unknown output format {fmt!r}")
+    columns = [f.name for f in fields(kind)]
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([getattr(r, c) for c in columns] for r in rows)
+    else:
+        for r in rows:
+            buf.write(json.dumps({c: getattr(r, c) for c in columns}, separators=(",", ":")))
+            buf.write("\n")
+    try:
+        Path(path).write_text(buf.getvalue())
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def emit(
@@ -340,110 +283,35 @@ def emit(
 
     Output bytes are deterministic for a fixed configuration: the measured
     per-trial wall time is replaced by 0 unless include_timing is set.
-    Files always end with a newline; an empty record list yields a
-    header-only CSV (or an empty JSONL).
     """
-    if fmt not in ("csv", "jsonl"):
-        raise UsageError(f"unknown output format {fmt!r}")
-    buf = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.trial,
-                    r.seed,
-                    r.queries,
-                    r.sessions,
-                    r.exact,
-                    r.within_ball,
-                    _format_bound(r.bound),
-                    r.bound_ok,
-                    r.ms if include_timing else 0,
-                ]
-            )
-    else:
-        for r in records:
-            doc = {
-                "trial": r.trial,
-                "seed": r.seed,
-                "queries": r.queries,
-                "sessions": r.sessions,
-                "exact": r.exact,
-                "within_ball": r.within_ball,
-                "bound": r.bound,
-                "bound_ok": r.bound_ok,
-                "ms": r.ms if include_timing else 0,
-            }
-            buf.write(json.dumps(doc, separators=(",", ":")))
-            buf.write("\n")
-    try:
-        Path(path).write_text(buf.getvalue())
-    except OSError as exc:
-        raise OSError(f"cannot write records to {path}: {exc}") from exc
+    if not include_timing:
+        records = (replace(r, ms=0) for r in records)
+    _write_rows(TrialRecord, records, fmt, path, "records")
+
+
+def _number(text: str) -> float | int:
+    return float(text) if "." in text or "e" in text else int(text)
 
 
 def read_records(path: str | Path, fmt: str) -> list[TrialRecord]:
     """Parse records back; inverse of emit for both formats."""
     text = Path(path).read_text()
-    records = []
-    if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
-        if rows and tuple(rows[0]) != CSV_COLUMNS:
-            raise UsageError(f"unexpected CSV header {rows[0]!r}")
-        for row in rows[1:]:
-            vals = dict(zip(CSV_COLUMNS, row))
-            bound = float(vals["bound"]) if "." in vals["bound"] or "e" in vals["bound"] else int(vals["bound"])
-            records.append(
-                TrialRecord(
-                    trial=int(vals["trial"]),
-                    seed=int(vals["seed"]),
-                    queries=int(vals["queries"]),
-                    sessions=int(vals["sessions"]),
-                    exact=int(vals["exact"]),
-                    within_ball=int(vals["within_ball"]),
-                    bound=bound,
-                    bound_ok=int(vals["bound_ok"]),
-                    ms=int(vals["ms"]),
-                )
-            )
-    elif fmt == "jsonl":
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            records.append(TrialRecord(**doc))
-    else:
+    if fmt == "jsonl":
+        return [TrialRecord(**json.loads(line)) for line in text.splitlines() if line.strip()]
+    if fmt != "csv":
         raise UsageError(f"unknown output format {fmt!r}")
-    return records
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows and tuple(rows[0]) != CSV_COLUMNS:
+        raise UsageError(f"unexpected CSV header {rows[0]!r}")
+    parse = [int if f.type == "int" else _number for f in fields(TrialRecord)]
+    return [TrialRecord(*(p(v) for p, v in zip(parse, row))) for row in rows[1:]]
 
 
 # --- bench table ------------------------------------------------------------------
 
 
-BENCH_SCENARIOS: tuple[tuple[str, str], ...] = (
-    ("below/distance", "below_distance"),
-    ("below/positions", "below_positions"),
-    ("below/posvalues", "below_posvalues"),
-    ("below/posvalues accumulation", "accumulation"),
-    ("both/minimal", "minimal"),
-    ("both/distance", "both_distance"),
-    ("both/positions", "both_positions"),
-    ("both/posvalues", "both_posvalues"),
-)
-
-BENCH_COLUMNS = (
-    "scenario",
-    "attack",
-    "trials",
-    "bound",
-    "max_queries",
-    "mean_queries",
-    "mean_sessions",
-    "violations",
-    "exact_failures",
-    "ok",
+BENCH_SCENARIOS: tuple[tuple[str, str], ...] = tuple(
+    (spec.bench, spec.id) for spec in ATTACKS.values() if spec.bench is not None
 )
 
 
@@ -466,22 +334,24 @@ def bench_table(
 ) -> list[BenchRow]:
     """Run every leakage scenario at desk scale, one row per scenario.
 
-    The minimal-leak and accumulation rows need a binary alphabet, so the
-    bench as a whole requires q = 2.  All rows share the master seed (and
-    therefore the same per-trial secrets).
+    Every row's configuration is validated before any runs, so parameters
+    one attack rejects (the minimal-leak and accumulation rows need a binary
+    alphabet) fail the whole bench up front.  All rows share the master seed
+    (and therefore the same per-trial secrets).
     """
-    if q != 2:
-        raise UsageError("the bench table requires q = 2 (minimal and accumulation rows)")
+    configs = [
+        ExperimentConfig(q=q, n=n, epsilon=epsilon, attack=attack, trials=trials, master_seed=master_seed)
+        for _scenario, attack in BENCH_SCENARIOS
+    ]
+    for config in configs:
+        validate_config(config)
     rows = []
-    for scenario, attack in BENCH_SCENARIOS:
-        config = ExperimentConfig(
-            q=q, n=n, epsilon=epsilon, attack=attack, trials=trials, master_seed=master_seed
-        )
+    for (scenario, _attack), config in zip(BENCH_SCENARIOS, configs):
         _records, summary = run_experiment(config)
         rows.append(
             BenchRow(
                 scenario=scenario,
-                attack=attack,
+                attack=config.attack,
                 trials=summary["trials"],
                 bound=summary["bound"],
                 max_queries=summary["queries_max"],
@@ -508,44 +378,4 @@ def format_bench(rows: list[BenchRow]) -> str:
 
 
 def emit_bench(rows: list[BenchRow], fmt: str, path: str | Path) -> None:
-    if fmt not in ("csv", "jsonl"):
-        raise UsageError(f"unknown output format {fmt!r}")
-    buf = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.scenario,
-                    r.attack,
-                    r.trials,
-                    _format_bound(r.bound),
-                    r.max_queries,
-                    repr(r.mean_queries),
-                    repr(r.mean_sessions),
-                    r.violations,
-                    r.exact_failures,
-                    r.ok,
-                ]
-            )
-    else:
-        for r in rows:
-            doc = {
-                "scenario": r.scenario,
-                "attack": r.attack,
-                "trials": r.trials,
-                "bound": r.bound,
-                "max_queries": r.max_queries,
-                "mean_queries": r.mean_queries,
-                "mean_sessions": r.mean_sessions,
-                "violations": r.violations,
-                "exact_failures": r.exact_failures,
-                "ok": r.ok,
-            }
-            buf.write(json.dumps(doc, separators=(",", ":")))
-            buf.write("\n")
-    try:
-        Path(path).write_text(buf.getvalue())
-    except OSError as exc:
-        raise OSError(f"cannot write bench rows to {path}: {exc}") from exc
+    _write_rows(BenchRow, rows, fmt, path, "bench rows")

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .space import SpaceParams, Template, as_template
+from .space import SpaceParams, Template, as_template, perturb
 
 
 class Scope(Enum):
@@ -56,15 +56,15 @@ class LeakageMode:
         if self.scope is Scope.BELOW_ONLY and self.payload is Payload.NONE:
             object.__setattr__(self, "scope", Scope.ALWAYS)
 
+    def __str__(self) -> str:
+        return f"({self.scope.value}, {self.payload.value})"
+
     @classmethod
     def parse(cls, scope: str, payload: str) -> "LeakageMode":
         try:
             return cls(Scope(scope), Payload(payload))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-
-
-MINIMAL = LeakageMode(Scope.ALWAYS, Payload.NONE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,6 +161,42 @@ class ClientModel:
             target = self.variable_positions()
         return min(self.error_probs[i - 1] for i in target)
 
+    def observation_chance(self, epsilon: int) -> tuple[float, float]:
+        """Bounds (lo, hi) on the smallest per-session chance that a variable
+        coordinate is observed.
+
+        A single-error session observes coordinate i with chance
+        w_i = p_i / sum(p).  A multi-error session draws k uniformly from
+        1..epsilon, then k positions without replacement, each proportional
+        to w among those left; the rarest coordinate is then the least
+        likely to be drawn.  Given that it is not drawn yet, step j picks it
+        with chance w/(1 - removed mass), and bounding the removed mass by
+        the j smallest and the j largest other weights brackets its
+        inclusion chance.  Both ends agree, so the chance is exact, whenever
+        the other weights are equal, as in the uniform and rare-first models.
+        """
+        total = sum(self.error_probs)
+        if abs(total - 1.0) <= 1e-9:
+            total = 1.0  # the constructor's tolerance: rounding must not move w
+        w, *others = sorted(p / total for p in self.error_probs if p > 0.0)
+        if self.shape is SessionShape.SINGLE_ERROR:
+            return w, w
+
+        def inclusion(removed: list[float]) -> float:
+            missed, acc = 1.0, 0.0
+            for k in range(epsilon):  # k + 1 draws, capped at the variable count
+                if k <= len(others):
+                    missed *= 1.0 - min(1.0, w / (1.0 - sum(removed[:k])))
+                acc += 1.0 - missed
+            return acc / epsilon
+
+        return inclusion(others), inclusion(others[::-1])
+
+
+def _errors(secret: Template, y: Sequence[int]) -> dict[int, int]:
+    """1-based position -> x_i - y_i for every coordinate where y errs."""
+    return {i + 1: secret[i] - y[i] for i in range(len(secret)) if secret[i] != y[i]}
+
 
 class Oracle:
     """Match oracle over a sealed secret with strict interaction accounting.
@@ -221,30 +257,19 @@ class Oracle:
         self._query_count += 1
         accepted = d <= params.epsilon
 
-        leak = accepted or self.mode.scope is Scope.ALWAYS
         payload = self.mode.payload
-        resp = MatchResponse(accepted=accepted)
-        if leak and payload is not Payload.NONE:
-            if payload is Payload.DISTANCE:
-                resp = MatchResponse(accepted=accepted, distance=d)
-            else:
-                positions = frozenset(
-                    i + 1 for i, (a, b) in enumerate(zip(secret, y)) if a != b
-                )
-                if payload is Payload.POSITIONS:
-                    resp = MatchResponse(accepted=accepted, error_positions=positions)
-                else:
-                    values = {
-                        i + 1: secret[i] - y[i]
-                        for i, (a, b) in enumerate(zip(secret, y))
-                        if a != b
-                    }
-                    resp = MatchResponse(
-                        accepted=accepted,
-                        distance=d,
-                        error_positions=positions,
-                        error_values=values,
-                    )
+        if not (accepted or self.mode.scope is Scope.ALWAYS) or payload is Payload.NONE:
+            resp = MatchResponse(accepted=accepted)
+        elif payload is Payload.DISTANCE:
+            resp = MatchResponse(accepted=accepted, distance=d)
+        elif payload is Payload.POSITIONS:
+            positions = frozenset(i for i, (a, b) in enumerate(zip(secret, y), 1) if a != b)
+            resp = MatchResponse(accepted=accepted, error_positions=positions)
+        else:
+            values = _errors(secret, y)
+            resp = MatchResponse(
+                accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
+            )
         if self._on_response is not None:
             self._on_response(resp)
         return resp
@@ -275,19 +300,12 @@ class Oracle:
         probs = np.asarray(client.error_probs, dtype=float)
         weights = probs / probs.sum()
         variable = int(np.count_nonzero(probs))
-        if client.shape is SessionShape.SINGLE_ERROR:
-            k = 1
-        else:
-            k = int(rng.integers(1, params.epsilon + 1))
-            k = min(k, variable)
+        k = 1
+        if client.shape is SessionShape.MULTI_ERROR:
+            k = min(int(rng.integers(1, params.epsilon + 1)), variable)
         positions = rng.choice(params.n, size=k, replace=False, p=weights)
-
         secret = self.__secret
-        y = list(secret)
-        for p in positions:
-            offset = int(rng.integers(1, params.q))
-            y[p] = (y[p] + offset) % params.q
-        return self._emit_observation(secret, y)
+        return self._emit_observation(secret, perturb(params, secret, positions, rng))
 
     def faulted_session(self, positions: Iterable[int]) -> Observation:
         """Session whose error locations the attacker controls (fault
@@ -312,11 +330,8 @@ class Oracle:
         return self._emit_observation(secret, y)
 
     def _emit_observation(self, secret: Template, y: Sequence[int]) -> Observation:
-        errors = {
-            i + 1: secret[i] - y[i] for i in range(self.params.n) if secret[i] != y[i]
-        }
         self._session_count += 1
-        obs = Observation(errors=errors)
+        obs = Observation(errors=_errors(secret, y))
         if self._on_observation is not None:
             self._on_observation(obs)
         return obs
@@ -328,13 +343,6 @@ class Oracle:
         counted; a clean attack leaves audit_count at zero."""
         self._audit_count += 1
         return self.__secret
-
-
-def new_oracle(
-    secret: Sequence[int], params: SpaceParams, mode: LeakageMode, **kwargs
-) -> Oracle:
-    """Build a sealed oracle with zeroed counters."""
-    return Oracle(secret, params, mode, **kwargs)
 
 
 # --- audit serialization ------------------------------------------------------

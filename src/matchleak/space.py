@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,9 +115,6 @@ def harmonic_number(n: int) -> float:
     """H(n) = sum_{i=1}^{n} 1/i.  Satisfies H(n) <= ln(n) + 1."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    if n > 10_000:
-        # vectorized for large n; float error stays far below 1e-9 here
-        return float((1.0 / np.arange(1, n + 1)).sum())
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
@@ -200,9 +197,15 @@ def sample_at_distance(
     x = as_template(params, x)
     if k == 0:
         return x
+    return tuple(perturb(params, x, rng.choice(params.n, size=k, replace=False), rng))
+
+
+def perturb(
+    params: SpaceParams, x: Sequence[int], positions: Iterable[int], rng: np.random.Generator
+) -> list[int]:
+    """x with each given 0-based coordinate moved to a uniformly drawn other
+    symbol, one draw per position in the given order."""
     y = list(x)
-    positions = rng.choice(params.n, size=k, replace=False)
     for p in positions:
-        offset = int(rng.integers(1, params.q))
-        y[p] = (y[p] + offset) % params.q
-    return tuple(y)
+        y[p] = (y[p] + int(rng.integers(1, params.q))) % params.q
+    return y

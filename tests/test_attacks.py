@@ -441,6 +441,19 @@ class TestAccumulation:
         partial, used = collect_observations(params, obs, target={1, 2})
         assert used == 2 and partial.coords == (1, 0, None, None)
 
+    def test_lazy_stream_not_drawn_past_completion(self):
+        params = SpaceParams(2, 2, 1)
+        pulled = []
+
+        def stream():
+            for obs in (Observation(errors={1: 1}), Observation(errors={2: -1}), Observation(errors={1: 1})):
+                pulled.append(obs)
+                yield obs
+
+        partial, used = collect_observations(params, stream())
+        assert used == 2 and len(pulled) == 2
+        assert partial.coords == (1, 0)
+
     def test_live_collection_exact(self, rng):
         params = SpaceParams(2, 12, 3)
         secret = random_secret(params, rng)

@@ -195,3 +195,26 @@ class TestExport:
         path.write_text("000\n111\n")
         with pytest.raises(UsageError):
             load_cover(path)
+
+    def test_edited_certified_cover_loads_uncertified(self, tmp_path):
+        # a hand-edited cover keeps its certified=1 header but no longer covers
+        params = SpaceParams(2, 3, 1)
+        path = tmp_path / "edited.txt"
+        path.write_text("# q=2 n=3 epsilon=1 certified=1\n000\n")
+        loaded = load_cover(path)
+        assert not loaded.certified
+        oracle = Oracle((1, 1, 1), params, LeakageMode(Scope.ALWAYS, Payload.NONE))
+        with pytest.raises(UsageError):
+            covering_search(oracle, loaded)
+
+    def test_header_token_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# q=2 n=3 epsilon certified=1\n000\n111\n")
+        with pytest.raises(UsageError):
+            load_cover(path)
+
+    def test_header_missing_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# q=2 n=3 certified=1\n000\n111\n")
+        with pytest.raises(UsageError):
+            load_cover(path)

@@ -141,6 +141,18 @@ class TestRunExperiment:
         assert summary["bracket_ok"] == 1
         assert summary["ok"]
 
+    def test_multi_error_accumulation_bracket(self):
+        # the bracket sits at the chance that a multi-error session observes
+        # the rarest coordinate, not at that coordinate's error probability
+        cfg = ExperimentConfig(
+            2, 16, 3, attack="accumulation", trials=200, master_seed=0, alpha=1.5, session_shape="multi"
+        )
+        _, summary = run_experiment(cfg)
+        assert summary["bracket_lo"] == pytest.approx(30.86, abs=0.01)
+        assert summary["bracket_hi"] == pytest.approx(116.43, abs=0.01)
+        assert summary["bracket_ok"] == 1
+        assert summary["ok"]
+
     def test_fault_control_sessions(self):
         cfg = ExperimentConfig(2, 11, 4, attack="fault_control", trials=10, master_seed=1)
         records, summary = run_experiment(cfg)
@@ -280,6 +292,13 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("attacc=both_positions\n")
         assert main(["attack", "--config", str(cfg)]) == 2
+
+    def test_config_file_bad_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("attack=both_positions\nq=abc\n")
+        assert main(["attack", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"{cfg}:2" in err
 
     def test_audit_stream_schema(self, tmp_path):
         audit = tmp_path / "audit.jsonl"

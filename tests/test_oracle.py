@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from matchleak import (
@@ -10,7 +12,6 @@ from matchleak import (
     SessionShape,
     SpaceParams,
     UsageError,
-    new_oracle,
     observation_from_json,
     observation_to_json,
     response_from_json,
@@ -44,25 +45,25 @@ class TestLeakageMode:
 
 class TestOracleBasics:
     def test_fresh_counters(self):
-        o = new_oracle(SECRET7, P7, always(Payload.NONE))
+        o = Oracle(SECRET7, P7, always(Payload.NONE))
         assert o.query_count == 0
         assert o.session_count == 0
         assert o.audit_count == 0
 
     def test_counter_increments_by_one(self):
-        o = new_oracle(SECRET7, P7, always(Payload.NONE))
+        o = Oracle(SECRET7, P7, always(Payload.NONE))
         for k in range(5):
             o.query((0,) * 7)
             assert o.query_count == k + 1
 
     def test_malformed_secret(self):
         with pytest.raises(UsageError):
-            new_oracle((0, 1), P7, always(Payload.NONE))
+            Oracle((0, 1), P7, always(Payload.NONE))
         with pytest.raises(UsageError):
-            new_oracle((0, 0, 1, 1, 0, 1, 9), P7, always(Payload.NONE))
+            Oracle((0, 0, 1, 1, 0, 1, 9), P7, always(Payload.NONE))
 
     def test_malformed_query_does_not_count(self):
-        o = new_oracle(SECRET7, P7, always(Payload.NONE))
+        o = Oracle(SECRET7, P7, always(Payload.NONE))
         with pytest.raises(UsageError):
             o.query((0, 1))
         with pytest.raises(UsageError):
@@ -71,19 +72,19 @@ class TestOracleBasics:
 
     def test_whole_space_threshold_accepts_everything(self, rng):
         params = SpaceParams(3, 5, 5)
-        o = new_oracle((0, 1, 2, 0, 1), params, always(Payload.NONE))
+        o = Oracle((0, 1, 2, 0, 1), params, always(Payload.NONE))
         for _ in range(50):
             assert o.query(sample_template(params, rng)).accepted
 
     def test_accept_boundary(self):
-        o = new_oracle(SECRET7, P7, always(Payload.DISTANCE))
+        o = Oracle(SECRET7, P7, always(Payload.DISTANCE))
         assert o.query((1, 1, 0, 1, 0, 1, 0)).accepted  # distance 3 == threshold
         assert not o.query((1, 1, 0, 0, 0, 1, 0)).accepted  # distance 4
 
 
 class TestLeakPayloads:
     def test_worked_leak_example(self):
-        o = new_oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
         resp = o.query((1, 1, 0, 1, 0, 1, 0))
         assert resp.accepted
         assert resp.error_positions == frozenset({1, 2, 3})
@@ -92,7 +93,7 @@ class TestLeakPayloads:
 
     def test_query_equal_to_secret(self):
         for payload in Payload:
-            o = new_oracle(SECRET7, P7, below(payload))
+            o = Oracle(SECRET7, P7, below(payload))
             resp = o.query(SECRET7)
             assert resp.accepted
             if payload is Payload.DISTANCE:
@@ -105,14 +106,14 @@ class TestLeakPayloads:
 
     def test_quaternary_position_leak(self):
         params = SpaceParams(4, 5, 2)
-        o = new_oracle((0, 1, 3, 2, 2), params, always(Payload.POSITIONS))
+        o = Oracle((0, 1, 3, 2, 2), params, always(Payload.POSITIONS))
         resp = o.query((0, 0, 0, 0, 0))
         assert not resp.accepted
         assert resp.error_positions == frozenset({2, 3, 4, 5})
         assert resp.distance is None  # positions payload carries positions only
 
     def test_distance_payload_exactly(self):
-        o = new_oracle(SECRET7, P7, below(Payload.DISTANCE))
+        o = Oracle(SECRET7, P7, below(Payload.DISTANCE))
         resp = o.query((0, 0, 1, 1, 0, 1, 1))
         assert resp.accepted and resp.distance == 1
         assert resp.error_positions is None and resp.error_values is None
@@ -120,7 +121,7 @@ class TestLeakPayloads:
     def test_below_only_rejections_leak_nothing(self, rng):
         params = SpaceParams(4, 8, 1)
         secret = sample_template(params, rng)
-        o = new_oracle(secret, params, below(Payload.POSITIONS_VALUES))
+        o = Oracle(secret, params, below(Payload.POSITIONS_VALUES))
         draws = rng.integers(0, 4, size=(110_000, 8))
         rejected = 0
         for row in draws:
@@ -135,7 +136,7 @@ class TestLeakPayloads:
         assert rejected >= 100_000
 
     def test_always_scope_leaks_above_threshold(self):
-        o = new_oracle(SECRET7, P7, always(Payload.DISTANCE))
+        o = Oracle(SECRET7, P7, always(Payload.DISTANCE))
         resp = o.query((1, 1, 0, 0, 1, 0, 1))
         assert not resp.accepted
         assert resp.distance == 7
@@ -143,7 +144,7 @@ class TestLeakPayloads:
     def test_leak_soundness_random(self, rng):
         params = SpaceParams(5, 10, 4)
         secret = sample_template(params, rng)
-        o = new_oracle(secret, params, always(Payload.POSITIONS_VALUES))
+        o = Oracle(secret, params, always(Payload.POSITIONS_VALUES))
         for _ in range(500):
             y = sample_template(params, rng)
             resp = o.query(y)
@@ -159,12 +160,12 @@ class TestLeakPayloads:
 
 class TestGenuineSessions:
     def test_requires_posvalues(self, rng):
-        o = new_oracle(SECRET7, P7, below(Payload.DISTANCE))
+        o = Oracle(SECRET7, P7, below(Payload.DISTANCE))
         with pytest.raises(UsageError):
             o.genuine_session(ClientModel.uniform(7), rng)
 
     def test_single_error_shape(self, rng):
-        o = new_oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
         for _ in range(100):
             obs = o.genuine_session(ClientModel.uniform(7), rng)
             assert len(obs.errors) == 1
@@ -172,7 +173,7 @@ class TestGenuineSessions:
         assert o.query_count == 0  # sessions never touch the query counter
 
     def test_multi_error_shape_bounds(self, rng):
-        o = new_oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
         client = ClientModel.uniform(7, SessionShape.MULTI_ERROR)
         counts = {len(o.genuine_session(client, rng).errors) for _ in range(300)}
         assert counts <= {1, 2, 3}
@@ -180,7 +181,7 @@ class TestGenuineSessions:
 
     def test_binary_sign_rule(self, rng):
         # +1 pins the bit to 1, -1 pins it to 0
-        o = new_oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
         for _ in range(200):
             obs = o.genuine_session(ClientModel.uniform(7), rng)
             for pos, delta in obs.errors.items():
@@ -190,14 +191,14 @@ class TestGenuineSessions:
     def test_sessions_respect_nonvariable_coordinates(self, rng):
         client = ClientModel((0.0, 0.5, 0.5), SessionShape.SINGLE_ERROR)
         params = SpaceParams(2, 3, 2)
-        o = new_oracle((1, 0, 1), params, below(Payload.POSITIONS_VALUES))
+        o = Oracle((1, 0, 1), params, below(Payload.POSITIONS_VALUES))
         seen = set()
         for _ in range(200):
             seen |= o.genuine_session(client, rng).errors.keys()
         assert 1 not in seen
 
     def test_faulted_session_exact_positions(self):
-        o = new_oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
         obs = o.faulted_session([2, 5, 7])
         assert set(obs.errors) == {2, 5, 7}
         with pytest.raises(UsageError):
@@ -217,10 +218,49 @@ class TestGenuineSessions:
         assert ClientModel((0.25, 0.0, 0.5)).variable_positions() == (1, 3)
         assert ClientModel.rare_first(16, 1.5).min_prob() == pytest.approx(16**-1.5)
 
+    @staticmethod
+    def _inclusion_by_enumeration(probs, eps):
+        """Chance each coordinate is drawn in a multi-error session, summed
+        over every ordered draw without replacement."""
+        total = sum(probs)
+        w = [p / total for p in probs]
+        live = [i for i, p in enumerate(w) if p > 0.0]
+        incl = [0.0] * len(w)
+        for k in range(1, eps + 1):
+            for seq in itertools.permutations(live, min(k, len(live))):
+                prob, used = 1.0, 0.0
+                for j in seq:
+                    prob *= w[j] / (1.0 - used)
+                    used += w[j]
+                for j in seq:
+                    incl[j] += prob / eps
+        return min(x for x, p in zip(incl, w) if p > 0.0)
+
+    @pytest.mark.parametrize(
+        "client,eps",
+        [
+            (ClientModel.uniform(6, SessionShape.MULTI_ERROR), 3),
+            (ClientModel.rare_first(7, 1.5, SessionShape.MULTI_ERROR), 3),
+            (ClientModel.rare_first(5, 2.0, SessionShape.MULTI_ERROR), 5),
+            (ClientModel((0.1, 0.0, 0.2, 0.3, 0.4), SessionShape.MULTI_ERROR), 2),
+            (ClientModel((0.05, 0.15, 0.3), SessionShape.MULTI_ERROR), 3),
+        ],
+    )
+    def test_multi_error_observation_chance_brackets_enumeration(self, client, eps):
+        lo, hi = client.observation_chance(eps)
+        exact = self._inclusion_by_enumeration(client.error_probs, eps)
+        assert lo - 1e-12 <= exact <= hi + 1e-12
+        if len(set(p for p in client.error_probs[1:] if p > 0.0)) == 1:
+            assert lo == pytest.approx(exact, rel=1e-12) and hi == pytest.approx(exact, rel=1e-12)
+
+    def test_single_error_observation_chance(self):
+        assert ClientModel.rare_first(16, 1.5).observation_chance(3) == (16**-1.5, 16**-1.5)
+        assert ClientModel((0.1, 0.0, 0.3)).observation_chance(2) == pytest.approx((0.25, 0.25))
+
 
 class TestAuditSeal:
     def test_counts_reads(self):
-        o = new_oracle(SECRET7, P7, always(Payload.NONE))
+        o = Oracle(SECRET7, P7, always(Payload.NONE))
         assert o.audit_count == 0
         assert o.audit_secret() == SECRET7
         assert o.audit_count == 1
@@ -228,14 +268,14 @@ class TestAuditSeal:
 
 class TestSerialization:
     def test_response_roundtrip(self):
-        o = new_oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
         resp = o.query((1, 1, 0, 1, 0, 1, 0))
         line = response_to_json(resp)
         assert line == '{"accepted":1,"distance":3,"positions":[1,2,3],"values":{"1":-1,"2":-1,"3":1}}'
         assert response_from_json(line) == resp
 
     def test_minimal_response_serialization(self):
-        o = new_oracle(SECRET7, P7, always(Payload.NONE))
+        o = Oracle(SECRET7, P7, always(Payload.NONE))
         line = response_to_json(o.query((1,) * 7))
         assert line == '{"accepted":0}'
 
