@@ -16,12 +16,28 @@ from matchleak.cli import main
 BENCH_DIGEST = "59feb93b6fa7d1ed50d08ca9b19e7c3c46f852c34ceb682314a7ea3670dce4c1"
 
 # name -> (CLI flags, CSV digest, JSONL digest); every attack once, plus the
-# greedy-cover search of the minimal-leak attack
+# greedy-cover search of the minimal-leak attack and the three
+# below-threshold attacks on a binary alphabet
 RECORD_CASES = {
     "below_distance": (
         "--attack below_distance --q 3 --n 6 --epsilon 2",
         "36f59eb50fbced43e98da6df8f14de7de44e75122fb44e322e7791e80d7939b8",
         "a5ad96c0f987895e6e7f003d88132d3e41ff21f029bd2b6c19ca49d265a468e8",
+    ),
+    "below_distance_q2": (
+        "--attack below_distance --q 2 --n 12 --epsilon 3",
+        "ca9a71ad5fadcce35835b8970df73d7a7028e1f3c3073add770b0d10df65053f",
+        "b6ca88311032faa83146d1c59e6b264c1a941e93869ad6b0af4751474d3727b0",
+    ),
+    "below_positions_q2": (
+        "--attack below_positions --q 2 --n 12 --epsilon 3",
+        "49f44e075396df0614ac85d55b5451b5e9446a093e218ef1057dcbc3abdbd6a1",
+        "0c065b1ead4e6397fc5079fa3209c997ab7fb0f96795b7e0caea7971b2f994c0",
+    ),
+    "below_posvalues_q2": (
+        "--attack below_posvalues --q 2 --n 12 --epsilon 3",
+        "49f44e075396df0614ac85d55b5451b5e9446a093e218ef1057dcbc3abdbd6a1",
+        "0c065b1ead4e6397fc5079fa3209c997ab7fb0f96795b7e0caea7971b2f994c0",
     ),
     "below_positions": (
         "--attack below_positions --q 4 --n 5 --epsilon 2",
@@ -70,6 +86,23 @@ RECORD_CASES = {
     ),
 }
 
+# name -> (CLI flags, digest of the --audit stream): every oracle response of
+# 20 trials, one JSON line each
+AUDIT_CASES = {
+    "below_distance_q2": (
+        "--attack below_distance --q 2 --n 12 --epsilon 3",
+        "30caabd91c6bb4aee1a5e8fb97e19499a2bea614f58e567698f96bbea810f95f",
+    ),
+    "below_posvalues_q2": (
+        "--attack below_posvalues --q 2 --n 12 --epsilon 3",
+        "3bd02b937629c7fb17adb379bce01ad26d089096ee3092e6a84447fced8a8245",
+    ),
+    "minimal": (
+        "--attack minimal --q 2 --n 10 --epsilon 2",
+        "2c76022878b9249d2200b24b6a38380d84970a6194b2c687012c47ac60c86351",
+    ),
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -89,3 +122,12 @@ def test_record_digest(name, fmt, tmp_path):
     argv = ["attack", *flags.split(), "--trials", "20", "--seed", "3", "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     assert _sha256(out) == (csv_digest if fmt == "csv" else jsonl_digest)
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_CASES))
+def test_audit_digest(name, tmp_path):
+    flags, digest = AUDIT_CASES[name]
+    audit = tmp_path / f"{name}.audit.jsonl"
+    argv = ["attack", *flags.split(), "--trials", "20", "--seed", "3", "--audit", str(audit)]
+    assert main(argv) == 0
+    assert _sha256(audit) == digest
