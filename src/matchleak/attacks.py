@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .bounds import coupon_bracket
-from .covering import covering_search, first_accepted, fixing_centers, greedy_cover
+from .covering import covering_search, fixing_search, greedy_cover
 from .errors import CapacityError, InternalError, UsageError
 from .oracle import (
     ClientModel,
@@ -80,7 +80,7 @@ def exhaustive_accept_search(oracle: Oracle) -> Template:
     params = oracle.params
     if params.epsilon >= params.n:
         raise UsageError(f"accept search needs epsilon < n (got epsilon={params.epsilon}, n={params.n})")
-    return first_accepted(oracle, fixing_centers(params))[0]
+    return fixing_search(oracle)[0]
 
 
 def _climb(oracle: Oracle, y: list[int], cur: int, positions: Iterable[int]) -> Template:
@@ -143,19 +143,9 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
     ATTACKS["below_distance"].require(oracle)
     params = oracle.params
     q0 = oracle.query_count
-
-    best: Template | None = None
-    best_d = params.n + 1
-    for cand in fixing_centers(params):
-        resp = oracle.query(cand)
-        if resp.accepted and resp.distance < best_d:
-            best, best_d = cand, resp.distance
-            if best_d == 0:
-                break
-    if best is None:
-        raise InternalError("pinned-coordinate search exhausted without an acceptance")
+    best, resp = fixing_search(oracle, exact=True)
     pinned = range(params.n - params.epsilon, params.n)
-    return _outcome(oracle, q0, _climb(oracle, list(best), best_d, pinned))
+    return _outcome(oracle, q0, _climb(oracle, list(best), resp.distance, pinned))
 
 
 def _fix_from_positions(oracle: Oracle, y: Template, resp: MatchResponse) -> Template:
@@ -206,7 +196,7 @@ def attack_below_positions(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["below_positions"].require(oracle)
     q0 = oracle.query_count
-    y, resp = first_accepted(oracle, fixing_centers(oracle.params))
+    y, resp = fixing_search(oracle)
     return _outcome(oracle, q0, _fix_from_positions(oracle, y, resp))
 
 
@@ -220,7 +210,7 @@ def attack_below_positions_values(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["below_posvalues"].require(oracle)
     q0 = oracle.query_count
-    y, resp = first_accepted(oracle, fixing_centers(oracle.params))
+    y, resp = fixing_search(oracle)
     return _outcome(oracle, q0, _correct(y, resp))
 
 
@@ -380,7 +370,7 @@ def attack_minimal_binary(
     if SearchStrategy(strategy) is SearchStrategy.GREEDY_COVER:
         y0 = covering_search(oracle, greedy_cover(oracle.params))
     else:
-        y0, _ = first_accepted(oracle, fixing_centers(oracle.params))
+        y0, _ = fixing_search(oracle)
     return _outcome(oracle, q0, center_search_binary(oracle, y0))
 
 

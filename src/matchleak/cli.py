@@ -180,14 +180,15 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _print_summary(summary: dict) -> None:
+def _print_summary(summary: dict, records: list) -> None:
     for key in (
         "attack", "q", "n", "epsilon", "trials", "bound",
         "queries_min", "queries_mean", "queries_max",
         "sessions_mean", "sessions_max",
-        "violations", "exact_failures", "mean_ms",
+        "violations", "exact_failures",
     ):
         print(f"{key}: {summary[key]}")
+    print(f"mean_ms: {sum(r.ms for r in records) / len(records)}")
     if "bracket_lo" in summary:
         print(f"bracket: [{summary['bracket_lo']:.3f}, {summary['bracket_hi']:.3f}]")
         print(f"bracket_ok: {summary['bracket_ok']}")
@@ -212,7 +213,7 @@ def _run_and_report(args: argparse.Namespace) -> int:
         if bool(_resolve(args, "timing")):
             emit(records, _resolve(args, "format"), out, include_timing=True)
         print(f"records: {out}")
-    _print_summary(summary)
+    _print_summary(summary, records)
     return 0 if summary["ok"] else 1
 
 

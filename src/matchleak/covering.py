@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, InternalError, UsageError
-from .oracle import MatchResponse, Oracle
+from .oracle import PACKED_MAX_N, MatchResponse, Oracle
 from .space import (
     SpaceParams,
     Template,
@@ -36,6 +36,8 @@ from .space import (
 
 GREEDY_POINT_GUARD = 1 << 24
 EXACT_POINT_GUARD = 1 << 12
+# at most this many candidates per Oracle.scan chunk
+SCAN_CHUNK = 1 << 12
 # full neighbor matrix is precomputed when it fits this many entries
 _NEIGHBOR_MATRIX_GUARD = 1 << 24
 
@@ -126,6 +128,53 @@ def fixing_centers(params: SpaceParams) -> Iterator[Template]:
         yield head + tail
 
 
+def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
+    """fixing_centers as Oracle.scan chunks of at most SCAN_CHUNK candidates
+    (q when q > SCAN_CHUNK), in the same order, so no q^(n-eps) array is
+    built.
+
+    A chunk varies the lowest free coordinates over a table built once: as
+    packed uint64 words at q = 2 with n <= PACKED_MAX_N, as rows of digits
+    otherwise.
+    """
+    q, n, eps = params.q, params.n, params.epsilon
+    free = n - eps
+    low = min(free, 1)
+    while low < free and q ** (low + 1) <= SCAN_CHUNK:
+        low += 1
+    high = free - low
+    if q == 2 and n <= PACKED_MAX_N:
+        words = np.arange(1 << low, dtype=np.uint64) << np.uint64(eps)
+        for h in range(1 << high):
+            yield words | np.uint64(h << (low + eps))
+        return
+    block = np.zeros((q**low, n), dtype=np.min_scalar_type(q - 1))
+    place = q ** np.arange(low - 1, -1, -1)
+    block[:, high:free] = np.arange(q**low)[:, None] // place % q
+    for head in itertools.product(range(q), repeat=high):
+        rows = block.copy()
+        rows[:, :high] = head
+        yield rows
+
+
+def fixing_search(oracle: Oracle, exact: bool = False) -> tuple[Template, MatchResponse]:
+    """The pinned-coordinate accept search, as one Oracle.scan over the
+    fixing centers.
+
+    Returns the first accepted center with its response or, with ``exact``
+    (for the distance payload), the accepted center of smallest leaked
+    distance (the first on ties), the scan stopping at distance 0.  The centers cover the space, so the
+    scan always meets an acceptance.
+    """
+    found = oracle.scan(fixing_batches(oracle.params), stop_at_exact=exact)
+    accepted = [(y, resp) for y, resp in found if resp.accepted]
+    if not accepted:
+        raise InternalError("pinned-coordinate search exhausted without an acceptance")
+    if exact:
+        return min(accepted, key=lambda hit: hit[1].distance)
+    return accepted[0]
+
+
 def coordinate_fixing_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:
     """The fixing centers as a certified cover (see fixing_centers)."""
     _guard(params.q ** (params.n - params.epsilon), max_points, "coordinate-fixing cover")
@@ -208,28 +257,18 @@ def exact_min_cover_size(params: SpaceParams, max_points: int = EXACT_POINT_GUAR
     return best
 
 
-def first_accepted(oracle: Oracle, centers: Iterable[Template]) -> tuple[Template, MatchResponse]:
-    """Query the centers in order and return the first accepted one with
-    its response.
-
-    The centers must cover the space (a certified cover, or fixing_centers),
-    which guarantees acceptance before exhaustion; running out indicates a
-    broken oracle/cover pairing.
-    """
-    for center in centers:
-        resp = oracle.query(center)
-        if resp.accepted:
-            return center, resp
-    raise InternalError("covering centers exhausted without an acceptance")
-
-
 def covering_search(oracle: Oracle, cover: Cover) -> Template:
-    """First accepted center of a certified cover (see first_accepted)."""
+    """Query the centers of a certified cover in order and return the first
+    accepted one.  Coverage guarantees an acceptance before exhaustion;
+    running out indicates a broken oracle/cover pairing."""
     if not cover.certified:
         raise UsageError("covering search requires a certified cover")
     if cover.params != oracle.params:
         raise UsageError("cover and oracle disagree on space parameters")
-    return first_accepted(oracle, cover.centers)[0]
+    for center in cover.centers:
+        if oracle.query(center).accepted:
+            return center
+    raise InternalError("covering centers exhausted without an acceptance")
 
 
 # --- export / import ----------------------------------------------------------

@@ -11,6 +11,9 @@ Two kinds of interaction are counted separately:
 * ``genuine_session`` / ``faulted_session`` -- passive observations of a
   legitimate client authenticating (session_count).
 
+``scan`` answers a batch of queries the attacker committed to in advance, in
+vectorised chunks, and counts exactly the queries it answers.
+
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
 attack peeked.
@@ -19,6 +22,7 @@ attack peeked.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -26,7 +30,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .space import SpaceParams, Template, as_template, perturb
+from .space import SpaceParams, Template, as_template, perturb, template_index
+
+# scan compares packed uint64 words at q = 2 up to this dimension
+PACKED_MAX_N = 63
 
 
 class Scope(Enum):
@@ -83,6 +90,13 @@ class MatchResponse:
     distance: int | None = None
     error_positions: frozenset[int] | None = None
     error_values: dict[int, int] | None = None
+
+
+# the two answers that carry nothing but the accept bit
+_ACCEPTED = MatchResponse(accepted=True)
+_REJECTED = MatchResponse(accepted=False)
+# binary digit string of a packed word -> one byte per coordinate
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,6 +232,14 @@ class Oracle:
         self.params = params
         self.mode = mode
         self.__secret = as_template(params, secret)
+        # For q <= 256 a submission is checked and converted in C, as one
+        # byte per coordinate, and the secret is held as the int of its
+        # bytes: the coordinates a submission gets wrong are the nonzero
+        # bytes of the XOR, and at q = 2 their count is its popcount.
+        self._digits = bytes(range(params.q)) if params.q <= 256 else None
+        self.__int = int.from_bytes(bytes(self.__secret), "big") if self._digits else None
+        self.__word: np.uint64 | None = None  # the secret as scan compares it:
+        self.__row: np.ndarray | None = None  # a packed word, or a row of digits
         self._query_count = 0
         self._session_count = 0
         self._audit_count = 0
@@ -241,38 +263,140 @@ class Oracle:
     # -- active queries ------------------------------------------------------
 
     def query(self, y: Sequence[int]) -> MatchResponse:
-        """Answer one submission.  Malformed submissions raise UsageError and
-        do not advance the query counter."""
-        secret = self.__secret
+        """Answer one submission.  Malformed submissions (wrong length, a
+        coordinate that is not an integer or lies outside the alphabet) raise
+        UsageError and do not advance the query counter."""
         params = self.params
-        if len(y) != params.n:
-            raise UsageError(f"query has length {len(y)}, expected n={params.n}")
-        q = params.q
-        d = 0
-        for a, b in zip(secret, y):
-            if b < 0 or b >= q:
-                raise UsageError(f"coordinate {b} outside [0, {q - 1}]")
-            if a != b:
-                d += 1
-        self._query_count += 1
-        accepted = d <= params.epsilon
-
-        payload = self.mode.payload
-        if not (accepted or self.mode.scope is Scope.ALWAYS) or payload is Payload.NONE:
-            resp = MatchResponse(accepted=accepted)
-        elif payload is Payload.DISTANCE:
-            resp = MatchResponse(accepted=accepted, distance=d)
-        elif payload is Payload.POSITIONS:
-            positions = frozenset(i for i, (a, b) in enumerate(zip(secret, y), 1) if a != b)
-            resp = MatchResponse(accepted=accepted, error_positions=positions)
+        n = params.n
+        if type(y) is not tuple and type(y) is not list:
+            y = list(y)  # bytearray() of an ndarray or array would read its raw buffer
+        if len(y) != n:
+            raise UsageError(f"query has length {len(y)}, expected n={n}")
+        digits = None
+        if self._digits:
+            try:
+                digits = bytearray(y)  # faster than bytes() on a tuple
+            except (TypeError, ValueError):
+                pass
+        if digits is None or digits.translate(None, self._digits):
+            digits = self._checked(y)  # q > 256, or UsageError naming the bad coordinate
+            d = sum(1 for a, c in zip(self.__secret, digits) if a != c)
+        elif params.q == 2:
+            d = (int.from_bytes(digits, "big") ^ self.__int).bit_count()
         else:
-            values = _errors(secret, y)
-            resp = MatchResponse(
-                accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
-            )
+            d = n - (int.from_bytes(digits, "big") ^ self.__int).to_bytes(n, "big").count(0)
+        self._query_count += 1
+        resp = self._respond(digits, d)
         if self._on_response is not None:
             self._on_response(resp)
         return resp
+
+    def _checked(self, y: Sequence) -> Template:
+        """The submission's coordinates as ints, or UsageError naming the
+        first one that is not an integer in [0, q-1]."""
+        q = self.params.q
+        out = []
+        for c in y:
+            try:
+                v = operator.index(c)
+            except TypeError:
+                raise UsageError(f"query coordinates must be integers, got {c!r}") from None
+            if not 0 <= v < q:
+                raise UsageError(f"coordinate {v} outside [0, {q - 1}]")
+            out.append(v)
+        return tuple(out)
+
+    def _respond(self, y: Sequence[int], d: int) -> MatchResponse:
+        """The response to a counted submission y, of plain int digits, at
+        distance d."""
+        accepted = d <= self.params.epsilon
+        payload = self.mode.payload
+        if payload is Payload.NONE or not (accepted or self.mode.scope is Scope.ALWAYS):
+            return _ACCEPTED if accepted else _REJECTED
+        if payload is Payload.DISTANCE:
+            return MatchResponse(accepted=accepted, distance=d)
+        secret = self.__secret
+        if payload is Payload.POSITIONS:
+            positions = frozenset(i for i, (a, b) in enumerate(zip(secret, y), 1) if a != b)
+            return MatchResponse(accepted=accepted, error_positions=positions)
+        values = _errors(secret, y)
+        return MatchResponse(
+            accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
+        )
+
+    def scan(
+        self, batches: Iterable[np.ndarray], stop_at_exact: bool = False
+    ) -> list[tuple[Template, MatchResponse]]:
+        """Answer a sequence of candidates committed in advance, in order, as
+        ``query`` would answer them one at a time, up to and including the
+        stop point.
+
+        ``batches`` yields the candidates in chunks, each either a 1-D uint64
+        array of packed words (q = 2 and n <= PACKED_MAX_N only; coordinate 1
+        is the most significant of the low n bits), compared by popcount, or
+        a 2-D integer array with one row of n digits per candidate, compared
+        row by row.  The stop point is the first accepted candidate or, with
+        ``stop_at_exact``, the first one at distance 0 (for payloads that
+        reveal the distance of an accepted query); without one the scan ends
+        with the last candidate.  Every answered candidate counts one query
+        and fires ``on_response`` once, in order, with the response ``query``
+        would return.  A malformed chunk raises UsageError before any of its
+        candidates counts.
+
+        Returns, in order, every answered candidate whose response carries
+        more than a bare rejection, with that response.
+        """
+        if stop_at_exact and self.mode.payload is Payload.NONE:
+            raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
+        bare = self.mode.payload is Payload.NONE or self.mode.scope is Scope.BELOW_ONLY
+        tap = self._on_response
+        found: list[tuple[Template, MatchResponse]] = []
+        for batch in batches:
+            dist = self._distances(batch)
+            accepted = dist <= self.params.epsilon
+            stops = np.flatnonzero(dist == 0 if stop_at_exact else accepted)
+            count = int(stops[0]) + 1 if len(stops) else len(dist)
+            self._query_count += count
+            rows = np.flatnonzero(accepted[:count]) if bare else range(count)
+            built = {}
+            for i in map(int, rows):
+                y = self._candidate(batch, i)
+                built[i] = resp = self._respond(y, int(dist[i]))
+                found.append((y, resp))
+            if tap is not None:
+                for i in range(count):
+                    tap(built.get(i, _REJECTED))
+            if len(stops):
+                break
+        return found
+
+    def _distances(self, batch: np.ndarray) -> np.ndarray:
+        """Distance from the secret of every candidate in a scan chunk."""
+        params = self.params
+        n = params.n
+        if not isinstance(batch, np.ndarray):
+            raise UsageError("scan candidates must come as numpy arrays")
+        if batch.ndim == 1 and batch.dtype == np.uint64:
+            if params.q != 2 or n > PACKED_MAX_N:
+                raise UsageError(f"packed candidates need q = 2 and n <= {PACKED_MAX_N} (got {params})")
+            if np.any(batch >> np.uint64(n)):
+                raise UsageError(f"packed candidate has bits above the low n={n}")
+            if self.__word is None:
+                self.__word = np.uint64(template_index(params, self.__secret))
+            return np.bitwise_count(batch ^ self.__word)
+        if batch.ndim != 2 or batch.shape[1] != n or batch.dtype.kind not in "iu":
+            raise UsageError(f"scan candidates must be packed words or rows of n={n} integer digits")
+        if batch.size and (batch.min() < 0 or batch.max() >= params.q):
+            raise UsageError(f"scan candidate has a coordinate outside [0, {params.q - 1}]")
+        if self.__row is None:
+            self.__row = np.array(self.__secret, dtype=np.min_scalar_type(params.q - 1))
+        return np.count_nonzero(batch != self.__row, axis=1)
+
+    def _candidate(self, batch: np.ndarray, i: int) -> Template:
+        """Row i of a scan chunk as a template."""
+        if batch.ndim == 1:
+            return tuple(format(int(batch[i]), f"0{self.params.n}b").encode().translate(_BITS))
+        return tuple(batch[i].tolist())
 
     # -- passive sessions ---------------------------------------------------
 

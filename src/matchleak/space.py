@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -55,17 +56,24 @@ class SpaceParams:
 def as_template(params: SpaceParams, coords: Sequence[int]) -> Template:
     """Validate a coordinate sequence against params and return it as a tuple.
 
-    Raises UsageError on wrong length, non-integer entries, or out-of-range
-    values.
+    Raises UsageError on wrong length, non-integer entries (anything without
+    ``__index__``: floats, Fractions; bools and numpy integers pass), or
+    out-of-range values.
     """
-    t = tuple(int(c) for c in coords)
+    try:
+        t = tuple(map(operator.index, coords))
+    except TypeError:
+        for c in coords:
+            try:
+                operator.index(c)
+            except TypeError:
+                raise UsageError(f"template coordinates must be integers, got {c!r}") from None
+        raise
     if len(t) != params.n:
         raise UsageError(f"template has length {len(t)}, expected n={params.n}")
-    for c, orig in zip(t, coords):
-        if not isinstance(orig, numbers.Integral):
-            raise UsageError(f"template coordinates must be integers, got {orig!r}")
-        if not 0 <= c < params.q:
-            raise UsageError(f"coordinate {c} outside [0, {params.q - 1}]")
+    if min(t) < 0 or max(t) >= params.q:
+        bad = next(c for c in t if not 0 <= c < params.q)
+        raise UsageError(f"coordinate {bad} outside [0, {params.q - 1}]")
     return t
 
 

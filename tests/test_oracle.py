@@ -1,10 +1,16 @@
 import itertools
+from array import array
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchleak import (
     ClientModel,
     LeakageMode,
+    MatchResponse,
     Observation,
     Oracle,
     Payload,
@@ -18,6 +24,8 @@ from matchleak import (
     response_to_json,
     sample_template,
 )
+from matchleak import covering
+from matchleak.covering import fixing_batches, fixing_centers
 
 P7 = SpaceParams(2, 7, 3)
 SECRET7 = (0, 0, 1, 1, 0, 1, 0)
@@ -289,3 +297,174 @@ class TestSerialization:
         o.query(SECRET7)
         o.query((1,) * 7)
         assert len(seen) == 2 and seen[0].distance == 0
+
+
+# --- fast paths against the per-coordinate reference ------------------------------
+
+
+def reference_response(secret, y, eps: int, mode: LeakageMode) -> MatchResponse:
+    """The oracle's answer computed one coordinate at a time, as a plain
+    tuple comparison."""
+    wrong = [i for i in range(len(secret)) if secret[i] != y[i]]
+    accepted = len(wrong) <= eps
+    if mode.payload is Payload.NONE or not (accepted or mode.scope is Scope.ALWAYS):
+        return MatchResponse(accepted=accepted)
+    if mode.payload is Payload.DISTANCE:
+        return MatchResponse(accepted=accepted, distance=len(wrong))
+    positions = frozenset(i + 1 for i in wrong)
+    if mode.payload is Payload.POSITIONS:
+        return MatchResponse(accepted=accepted, error_positions=positions)
+    values = {i + 1: secret[i] - y[i] for i in wrong}
+    return MatchResponse(accepted=accepted, distance=len(wrong), error_positions=positions, error_values=values)
+
+
+MODES = [LeakageMode(scope, payload) for scope in Scope for payload in Payload]
+
+
+@st.composite
+def submissions(draw):
+    """A space (half of them binary; q = 300 takes the path past one byte
+    per digit), a secret, and queries near it as well as uniform ones, so
+    that both answers arise."""
+    q = draw(st.sampled_from([2, 2, 2, 3, 5, 300]))
+    n = draw(st.integers(1, 256))
+    eps = draw(st.integers(0, n))
+
+    def digits(v: int) -> tuple[int, ...]:
+        return tuple((v // q ** (n - 1 - i)) % q for i in range(n))
+
+    secret = digits(draw(st.integers(0, q**n - 1)))
+    shift = draw(st.integers(1, q - 1))
+    flips = st.sets(st.integers(0, n - 1), max_size=min(n, eps + 2))
+    near = flips.map(lambda f: tuple((c + shift) % q if i in f else c for i, c in enumerate(secret)))
+    uniform = st.integers(0, q**n - 1).map(digits)
+    queries = draw(st.lists(st.one_of(uniform, near), min_size=1, max_size=8))
+    return SpaceParams(q, n, eps), secret, queries, draw(st.sampled_from(MODES))
+
+
+class TestQueryKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(submissions())
+    def test_matches_tuple_reference(self, case):
+        params, secret, queries, mode = case
+        seen = []
+        o = Oracle(secret, params, mode, on_response=seen.append)
+        for k, y in enumerate(queries, 1):
+            expect = reference_response(secret, y, params.epsilon, mode)
+            assert o.query(y) == expect
+            assert o.query(list(y)) == expect
+            assert o.query_count == 2 * k
+        assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries for _ in (0, 1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(submissions())
+    def test_scan_rows_match_reference(self, case):
+        # the same candidates as digit rows and, at q = 2 and n <= 63, as packed words
+        params, secret, queries, mode = case
+        batches = [np.array(queries, dtype=np.int64)]
+        if params.q == 2 and params.n <= 63:
+            batches.append(np.array([int("".join(map(str, y)), 2) for y in queries], dtype=np.uint64))
+        expect = [reference_response(secret, y, params.epsilon, mode) for y in queries]
+        stop = next((i + 1 for i, r in enumerate(expect) if r.accepted), len(expect))
+        for batch in batches:
+            seen = []
+            o = Oracle(secret, params, mode, on_response=seen.append)
+            found = o.scan([batch])
+            assert o.query_count == stop
+            assert seen == expect[:stop]
+            assert found == [(queries[i], expect[i]) for i in range(stop) if expect[i] != MatchResponse(False)]
+
+
+def _loop_scan(oracle: Oracle, centers, exact: bool) -> None:
+    """The per-query loop Oracle.scan replaces: query each center in order
+    up to the first acceptance (with exact, the first distance 0)."""
+    for y in centers:
+        resp = oracle.query(y)
+        if resp.accepted and (not exact or resp.distance == 0):
+            return
+
+
+class TestScan:
+    @pytest.mark.parametrize(
+        "q,n,eps",
+        [(2, 10, 3), (2, 12, 4), (3, 6, 2), (5, 5, 2), (2, 70, 64), (2, 64, 59)],
+    )
+    @pytest.mark.parametrize("chunk", [7, covering.SCAN_CHUNK])
+    def test_matches_per_query_loop(self, q, n, eps, chunk, rng, monkeypatch):
+        monkeypatch.setattr(covering, "SCAN_CHUNK", chunk)  # small chunks cross boundaries
+        params = SpaceParams(q, n, eps)
+        secrets = [sample_template(params, rng) for _ in range(12)]
+        secrets += [(0,) * n, (q - 1,) * n]  # first candidate; the scan's very end
+        cases = [(LeakageMode(Scope.BELOW_ONLY, p), False) for p in Payload]
+        cases += [(LeakageMode(Scope.ALWAYS, Payload.POSITIONS), False)]
+        cases += [(LeakageMode(Scope.BELOW_ONLY, p), True) for p in (Payload.DISTANCE, Payload.POSITIONS_VALUES)]
+        for secret in secrets:
+            for mode, exact in cases:
+                fast_tap, loop_tap = [], []
+                fast = Oracle(secret, params, mode, on_response=fast_tap.append)
+                loop = Oracle(secret, params, mode, on_response=loop_tap.append)
+                found = fast.scan(fixing_batches(params), stop_at_exact=exact)
+                _loop_scan(loop, fixing_centers(params), exact)
+                assert fast.query_count == loop.query_count  # the same stop index
+                assert fast_tap == loop_tap
+                centers = itertools.islice(fixing_centers(params), loop.query_count)
+                assert found == [(y, r) for y, r in zip(centers, loop_tap) if r != MatchResponse(False)]
+
+    def test_kernel_follows_q_and_n(self):
+        assert next(fixing_batches(SpaceParams(2, 63, 3))).dtype == np.uint64
+        for params in (SpaceParams(2, 64, 3), SpaceParams(2, 1024, 1016), SpaceParams(3, 8, 2)):
+            assert next(fixing_batches(params)).ndim == 2  # the digit path
+
+    def test_chunks_stay_small(self):
+        batches = fixing_batches(SpaceParams(2, 40, 4))  # 2^36 candidates
+        assert len(next(batches)) == 4096
+
+    def test_malformed_chunks_do_not_count(self):
+        o = Oracle((0, 1, 2, 0), SpaceParams(3, 4, 1), below(Payload.DISTANCE))
+        for bad in (
+            np.array([1, 2], dtype=np.uint64),  # packed words need q = 2
+            np.array([[0, 1, 3, 0]], dtype=np.uint8),  # digit outside the alphabet
+            np.array([[0, 1, 2]], dtype=np.uint8),  # wrong length
+            np.array([[0.0, 1.0, 2.0, 0.0]]),  # not integers
+            [[0, 1, 2, 0]],  # not an array
+        ):
+            with pytest.raises(UsageError):
+                o.scan([bad])
+        b = Oracle((0, 1, 1), SpaceParams(2, 3, 1), always(Payload.NONE))
+        with pytest.raises(UsageError):
+            b.scan([np.array([8], dtype=np.uint64)])  # a bit above n
+        with pytest.raises(UsageError):
+            b.scan([np.array([0], dtype=np.uint64)], stop_at_exact=True)  # would leak distance 0
+        assert o.query_count == b.query_count == 0
+
+
+class TestIntegerInput:
+    @pytest.mark.parametrize("params", [SpaceParams(2, 4, 1), SpaceParams(3, 4, 1), SpaceParams(300, 4, 1)])
+    def test_non_integers_rejected_before_counting(self, params):
+        o = Oracle((0, 1, 0, 1), params, always(Payload.DISTANCE))
+        for bad in (
+            (0.5, 1, 0, 1),
+            (0.0, 1, 0, 1),
+            (Fraction(1, 2), 1, 0, 1),
+            ("0", 1, 0, 1),
+            (None, 1, 0, 1),
+            (-1, 1, 0, 1),
+            (params.q, 1, 0, 1),
+            np.array([0.5, 1, 0, 1]),
+            np.array([0.0, 1.0, 0.0, 1.0]),
+        ):
+            with pytest.raises(UsageError):
+                o.query(bad)
+        assert o.query_count == 0
+
+    def test_integer_likes_accepted(self):
+        o = Oracle((0, 1, 0, 1), SpaceParams(2, 4, 1), always(Payload.DISTANCE))
+        for y in (
+            (True, True, False, 1),
+            [np.int64(1), np.uint8(1), 0, 1],
+            np.array([1, 1, 0, 1]),  # converted element-wise, not read as a raw buffer
+            np.array([1, 1, 0, 1], dtype=np.uint8),
+            array("i", [1, 1, 0, 1]),
+        ):
+            assert o.query(y) == MatchResponse(accepted=True, distance=1)
+        assert o.query_count == 5

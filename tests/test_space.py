@@ -16,6 +16,7 @@ from matchleak import (
     sample_template,
 )
 from matchleak.space import (
+    as_template,
     ball_templates,
     enumerate_templates,
     template_from_index,
@@ -35,6 +36,27 @@ class TestParams:
 
     def test_space_size(self):
         assert SpaceParams(4, 5, 0).space_size() == 1024
+
+
+class TestAsTemplate:
+    P = SpaceParams(3, 3, 1)
+
+    def test_integer_likes_pass(self):
+        for coords in [(0, 1, 2), [True, False, 2], (np.int64(2), np.uint8(1), np.int8(0)), np.array([2, 0, 1])]:
+            t = as_template(self.P, coords)
+            assert t == tuple(int(c) for c in coords)
+            assert all(type(c) is int for c in t)
+
+    def test_non_integers_rejected(self):
+        for coords in [(0, 1.0, 2), (0, 0.5, 2), (Fraction(1), 0, 0), (np.float64(1), 0, 0), ("1", 0, 0),
+                       np.array([0.0, 1.0, 2.0])]:
+            with pytest.raises(UsageError, match="must be integers"):
+                as_template(self.P, coords)
+
+    def test_length_and_range(self):
+        for coords in [(0, 1), (0, 1, 2, 0), (0, 1, 3), (-1, 0, 0)]:
+            with pytest.raises(UsageError):
+                as_template(self.P, coords)
 
 
 class TestHammingDistance:
