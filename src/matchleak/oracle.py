@@ -238,8 +238,6 @@ class Oracle:
         # bytes of the XOR, and at q = 2 their count is its popcount.
         self._digits = bytes(range(params.q)) if params.q <= 256 else None
         self.__int = int.from_bytes(bytes(self.__secret), "big") if self._digits else None
-        self.__word: np.uint64 | None = None  # the secret as scan compares it:
-        self.__row: np.ndarray | None = None  # a packed word, or a row of digits
         self._query_count = 0
         self._session_count = 0
         self._audit_count = 0
@@ -381,16 +379,12 @@ class Oracle:
                 raise UsageError(f"packed candidates need q = 2 and n <= {PACKED_MAX_N} (got {params})")
             if np.any(batch >> np.uint64(n)):
                 raise UsageError(f"packed candidate has bits above the low n={n}")
-            if self.__word is None:
-                self.__word = np.uint64(template_index(params, self.__secret))
-            return np.bitwise_count(batch ^ self.__word)
+            return np.bitwise_count(batch ^ np.uint64(template_index(params, self.__secret)))
         if batch.ndim != 2 or batch.shape[1] != n or batch.dtype.kind not in "iu":
             raise UsageError(f"scan candidates must be packed words or rows of n={n} integer digits")
         if batch.size and (batch.min() < 0 or batch.max() >= params.q):
             raise UsageError(f"scan candidate has a coordinate outside [0, {params.q - 1}]")
-        if self.__row is None:
-            self.__row = np.array(self.__secret, dtype=np.min_scalar_type(params.q - 1))
-        return np.count_nonzero(batch != self.__row, axis=1)
+        return np.count_nonzero(batch != np.array(self.__secret), axis=1)
 
     def _candidate(self, batch: np.ndarray, i: int) -> Template:
         """Row i of a scan chunk as a template."""
