@@ -166,13 +166,15 @@ def fixing_search(oracle: Oracle, exact: bool = False) -> tuple[Template, MatchR
     distance (the first on ties), the scan stopping at distance 0.  The centers cover the space, so the
     scan always meets an acceptance.
     """
-    found = oracle.scan(fixing_batches(oracle.params), stop_at_exact=exact)
-    accepted = [(y, resp) for y, resp in found if resp.accepted]
-    if not accepted:
-        raise InternalError("pinned-coordinate search exhausted without an acceptance")
+    scan = oracle.scan(fixing_batches(oracle.params), stop_at_exact=exact)
+    hits = (hit for hit in scan if hit[1].accepted)
     if exact:
-        return min(accepted, key=lambda hit: hit[1].distance)
-    return accepted[0]
+        best = min(hits, key=lambda hit: hit[1].distance, default=None)
+    else:
+        best = next(hits, None)
+    if best is None:
+        raise InternalError("pinned-coordinate search exhausted without an acceptance")
+    return best
 
 
 def coordinate_fixing_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:

@@ -25,7 +25,7 @@ import json
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -324,7 +324,7 @@ class Oracle:
 
     def scan(
         self, batches: Iterable[np.ndarray], stop_at_exact: bool = False
-    ) -> list[tuple[Template, MatchResponse]]:
+    ) -> Iterator[tuple[Template, MatchResponse]]:
         """Answer a sequence of candidates committed in advance, in order, as
         ``query`` would answer them one at a time, up to and including the
         stop point.
@@ -341,14 +341,15 @@ class Oracle:
         would return.  A malformed chunk raises UsageError before any of its
         candidates counts.
 
-        Returns, in order, every answered candidate whose response carries
-        more than a bare rejection, with that response.
+        Yields, in order, every answered candidate whose response carries
+        more than a bare rejection, with that response.  The scan is lazy:
+        a chunk is answered (counted and tapped) when iteration reaches it,
+        and only one chunk's answers are held at a time.
         """
         if stop_at_exact and self.mode.payload is Payload.NONE:
             raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
         bare = self.mode.payload is Payload.NONE or self.mode.scope is Scope.BELOW_ONLY
         tap = self._on_response
-        found: list[tuple[Template, MatchResponse]] = []
         for batch in batches:
             dist = self._distances(batch)
             accepted = dist <= self.params.epsilon
@@ -359,14 +360,13 @@ class Oracle:
             built = {}
             for i in map(int, rows):
                 y = self._candidate(batch, i)
-                built[i] = resp = self._respond(y, int(dist[i]))
-                found.append((y, resp))
+                built[i] = (y, self._respond(y, int(dist[i])))
             if tap is not None:
                 for i in range(count):
-                    tap(built.get(i, _REJECTED))
+                    tap(built[i][1] if i in built else _REJECTED)
+            yield from built.values()
             if len(stops):
-                break
-        return found
+                return
 
     def _distances(self, batch: np.ndarray) -> np.ndarray:
         """Distance from the secret of every candidate in a scan chunk."""

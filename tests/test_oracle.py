@@ -369,7 +369,7 @@ class TestQueryKernels:
         for batch in batches:
             seen = []
             o = Oracle(secret, params, mode, on_response=seen.append)
-            found = o.scan([batch])
+            found = list(o.scan([batch]))
             assert o.query_count == stop
             assert seen == expect[:stop]
             assert found == [(queries[i], expect[i]) for i in range(stop) if expect[i] != MatchResponse(False)]
@@ -403,7 +403,7 @@ class TestScan:
                 fast_tap, loop_tap = [], []
                 fast = Oracle(secret, params, mode, on_response=fast_tap.append)
                 loop = Oracle(secret, params, mode, on_response=loop_tap.append)
-                found = fast.scan(fixing_batches(params), stop_at_exact=exact)
+                found = list(fast.scan(fixing_batches(params), stop_at_exact=exact))
                 _loop_scan(loop, fixing_centers(params), exact)
                 assert fast.query_count == loop.query_count  # the same stop index
                 assert fast_tap == loop_tap
@@ -429,12 +429,12 @@ class TestScan:
             [[0, 1, 2, 0]],  # not an array
         ):
             with pytest.raises(UsageError):
-                o.scan([bad])
+                list(o.scan([bad]))
         b = Oracle((0, 1, 1), SpaceParams(2, 3, 1), always(Payload.NONE))
         with pytest.raises(UsageError):
-            b.scan([np.array([8], dtype=np.uint64)])  # a bit above n
+            list(b.scan([np.array([8], dtype=np.uint64)]))  # a bit above n
         with pytest.raises(UsageError):
-            b.scan([np.array([0], dtype=np.uint64)], stop_at_exact=True)  # would leak distance 0
+            list(b.scan([np.array([0], dtype=np.uint64)], stop_at_exact=True))  # would leak distance 0
         assert o.query_count == b.query_count == 0
 
 
