@@ -22,7 +22,6 @@ attack peeked.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
@@ -277,7 +276,7 @@ class Oracle:
             except (TypeError, ValueError):
                 pass
         if digits is None or digits.translate(None, self._digits):
-            digits = self._checked(y)  # q > 256, or UsageError naming the bad coordinate
+            digits = as_template(params, y)  # q > 256, or UsageError naming the bad coordinate
             d = sum(1 for a, c in zip(self.__secret, digits) if a != c)
         elif params.q == 2:
             d = (int.from_bytes(digits, "big") ^ self.__int).bit_count()
@@ -288,21 +287,6 @@ class Oracle:
         if self._on_response is not None:
             self._on_response(resp)
         return resp
-
-    def _checked(self, y: Sequence) -> Template:
-        """The submission's coordinates as ints, or UsageError naming the
-        first one that is not an integer in [0, q-1]."""
-        q = self.params.q
-        out = []
-        for c in y:
-            try:
-                v = operator.index(c)
-            except TypeError:
-                raise UsageError(f"query coordinates must be integers, got {c!r}") from None
-            if not 0 <= v < q:
-                raise UsageError(f"coordinate {v} outside [0, {q - 1}]")
-            out.append(v)
-        return tuple(out)
 
     def _respond(self, y: Sequence[int], d: int) -> MatchResponse:
         """The response to a counted submission y, of plain int digits, at
