@@ -16,8 +16,9 @@ from matchleak.cli import main
 BENCH_DIGEST = "59feb93b6fa7d1ed50d08ca9b19e7c3c46f852c34ceb682314a7ea3670dce4c1"
 
 # name -> (CLI flags, CSV digest, JSONL digest); every attack once, plus the
-# greedy-cover search of the minimal-leak attack and the three
-# below-threshold attacks on a binary alphabet
+# greedy-cover search of the minimal-leak attack, the three below-threshold
+# attacks on a binary alphabet, and uniform single-error, uniform
+# multi-error and rare-first multi-error accumulation
 RECORD_CASES = {
     "below_distance": (
         "--attack below_distance --q 3 --n 6 --epsilon 2",
@@ -79,6 +80,21 @@ RECORD_CASES = {
         "3645f93ea4853373d4977fd08dd1dfa70ea7c3e10f3689ef365dd1355c24500f",
         "4a5fcae90ff1a7fdd826fe52a1d78a71b25a8e0c9b30dffb03fb796f46982931",
     ),
+    "accumulation_uniform": (
+        "--attack accumulation --q 2 --n 16 --epsilon 3",
+        "93f7f7902fd85444646546c0628d37092f88cda9ab0890e8f8e078c78565ba63",
+        "92482e2e2222cbab35194c23597207989cff672ff4351934a6d8e737c2377fe9",
+    ),
+    "accumulation_uniform_multi": (
+        "--attack accumulation --q 2 --n 16 --epsilon 3 --session-shape multi",
+        "e96db9e92dfa9faad182a31b1e74a92a33e97fb4a22ba22cfb468db47757c5dd",
+        "55583af6b23d66a150c4480a028edaba3c8b64a1202294dda4599ebbeea0d58c",
+    ),
+    "accumulation_rare_multi": (
+        "--attack accumulation --q 2 --n 16 --epsilon 3 --alpha 1.5 --session-shape multi",
+        "1bd239824e36a73e0742f017a68b6d72d2b0f5cc365f01404995f7cf34b83572",
+        "f6be1fe35c72476771291c9cf51722b1deb455dff759bfef68e24ba2f37e3e9e",
+    ),
     "fault_control": (
         "--attack fault_control --q 2 --n 11 --epsilon 4",
         "5ab7fb7af5a5c283386f5796353cd3b6f29db59ad7de974fd7a174eed3a3b875",
@@ -86,8 +102,8 @@ RECORD_CASES = {
     ),
 }
 
-# name -> (CLI flags, digest of the --audit stream): every oracle response of
-# 20 trials, one JSON line each
+# name -> (CLI flags, digest of the --audit stream): every oracle response or
+# session observation of 20 trials, one JSON line each
 AUDIT_CASES = {
     "below_distance_q2": (
         "--attack below_distance --q 2 --n 12 --epsilon 3",
@@ -100,6 +116,15 @@ AUDIT_CASES = {
     "minimal": (
         "--attack minimal --q 2 --n 10 --epsilon 2",
         "2c76022878b9249d2200b24b6a38380d84970a6194b2c687012c47ac60c86351",
+    ),
+    # every genuine session's observation; multi-error sessions redraw
+    "accumulation_rare_multi": (
+        "--attack accumulation --q 2 --n 16 --epsilon 3 --alpha 1.5 --session-shape multi",
+        "0386667a3585eaa6304716570e74dfc3a8213c18b34f641d2401efbe790d35f8",
+    ),
+    "fault_control": (
+        "--attack fault_control --q 2 --n 11 --epsilon 4",
+        "3a1cb8a876bb33e0fce672c0c6bf965a2d19440b21de4a1517db3e3c1e0b97ba",
     ),
 }
 
