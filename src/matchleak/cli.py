@@ -20,6 +20,7 @@ from .errors import CapacityError, UsageError
 from .harness import (
     ExperimentConfig,
     bench_table,
+    check_writable,
     emit,
     emit_bench,
     format_bench,
@@ -198,6 +199,9 @@ def _print_summary(summary: dict, records: list) -> None:
 def _run_and_report(args: argparse.Namespace) -> int:
     """The attack and accumulate subcommands: one experiment, summarized."""
     config = _experiment_config(args)
+    out = _resolve(args, "out")
+    if out and config.out_path is None:
+        check_writable(out, "records")  # the timing path: run_experiment never sees out
     audit_path = _resolve(args, "audit") if hasattr(args, "audit") else None
     if audit_path:
         with open(audit_path, "w") as sink:
@@ -208,7 +212,6 @@ def _run_and_report(args: argparse.Namespace) -> int:
             )
     else:
         records, summary = run_experiment(config)
-    out = _resolve(args, "out")
     if out:
         if bool(_resolve(args, "timing")):
             emit(records, _resolve(args, "format"), out, include_timing=True)
@@ -218,6 +221,9 @@ def _run_and_report(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    out = _resolve(args, "out")
+    if out:
+        check_writable(out, "bench rows")
     rows = bench_table(
         q=_resolve(args, "q"),
         n=_resolve(args, "n"),
@@ -226,7 +232,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         master_seed=_resolve(args, "seed"),
     )
     print(format_bench(rows))
-    out = _resolve(args, "out")
     if out:
         emit_bench(rows, _resolve(args, "format"), out)
         print(f"rows: {out}")

@@ -10,8 +10,11 @@ files byte-deterministic; pass include_timing=True to emit the measurement.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -190,13 +193,17 @@ def run_experiment(
     Audit taps (on_response/on_observation) require a single worker.
     """
     params, _mode = validate_config(config)
+    if config.out_path is not None:
+        check_writable(config.out_path, "records")
     bound = attack_bound(config, params)
     if config.workers > 1:
         if on_response is not None or on_observation is not None:
             raise UsageError("audit taps require workers = 1")
         jobs = [(config, t, bound) for t in range(config.trials)]
+        # about four chunks per worker: few round trips, still balanced
+        chunksize = math.ceil(config.trials / (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_pool_trial, jobs))
+            records = list(pool.map(_pool_trial, jobs, chunksize=chunksize))
     else:
         records = [
             run_trial(config, t, bound, on_response, on_observation)
@@ -269,7 +276,27 @@ def _write_rows(kind: type, rows: Iterable, fmt: str, path: str | Path, what: st
     try:
         Path(path).write_text(buf.getvalue())
     except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+        raise _cannot_write(what, path, exc) from exc
+
+
+def _cannot_write(what: str, path: str | Path, exc: OSError) -> OSError:
+    return OSError(f"cannot write {what} to {path}: {exc}")
+
+
+def check_writable(path: str | Path, what: str) -> None:
+    """Raise, before any work is done, the error that writing ``what`` to
+    ``path`` would raise once the work is over: the path is a directory, or
+    its directory is missing, is not a directory, or cannot be written."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _cannot_write(what, path, OSError(code, os.strerror(code), str(path)))
 
 
 def emit(

@@ -22,14 +22,16 @@ attack peeked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import UsageError
-from .space import SpaceParams, Template, as_template, perturb, template_index
+from .space import SpaceParams, Template, as_template, template_index
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
@@ -134,6 +136,11 @@ class ClientModel:
 
     error_probs: tuple[float, ...]
     shape: SessionShape = SessionShape.SINGLE_ERROR
+    # derived once per client for sample_positions: the normalised weights,
+    # their normalised cumulative sums, and the variable coordinate count
+    _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _variable: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = tuple(float(p) for p in self.error_probs)
@@ -144,6 +151,11 @@ class ClientModel:
             raise UsageError("error probabilities must sum to at most 1")
         if not any(p > 0.0 for p in probs):
             raise UsageError("at least one coordinate must be variable")
+        arr = np.asarray(probs)
+        weights = tuple((arr / arr.sum()).tolist())  # numpy's pairwise sum, as rng.choice was given
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_cdf", tuple(_normalised_cumsum(weights)))
+        object.__setattr__(self, "_variable", sum(p > 0.0 for p in probs))
 
     @classmethod
     def uniform(
@@ -163,6 +175,33 @@ class ClientModel:
         p1 = float(n) ** (-alpha)
         rest = (1.0 - p1) / (n - 1) if n > 1 else 0.0
         return cls((p1,) + (rest,) * (n - 1), shape)
+
+    def sample_positions(self, k: int, rng: np.random.Generator) -> list[int]:
+        """k distinct 0-based coordinates drawn without replacement
+        proportionally to the error probabilities, in draw order.
+
+        Makes the same calls on ``rng`` and returns the same coordinates as
+        ``rng.choice(n, size=k, replace=False, p=weights)`` with the
+        normalised weights, by numpy's own algorithm for that call: draw
+        k - found uniforms, bisect each into the normalised cumulative
+        weights, keep the first occurrence of each coordinate, and while
+        fewer than k are found, zero the found weights and draw again.  The
+        weights and their cumulative table are built once per client, not
+        once per call.  Requires 1 <= k <= the variable coordinate count.
+        """
+        cdf = self._cdf
+        found: list[int] = []
+        while True:
+            for x in rng.random(k - len(found)).tolist():
+                i = bisect_right(cdf, x)
+                if i not in found:
+                    found.append(i)
+            if len(found) == k:
+                return found
+            weights = list(self._weights)
+            for i in found:
+                weights[i] = 0.0
+            cdf = _normalised_cumsum(weights)
 
     def variable_positions(self) -> tuple[int, ...]:
         """1-based positions with positive error probability."""
@@ -204,6 +243,14 @@ class ClientModel:
             return acc / epsilon
 
         return inclusion(others), inclusion(others[::-1])
+
+
+def _normalised_cumsum(weights: Sequence[float]) -> list[float]:
+    """Running sums of weights divided by their total, in the order and
+    rounding of ``np.cumsum(w) / np.cumsum(w)[-1]``."""
+    sums = list(accumulate(weights))
+    total = sums[-1]
+    return [s / total for s in sums]
 
 
 def _errors(secret: Template, y: Sequence[int]) -> dict[int, int]:
@@ -399,15 +446,18 @@ class Oracle:
                 f"client model has {len(client.error_probs)} coordinates, expected {params.n}"
             )
 
-        probs = np.asarray(client.error_probs, dtype=float)
-        weights = probs / probs.sum()
-        variable = int(np.count_nonzero(probs))
         k = 1
         if client.shape is SessionShape.MULTI_ERROR:
-            k = min(int(rng.integers(1, params.epsilon + 1)), variable)
-        positions = rng.choice(params.n, size=k, replace=False, p=weights)
-        secret = self.__secret
-        return self._emit_observation(secret, perturb(params, secret, positions, rng))
+            k = min(int(rng.integers(1, params.epsilon + 1)), client._variable)
+        positions = client.sample_positions(k, rng)
+        # each erring coordinate moves to a uniformly drawn other symbol, one
+        # draw per position in draw order, as space.perturb draws them; for
+        # k <= epsilon, scalar draws are faster than one vector draw
+        secret, q = self.__secret, params.q
+        shifts = [int(rng.integers(1, q)) for _ in positions]
+        return self._emit_observation(
+            {p + 1: secret[p] - (secret[p] + s) % q for p, s in sorted(zip(positions, shifts))}
+        )
 
     def faulted_session(self, positions: Iterable[int]) -> Observation:
         """Session whose error locations the attacker controls (fault
@@ -425,15 +475,12 @@ class Oracle:
             )
         if pos[0] < 1 or pos[-1] > params.n:
             raise UsageError("error positions must lie in [1, n]")
-        secret = self.__secret
-        y = list(secret)
-        for p in pos:
-            y[p - 1] = (y[p - 1] + 1) % params.q
-        return self._emit_observation(secret, y)
+        secret, q = self.__secret, params.q
+        return self._emit_observation({p: secret[p - 1] - (secret[p - 1] + 1) % q for p in pos})
 
-    def _emit_observation(self, secret: Template, y: Sequence[int]) -> Observation:
+    def _emit_observation(self, errors: dict[int, int]) -> Observation:
         self._session_count += 1
-        obs = Observation(errors=_errors(secret, y))
+        obs = Observation(errors=errors)
         if self._on_observation is not None:
             self._on_observation(obs)
         return obs

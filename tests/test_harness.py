@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from matchleak import (
     theoretical_bounds,
     worst_case_queries,
 )
+from matchleak import harness
 from matchleak.cli import main
 from matchleak.harness import (
     BENCH_SCENARIOS,
@@ -134,6 +136,18 @@ class TestRunExperiment:
         strip = lambda rs: [(r.trial, r.seed, r.queries, r.exact, r.bound_ok) for r in rs]
         assert strip(seq) == strip(par)
 
+    @pytest.mark.parametrize(
+        "attack, extra",
+        [("accumulation", {"alpha": 1.5, "session_shape": "multi"}), ("fault_control", {})],
+    )
+    def test_passive_workers_match_sequential(self, attack, extra):
+        # 13 trials over two workers come back in uneven chunks
+        cfg = ExperimentConfig(2, 16, 3, attack=attack, trials=13, master_seed=5, **extra)
+        seq, seq_summary = run_experiment(cfg)
+        par, par_summary = run_experiment(replace(cfg, workers=2))
+        assert seq == par
+        assert seq_summary == par_summary
+
     def test_accumulation_summary_bracket(self):
         cfg = ExperimentConfig(2, 10, 2, attack="accumulation", trials=150, master_seed=4)
         _, summary = run_experiment(cfg)
@@ -239,6 +253,23 @@ class TestCli:
         assert out.exists()
         printed = capsys.readouterr().out
         assert "queries_max: 1" in printed
+
+    @pytest.mark.parametrize("timing", [[], ["--timing"]])
+    def test_unwritable_out_fails_before_any_trial(self, timing, tmp_path, monkeypatch, capsys):
+        real, ran = harness.run_trial, []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a) or real(*a, **kw))
+        bad = tmp_path / "missing" / "r.csv"
+        code = main(["attack", "--attack", "fault_control", "--n", "8", "--trials", "5", "--out", str(bad), *timing])
+        assert code == 2
+        assert ran == []
+        assert f"error: cannot write records to {bad}: [Errno 2]" in capsys.readouterr().err
+
+    def test_unwritable_bench_out_fails_before_any_row(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: ran.append(a))
+        assert main(["bench", "--trials", "5", "--out", str(tmp_path)]) == 2
+        assert ran == []
+        assert f"error: cannot write bench rows to {tmp_path}: [Errno 21]" in capsys.readouterr().err
 
     def test_incompatible_mode_is_config_error(self, capsys):
         code = main([

@@ -26,6 +26,7 @@ from matchleak import (
 )
 from matchleak import covering
 from matchleak.covering import fixing_batches, fixing_centers
+from matchleak.space import perturb
 
 P7 = SpaceParams(2, 7, 3)
 SECRET7 = (0, 0, 1, 1, 0, 1, 0)
@@ -264,6 +265,78 @@ class TestGenuineSessions:
     def test_single_error_observation_chance(self):
         assert ClientModel.rare_first(16, 1.5).observation_chance(3) == (16**-1.5, 16**-1.5)
         assert ClientModel((0.1, 0.0, 0.3)).observation_chance(2) == pytest.approx((0.25, 0.25))
+
+
+# the sampler's clients: uniform, rare-first and one with non-variable
+# coordinates, whose zero weights the cumulative table must step over
+SAMPLER_CLIENTS = {
+    "uniform": ClientModel.uniform(16),
+    "rare_first": ClientModel.rare_first(16, 1.5),
+    "zero_prob": ClientModel((0.1, 0.0, 0.3, 0.0, 0.2, 0.05, 0.0, 0.35)),
+}
+
+
+def reference_genuine_errors(params, secret, client, rng) -> dict[int, int]:
+    """One genuine session drawn by rng.choice and space.perturb, as the
+    oracle drew it before the client's own sampler replaced that call."""
+    probs = np.asarray(client.error_probs, dtype=float)
+    weights = probs / probs.sum()
+    variable = int(np.count_nonzero(probs))
+    k = 1
+    if client.shape is SessionShape.MULTI_ERROR:
+        k = min(int(rng.integers(1, params.epsilon + 1)), variable)
+    positions = rng.choice(params.n, size=k, replace=False, p=weights)
+    y = perturb(params, secret, positions, rng)
+    return {i + 1: secret[i] - y[i] for i in range(params.n) if secret[i] != y[i]}
+
+
+class TestSessionSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
+    def test_matches_generator_choice(self, name):
+        client = SAMPLER_CLIENTS[name]
+        probs = np.asarray(client.error_probs)
+        weights = probs / probs.sum()
+        for k in range(1, len(client.variable_positions()) + 1):
+            redraws = 0
+            for seed in range(200):
+                ours, ref, plain = (np.random.default_rng(seed) for _ in range(3))
+                got = client.sample_positions(k, ours)
+                assert got == ref.choice(len(probs), size=k, replace=False, p=weights).tolist()
+                assert ours.bit_generator.state == ref.bit_generator.state
+                assert ours.random() == ref.random()
+                plain.random(k + 1)  # k uniforms, then the draw compared above
+                redraws += plain.bit_generator.state != ours.bit_generator.state
+            # a duplicate among the first k draws forces a redraw; with 200
+            # seeds that happens at every k >= 2
+            assert redraws > 0 if k >= 2 else redraws == 0
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("shape", list(SessionShape))
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
+    def test_genuine_session_matches_reference(self, q, shape, name):
+        client = ClientModel(SAMPLER_CLIENTS[name].error_probs, shape)
+        params = SpaceParams(q, len(client.error_probs), 3)
+        secret = sample_template(params, np.random.default_rng(q))
+        o = Oracle(secret, params, always(Payload.POSITIONS_VALUES))
+        ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(300):
+            got = o.genuine_session(client, ours).errors
+            assert list(got.items()) == list(reference_genuine_errors(params, secret, client, ref).items())
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_faulted_session_matches_reference(self, q):
+        params = SpaceParams(q, 9, 3)
+        secret = sample_template(params, np.random.default_rng(q))
+        o = Oracle(secret, params, always(Payload.POSITIONS_VALUES))
+        for pos in itertools.chain.from_iterable(
+            itertools.combinations(range(1, 10), r) for r in range(1, 4)
+        ):
+            y = list(secret)
+            for p in pos:
+                y[p - 1] = (y[p - 1] + 1) % q
+            want = {i + 1: secret[i] - y[i] for i in range(9) if secret[i] != y[i]}
+            assert list(o.faulted_session(pos).errors.items()) == list(want.items())
 
 
 class TestAuditSeal:
