@@ -264,6 +264,27 @@ class TestCli:
         assert ran == []
         assert f"error: cannot write records to {bad}: [Errno 2]" in capsys.readouterr().err
 
+    def test_timing_records_match_canonical_but_ms(self, tmp_path):
+        argv = ["attack", "--attack", "both_distance", "--q", "3", "--n", "6", "--epsilon", "2",
+                "--trials", "20", "--seed", "4", "--format", "jsonl"]
+        canonical, timed = tmp_path / "canonical.jsonl", tmp_path / "timed.jsonl"
+        assert main([*argv, "--out", str(canonical)]) == 0
+        assert main([*argv, "--timing", "--out", str(timed)]) == 0
+        docs = lambda p: [json.loads(line) for line in p.read_text().splitlines()]
+        a, b = docs(canonical), docs(timed)
+        assert len(a) == len(b) == 20
+        assert all(doc["ms"] == 0 for doc in a)
+        assert [{**d, "ms": 0} for d in b] == a
+
+    def test_config_file_bad_format_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("attack=both_positions\nq=4\nn=5\nepsilon=2\nformat=xml\n")
+        assert main(["attack", "--config", str(cfg), "--trials", "5"]) == 2
+        assert ran == []
+        assert "error:" in capsys.readouterr().err
+
     def test_unwritable_bench_out_fails_before_any_row(self, tmp_path, monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: ran.append(a))
