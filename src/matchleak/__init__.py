@@ -21,7 +21,6 @@ from .attacks import (
     attack_minimal_binary,
     center_search_binary,
     collect_observations,
-    exhaustive_accept_search,
     fault_controlled_collect,
     resolve_error_value,
 )
@@ -68,7 +67,6 @@ from .space import (
     harmonic_number,
     harmonic_number_exact,
     q_ary_entropy,
-    sample_at_distance,
     sample_template,
 )
 

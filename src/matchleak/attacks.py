@@ -50,10 +50,6 @@ class PartialTemplate:
     def known_count(self) -> int:
         return sum(1 for c in self.coords if c is not None)
 
-    def unknown_positions(self) -> tuple[int, ...]:
-        """1-based positions still unknown."""
-        return tuple(i + 1 for i, c in enumerate(self.coords) if c is None)
-
     def fill(self, value: int = 0) -> Template:
         """Complete the template by writing ``value`` into every unknown."""
         return tuple(value if c is None else c for c in self.coords)
@@ -72,15 +68,6 @@ class AttackOutcome:
 class SearchStrategy(Enum):
     COORDINATE_FIXING = "fixing"
     GREEDY_COVER = "greedy"
-
-
-def exhaustive_accept_search(oracle: Oracle) -> Template:
-    """Find an accepted template in at most q^(n-eps) queries by pinning the
-    last epsilon coordinates to 0 and enumerating the rest."""
-    params = oracle.params
-    if params.epsilon >= params.n:
-        raise UsageError(f"accept search needs epsilon < n (got epsilon={params.epsilon}, n={params.n})")
-    return fixing_search(oracle)[0]
 
 
 def _climb(oracle: Oracle, y: list[int], cur: int, positions: Iterable[int]) -> Template:

@@ -18,8 +18,10 @@ from .bounds import theoretical_bounds
 from .covering import chvatal_bound, coordinate_fixing_cover, greedy_cover, save_cover, verify_cover
 from .errors import CapacityError, UsageError
 from .harness import (
+    FORMATS,
     ExperimentConfig,
     bench_table,
+    check_format,
     check_writable,
     emit,
     emit_bench,
@@ -52,6 +54,7 @@ _DEFAULTS = {
 _INT_KEYS = {"q", "n", "epsilon", "trials", "seed", "workers"}
 _FLOAT_KEYS = {"alpha"}
 _BOOL_KEYS = {"timing"}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _load_config_file(path: str) -> dict:
@@ -72,10 +75,10 @@ def _load_config_file(path: str) -> dict:
             elif key in _FLOAT_KEYS:
                 values[key] = float(val)
             elif key in _BOOL_KEYS:
-                values[key] = val.lower() in ("1", "true", "yes")
+                values[key] = _BOOL_VALUES[val.lower()]
             else:
                 values[key] = val
-        except ValueError:
+        except (KeyError, ValueError):
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
@@ -100,13 +103,13 @@ def _add_space_options(p: argparse.ArgumentParser) -> None:
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, help="trial count (default 100)")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--format", choices=["csv", "jsonl"], help="record format (default csv)")
+    p.add_argument("--format", choices=FORMATS, help="record format (default csv)")
     p.add_argument("--out", help="write per-trial records here")
+
+
+def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
     p.add_argument("--timing", action="store_const", const=True, help="emit measured wall time (non-deterministic bytes)")
-
-
-def _add_accumulation_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="rarest coordinate errs with probability n**(-alpha)")
     p.add_argument("--session-shape", dest="session_shape", choices=["single", "multi"],
                    help="errors per genuine session: exactly one, or uniform on 1..epsilon")
@@ -122,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="run one attack over fresh random secrets")
     _add_space_options(p_attack)
     _add_run_options(p_attack)
-    _add_accumulation_options(p_attack)
+    _add_experiment_options(p_attack)
     p_attack.add_argument("--attack", help="attack id (e.g. below_distance, both_positions)")
     p_attack.add_argument("--scope", choices=["below", "both"], help="leak scope; validated against the attack")
     p_attack.add_argument("--payload", choices=["none", "distance", "positions", "posvalues"])
@@ -151,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc = sub.add_parser("accumulate", help="passive accumulation runs (shortcut for attack --attack accumulation)")
     _add_space_options(p_acc)
     _add_run_options(p_acc)
-    _add_accumulation_options(p_acc)
+    _add_experiment_options(p_acc)
     p_acc.set_defaults(func=_run_and_report, attack="accumulation")
 
     return parser
@@ -161,8 +164,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     attack = _resolve(args, "attack")
     if not attack:
         raise UsageError("no attack selected (use --attack or a config file)")
-    timing = bool(_resolve(args, "timing"))
-    out = _resolve(args, "out")
     return ExperimentConfig(
         q=_resolve(args, "q"),
         n=_resolve(args, "n"),
@@ -176,9 +177,16 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         alpha=_resolve(args, "alpha"),
         session_shape=_resolve(args, "session_shape"),
         workers=_resolve(args, "workers"),
-        out_format=_resolve(args, "format"),
-        out_path=None if timing else out,  # timing output is emitted separately
     )
+
+
+def _checked_out(args: argparse.Namespace, what: str) -> str | None:
+    """The --out path, if any, checked before any work is done, so that an
+    unwritable one fails with nothing run."""
+    out = _resolve(args, "out")
+    if out:
+        check_writable(out, what)
+    return out
 
 
 def _print_summary(summary: dict, records: list) -> None:
@@ -199,9 +207,9 @@ def _print_summary(summary: dict, records: list) -> None:
 def _run_and_report(args: argparse.Namespace) -> int:
     """The attack and accumulate subcommands: one experiment, summarized."""
     config = _experiment_config(args)
-    out = _resolve(args, "out")
-    if out and config.out_path is None:
-        check_writable(out, "records")  # the timing path: run_experiment never sees out
+    fmt = _resolve(args, "format")
+    check_format(fmt)
+    out = _checked_out(args, "records")
     audit_path = _resolve(args, "audit") if hasattr(args, "audit") else None
     if audit_path:
         with open(audit_path, "w") as sink:
@@ -213,17 +221,16 @@ def _run_and_report(args: argparse.Namespace) -> int:
     else:
         records, summary = run_experiment(config)
     if out:
-        if bool(_resolve(args, "timing")):
-            emit(records, _resolve(args, "format"), out, include_timing=True)
+        emit(records, fmt, out, include_timing=bool(_resolve(args, "timing")))
         print(f"records: {out}")
     _print_summary(summary, records)
     return 0 if summary["ok"] else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    out = _resolve(args, "out")
-    if out:
-        check_writable(out, "bench rows")
+    fmt = _resolve(args, "format")
+    check_format(fmt)
+    out = _checked_out(args, "bench rows")
     rows = bench_table(
         q=_resolve(args, "q"),
         n=_resolve(args, "n"),
@@ -233,13 +240,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     print(format_bench(rows))
     if out:
-        emit_bench(rows, _resolve(args, "format"), out)
+        emit_bench(rows, fmt, out)
         print(f"rows: {out}")
     return 0 if all(r.ok for r in rows) else 1
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
+    out = _checked_out(args, "report")
     scope = _resolve(args, "scope") or "below"
     payload = _resolve(args, "payload") or "none"
     report = theoretical_bounds(params, LeakageMode.parse(scope, payload))
@@ -258,7 +266,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     for key, val in doc.items():
         print(f"{key}: {'undefined' if val is None else val}")
-    out = _resolve(args, "out")
     if out:
         Path(out).write_text(json.dumps(doc, indent=2) + "\n")
         print(f"report: {out}")
@@ -268,6 +275,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
     method = _resolve(args, "method")
+    out = _checked_out(args, "cover")
     cover = greedy_cover(params) if method == "greedy" else coordinate_fixing_cover(params)
     guarantee = chvatal_bound(params)
     print(f"method: {method}")
@@ -275,7 +283,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
     print(f"certified: {int(cover.certified)}")
     print(f"greedy_guarantee: {guarantee:.3f}")
     print(f"verified: {int(verify_cover(cover))}")
-    out = _resolve(args, "out")
     if out:
         save_cover(cover, out)
         print(f"export: {out}")

@@ -61,9 +61,9 @@ def chvatal_bound(params: SpaceParams) -> float:
     return params.space_size() * harmonic_number(params.n) / ball_volume(params)
 
 
-def _guard(points: int, max_points: int, what: str) -> None:
-    if points > max_points:
-        raise CapacityError(f"{what} needs {points} points materialized (guard {max_points})")
+def _guard(points: int, limit: int, what: str) -> None:
+    if points > limit:
+        raise CapacityError(f"{what} needs {points} points materialized (guard {limit})")
 
 
 def _delta_patterns(params: SpaceParams) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -177,13 +177,13 @@ def fixing_search(oracle: Oracle, exact: bool = False) -> tuple[Template, MatchR
     return best
 
 
-def coordinate_fixing_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:
+def coordinate_fixing_cover(params: SpaceParams) -> Cover:
     """The fixing centers as a certified cover (see fixing_centers)."""
-    _guard(params.q ** (params.n - params.epsilon), max_points, "coordinate-fixing cover")
+    _guard(params.q ** (params.n - params.epsilon), GREEDY_POINT_GUARD, "coordinate-fixing cover")
     return Cover(params=params, centers=tuple(fixing_centers(params)), certified=True)
 
 
-def greedy_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> Cover:
+def greedy_cover(params: SpaceParams) -> Cover:
     """Classic greedy set cover over radius-epsilon balls.
 
     Repeatedly picks the center covering the most still-uncovered points,
@@ -192,7 +192,7 @@ def greedy_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> C
     harmonic-factor guarantee (asserted by callers/tests, not here).
     """
     size = params.space_size()
-    _guard(size, max_points, "greedy cover")
+    _guard(size, GREEDY_POINT_GUARD, "greedy cover")
     index = _BallIndex(params)
     gain = np.full(size, index.volume, dtype=np.int64)
     covered = np.zeros(size, dtype=bool)
@@ -213,12 +213,12 @@ def greedy_cover(params: SpaceParams, max_points: int = GREEDY_POINT_GUARD) -> C
     return Cover(params=params, centers=centers, certified=True)
 
 
-def verify_cover(cover: Cover, max_points: int = GREEDY_POINT_GUARD) -> bool:
+def verify_cover(cover: Cover) -> bool:
     """Exhaustively re-check that every point lies within epsilon of some
     center.  Independent of the construction bookkeeping."""
     params = cover.params
     size = params.space_size()
-    _guard(size, max_points, "cover verification")
+    _guard(size, GREEDY_POINT_GUARD, "cover verification")
     index = _BallIndex(params)
     covered = np.zeros(size, dtype=bool)
     ids = np.array([template_index(params, c) for c in cover.centers], dtype=np.int64)
@@ -226,7 +226,7 @@ def verify_cover(cover: Cover, max_points: int = GREEDY_POINT_GUARD) -> bool:
     return bool(covered.all())
 
 
-def exact_min_cover_size(params: SpaceParams, max_points: int = EXACT_POINT_GUARD) -> int:
+def exact_min_cover_size(params: SpaceParams) -> int:
     """Exact minimum number of radius-epsilon balls covering Z_q^n.
 
     Branch and bound: always branch on the smallest uncovered point (any
@@ -235,13 +235,13 @@ def exact_min_cover_size(params: SpaceParams, max_points: int = EXACT_POINT_GUAR
     Tiny instances only.
     """
     size = params.space_size()
-    _guard(size, max_points, "exact cover")
+    _guard(size, EXACT_POINT_GUARD, "exact cover")
     index = _BallIndex(params)
     vol = index.volume
     ball_mask = [sum(1 << int(m) for m in row) for row in index.balls(np.arange(size, dtype=np.int64))]
 
     full = (1 << size) - 1
-    best = len(greedy_cover(params, max_points=max_points))
+    best = len(greedy_cover(params))
 
     def branch(uncovered: int, used: int) -> None:
         nonlocal best

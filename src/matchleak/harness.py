@@ -45,8 +45,6 @@ class ExperimentConfig:
     alpha: float | None = None        # rarest-coordinate exponent; None = uniform client
     session_shape: str = "single"
     workers: int = 1
-    out_format: str = "csv"
-    out_path: str | None = None       # records written here (canonical bytes) when set
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +61,7 @@ class TrialRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+FORMATS = ("csv", "jsonl")
 
 
 def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]:
@@ -90,8 +89,6 @@ def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]
         raise UsageError("alpha must be >= 1")
     if config.session_shape not in ("single", "multi"):
         raise UsageError("session shape must be 'single' or 'multi'")
-    if config.out_format not in ("csv", "jsonl"):
-        raise UsageError("output format must be 'csv' or 'jsonl'")
     return params, mode
 
 
@@ -191,10 +188,9 @@ def run_experiment(
     Records come back in trial order regardless of worker scheduling, and
     are identical for a fixed configuration no matter the worker count.
     Audit taps (on_response/on_observation) require a single worker.
+    Nothing is written: emit writes the records.
     """
     params, _mode = validate_config(config)
-    if config.out_path is not None:
-        check_writable(config.out_path, "records")
     bound = attack_bound(config, params)
     if config.workers > 1:
         if on_response is not None or on_observation is not None:
@@ -209,8 +205,6 @@ def run_experiment(
             run_trial(config, t, bound, on_response, on_observation)
             for t in range(config.trials)
         ]
-    if config.out_path is not None:
-        emit(records, config.out_format, config.out_path)
     return records, summarize(config, params, records)
 
 
@@ -261,8 +255,7 @@ def _write_rows(kind: type, rows: Iterable, fmt: str, path: str | Path, what: st
     output bytes are deterministic.  Files always end with a newline; no
     rows yield a header-only CSV (or an empty JSONL).
     """
-    if fmt not in ("csv", "jsonl"):
-        raise UsageError(f"unknown output format {fmt!r}")
+    check_format(fmt)
     columns = [f.name for f in fields(kind)]
     buf = io.StringIO()
     if fmt == "csv":
@@ -277,6 +270,12 @@ def _write_rows(kind: type, rows: Iterable, fmt: str, path: str | Path, what: st
         Path(path).write_text(buf.getvalue())
     except OSError as exc:
         raise _cannot_write(what, path, exc) from exc
+
+
+def check_format(fmt: str) -> None:
+    """Raise UsageError unless ``fmt`` is one of FORMATS."""
+    if fmt not in FORMATS:
+        raise UsageError(f"unknown output format {fmt!r}; expected one of: {', '.join(FORMATS)}")
 
 
 def _cannot_write(what: str, path: str | Path, exc: OSError) -> OSError:
@@ -321,11 +320,10 @@ def _number(text: str) -> float | int:
 
 def read_records(path: str | Path, fmt: str) -> list[TrialRecord]:
     """Parse records back; inverse of emit for both formats."""
+    check_format(fmt)
     text = Path(path).read_text()
     if fmt == "jsonl":
         return [TrialRecord(**json.loads(line)) for line in text.splitlines() if line.strip()]
-    if fmt != "csv":
-        raise UsageError(f"unknown output format {fmt!r}")
     rows = list(csv.reader(io.StringIO(text)))
     if rows and tuple(rows[0]) != CSV_COLUMNS:
         raise UsageError(f"unexpected CSV header {rows[0]!r}")

@@ -451,8 +451,8 @@ class Oracle:
             k = min(int(rng.integers(1, params.epsilon + 1)), client._variable)
         positions = client.sample_positions(k, rng)
         # each erring coordinate moves to a uniformly drawn other symbol, one
-        # draw per position in draw order, as space.perturb draws them; for
-        # k <= epsilon, scalar draws are faster than one vector draw
+        # draw per position in draw order; for k <= epsilon, scalar draws are
+        # faster than one vector draw
         secret, q = self.__secret, params.q
         shifts = [int(rng.integers(1, q)) for _ in positions]
         return self._emit_observation(

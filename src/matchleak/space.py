@@ -8,13 +8,12 @@ sampling.  Everything here is pure given its inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,63 +156,9 @@ def template_from_index(params: SpaceParams, idx: int) -> Template:
     return tuple(coords)
 
 
-def enumerate_templates(params: SpaceParams) -> Iterator[Template]:
-    """All q^n templates in lexicographic order."""
-    return itertools.product(range(params.q), repeat=params.n)
-
-
-def ball_templates(params: SpaceParams, center: Sequence[int]) -> Iterator[Template]:
-    """All templates within distance epsilon of center.
-
-    Deterministic order: distance ascending, then changed-position sets and
-    replacement values lexicographically.
-    """
-    center = tuple(center)
-    q, n, eps = params.q, params.n, params.epsilon
-    yield center
-    for w in range(1, eps + 1):
-        for positions in itertools.combinations(range(n), w):
-            choices = [
-                [v for v in range(q) if v != center[p]] for p in positions
-            ]
-            for values in itertools.product(*choices):
-                t = list(center)
-                for p, v in zip(positions, values):
-                    t[p] = v
-                yield tuple(t)
-
-
 # --- seeded sampling --------------------------------------------------------
 
 
 def sample_template(params: SpaceParams, rng: np.random.Generator) -> Template:
     """Uniform draw from Z_q^n; deterministic for a fixed generator state."""
     return tuple(int(v) for v in rng.integers(0, params.q, size=params.n))
-
-
-def sample_at_distance(
-    params: SpaceParams, x: Sequence[int], k: int, rng: np.random.Generator
-) -> Template:
-    """A uniform template at Hamming distance exactly k from x.
-
-    Rejection-free: picks the k error positions uniformly among C(n,k)
-    subsets, then each erroneous value uniformly among the q-1 non-matching
-    symbols.  O(n) cost and an exact distance guarantee.
-    """
-    if not 0 <= k <= params.n:
-        raise UsageError(f"k must lie in [0, n], got {k}")
-    x = as_template(params, x)
-    if k == 0:
-        return x
-    return tuple(perturb(params, x, rng.choice(params.n, size=k, replace=False), rng))
-
-
-def perturb(
-    params: SpaceParams, x: Sequence[int], positions: Iterable[int], rng: np.random.Generator
-) -> list[int]:
-    """x with each given 0-based coordinate moved to a uniformly drawn other
-    symbol, one draw per position in the given order."""
-    y = list(x)
-    for p in positions:
-        y[p] = (y[p] + int(rng.integers(1, params.q))) % params.q
-    return y

@@ -50,7 +50,7 @@ from matchleak import (
     verify_cover,
 )
 from matchleak.harness import bench_table, emit_bench
-from matchleak.space import ball_templates
+from conftest import ball_templates
 
 from conftest import weight_histogram
 

@@ -25,7 +25,6 @@ from matchleak import (
     center_search_binary,
     chvatal_bound,
     collect_observations,
-    exhaustive_accept_search,
     fault_controlled_collect,
     greedy_cover,
     hamming_distance,
@@ -33,7 +32,9 @@ from matchleak import (
     resolve_error_value,
     sample_template,
 )
-from matchleak.space import ball_templates
+from matchleak.covering import fixing_search
+
+from conftest import ball_templates, unknown_positions
 
 BELOW = Scope.BELOW_ONLY
 BOTH = Scope.ALWAYS
@@ -81,7 +82,7 @@ class TestModeDiscipline:
 class TestExhaustiveSearch:
     def test_all_zero_secret_found_first(self):
         oracle = make((0,) * 6, 2, 6, 2, BOTH, Payload.NONE)
-        found = exhaustive_accept_search(oracle)
+        found = fixing_search(oracle)[0]
         assert oracle.query_count == 1
         assert oracle.query(found).accepted
 
@@ -89,7 +90,7 @@ class TestExhaustiveSearch:
         params = SpaceParams(2, 5, 4)
         for _ in range(20):
             oracle = Oracle(random_secret(params, rng), params, LeakageMode(BOTH, Payload.NONE))
-            exhaustive_accept_search(oracle)
+            fixing_search(oracle)[0]
             assert oracle.query_count <= 2
 
     def test_worst_case_bound_exhaustively(self):
@@ -98,7 +99,7 @@ class TestExhaustiveSearch:
         worst = 0
         for secret in itertools.product(range(2), repeat=8):
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.NONE))
-            y = exhaustive_accept_search(oracle)
+            y = fixing_search(oracle)[0]
             assert hamming_distance(y, secret) <= 2
             worst = max(worst, oracle.query_count)
         assert worst <= 2**6
@@ -107,7 +108,7 @@ class TestExhaustiveSearch:
         # all-ones free block forces the scan to its very last candidate
         params = SpaceParams(2, 10, 3)
         oracle = Oracle((1,) * 10, params, LeakageMode(BOTH, Payload.NONE))
-        found = exhaustive_accept_search(oracle)
+        found = fixing_search(oracle)[0]
         assert oracle.query_count == 2**7
         assert found == (1,) * 7 + (0,) * 3
 
@@ -431,7 +432,7 @@ class TestAccumulation:
         partial, used = collect_observations(params, obs)
         assert used == 2
         assert partial.coords == (0, 0, 1, 1, 0, None, None)
-        assert partial.unknown_positions() == (6, 7)
+        assert unknown_positions(partial) == (6, 7)
         # two unknowns <= threshold: any completion lies in the ball
         assert hamming_distance(partial.fill(0), (0, 0, 1, 1, 0, 1, 0)) <= 3
 
@@ -562,5 +563,5 @@ class TestIsolation:
     def test_partial_template_helpers(self):
         partial = PartialTemplate((1, None, 0, None))
         assert partial.known_count() == 2
-        assert partial.unknown_positions() == (2, 4)
+        assert unknown_positions(partial) == (2, 4)
         assert partial.fill(1) == (1, 1, 0, 1)

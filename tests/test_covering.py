@@ -51,7 +51,7 @@ class TestCoordinateFixing:
 
     def test_guard(self):
         with pytest.raises(CapacityError):
-            coordinate_fixing_cover(SpaceParams(2, 30, 1), max_points=1 << 10)
+            coordinate_fixing_cover(SpaceParams(2, 30, 1))
 
 
 class TestGreedy:
@@ -86,7 +86,7 @@ class TestGreedy:
 
     def test_guard(self):
         with pytest.raises(CapacityError):
-            greedy_cover(SpaceParams(2, 26, 2), max_points=1 << 20)
+            greedy_cover(SpaceParams(2, 26, 2))
 
     def test_deterministic(self):
         a = greedy_cover(SpaceParams(3, 4, 1))

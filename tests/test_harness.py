@@ -21,7 +21,7 @@ from matchleak import (
     theoretical_bounds,
     worst_case_queries,
 )
-from matchleak import harness
+from matchleak import cli, harness
 from matchleak.cli import main
 from matchleak.harness import (
     BENCH_SCENARIOS,
@@ -291,6 +291,68 @@ class TestCli:
         assert main(["bench", "--trials", "5", "--out", str(tmp_path)]) == 2
         assert ran == []
         assert f"error: cannot write bench rows to {tmp_path}: [Errno 21]" in capsys.readouterr().err
+
+    def test_config_file_bad_bench_format_fails_before_any_row(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: ran.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--config", str(cfg), "--trials", "5", "--out", str(out)]) == 2
+        assert ran == []
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unknown output format 'xml'" in captured.err
+
+    def test_unwritable_cover_out_fails_before_the_build(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "greedy_cover", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "coordinate_fixing_cover", lambda *a: built.append(a))
+        bad = tmp_path / "missing" / "cover.txt"
+        for method in ("greedy", "fixing"):
+            argv = ["cover", "--n", "6", "--epsilon", "1", "--method", method, "--out", str(bad)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: cannot write cover to {bad}: [Errno 2]" in captured.err
+        assert built == []
+
+    def test_unwritable_bounds_out_fails_before_the_report(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "theoretical_bounds", lambda *a: ran.append(a))
+        assert main(["bounds", "--n", "10", "--epsilon", "2", "--out", str(tmp_path)]) == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write report to {tmp_path}: [Errno 21]" in captured.err
+
+    @pytest.mark.parametrize("flag", [["--workers", "7"], ["--timing"]])
+    def test_bench_rejects_flags_it_does_not_use(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--trials", "5", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, timed",
+        [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("false", False), ("No", False)],
+    )
+    def test_config_file_booleans(self, text, timed, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"timing={text}\n")
+        assert cli._load_config_file(str(cfg)) == {"timing": timed}
+
+    @pytest.mark.parametrize("text", ["ture", "2", "on", ""])
+    def test_config_file_bad_boolean_is_config_error(self, text, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"attack=both_positions\nq=4\nn=5\nepsilon=2\ntiming={text}\n")
+        assert main(["attack", "--config", str(cfg)]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert f"{cfg}:5: bad value for timing" in err
 
     def test_incompatible_mode_is_config_error(self, capsys):
         code = main([

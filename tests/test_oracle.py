@@ -26,7 +26,8 @@ from matchleak import (
 )
 from matchleak import covering
 from matchleak.covering import fixing_batches, fixing_centers
-from matchleak.space import perturb
+
+from conftest import perturb
 
 P7 = SpaceParams(2, 7, 3)
 SECRET7 = (0, 0, 1, 1, 0, 1, 0)
@@ -277,7 +278,7 @@ SAMPLER_CLIENTS = {
 
 
 def reference_genuine_errors(params, secret, client, rng) -> dict[int, int]:
-    """One genuine session drawn by rng.choice and space.perturb, as the
+    """One genuine session drawn by rng.choice and perturb, as the
     oracle drew it before the client's own sampler replaced that call."""
     probs = np.asarray(client.error_probs, dtype=float)
     weights = probs / probs.sum()

@@ -12,18 +12,11 @@ from matchleak import (
     harmonic_number,
     harmonic_number_exact,
     q_ary_entropy,
-    sample_at_distance,
     sample_template,
 )
-from matchleak.space import (
-    as_template,
-    ball_templates,
-    enumerate_templates,
-    template_from_index,
-    template_index,
-)
+from matchleak.space import as_template, template_from_index, template_index
 
-from conftest import brute_ball_count
+from conftest import ball_templates, brute_ball_count, enumerate_templates, sample_at_distance
 
 
 class TestParams:
