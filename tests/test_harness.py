@@ -343,17 +343,6 @@ class TestCli:
         cfg.write_text(f"timing={text}\n")
         assert cli._load_config_file(str(cfg)) == {"timing": timed}
 
-    @pytest.mark.parametrize("text", ["ture", "2", "on", ""])
-    def test_config_file_bad_boolean_is_config_error(self, text, tmp_path, monkeypatch, capsys):
-        ran = []
-        monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"attack=both_positions\nq=4\nn=5\nepsilon=2\ntiming={text}\n")
-        assert main(["attack", "--config", str(cfg)]) == 2
-        assert ran == []
-        err = capsys.readouterr().err
-        assert f"{cfg}:5: bad value for timing" in err
-
     def test_incompatible_mode_is_config_error(self, capsys):
         code = main([
             "attack", "--attack", "both_positions", "--scope", "below",
@@ -414,6 +403,16 @@ class TestCli:
         assert main(["attack", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and f"{cfg}:2" in err
+
+    @pytest.mark.parametrize("text", ["ture", "2", "on", ""])
+    def test_config_file_bad_boolean_is_config_error(self, text, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"attack=both_positions\ntiming={text}\n")
+        assert main(["attack", "--config", str(cfg)]) == 2
+        assert ran == []
+        assert f"{cfg}:2: bad value for timing: {text!r}" in capsys.readouterr().err
 
     def test_audit_stream_schema(self, tmp_path):
         audit = tmp_path / "audit.jsonl"
