@@ -117,6 +117,24 @@ AUDIT_CASES = {
         "--attack minimal --q 2 --n 10 --epsilon 2",
         "2c76022878b9249d2200b24b6a38380d84970a6194b2c687012c47ac60c86351",
     ),
+    # the distance climb at q = 2 and q = 4, and the position payloads at
+    # q = 16, whose responses carry many flagged coordinates
+    "both_distance_q2": (
+        "--attack both_distance --q 2 --n 64 --epsilon 4",
+        "404d8e557c58b5e5168f7458bdbb22fe63ffa57cf26812f8db3948d6c390b3b3",
+    ),
+    "both_distance": (
+        "--attack both_distance --q 4 --n 12 --epsilon 3",
+        "bdd533406a5933760b045f9f4bb557450762b676f46dbfb49a5f9ddf1628ab05",
+    ),
+    "both_positions_q16": (
+        "--attack both_positions --q 16 --n 64 --epsilon 8",
+        "81c0d98e7c622be1d54038a390ae8b68ad6feb665ea9fb09ad85f6b88a26b9dd",
+    ),
+    "both_posvalues_q16": (
+        "--attack both_posvalues --q 16 --n 64 --epsilon 8",
+        "39453b72fae83f50f5beaeb3d02468111651dd674a1279ec0e1b68e5e15ac236",
+    ),
     # every genuine session's observation; multi-error sessions redraw
     "accumulation_rare_multi": (
         "--attack accumulation --q 2 --n 16 --epsilon 3 --alpha 1.5 --session-shape multi",
