@@ -70,21 +70,24 @@ class SearchStrategy(Enum):
     GREEDY_COVER = "greedy"
 
 
-def _climb(oracle: Oracle, y: list[int], cur: int, positions: Iterable[int]) -> Template:
-    """Coordinate-wise climb on the leaked distance from y at distance cur.
+def _climb(oracle: Oracle, start: Template, cur: int, positions: Iterable[int]) -> Template:
+    """Coordinate-wise climb on the leaked distance from start at distance
+    cur.
 
     Each position starts at 0 and tries the values 1..q-1: a value that
     drops the distance is the secret's value, one that raises it proves 0
     right, and an equal distance means both are wrong.  A response without
     a distance (a rejected probe under below-threshold scope) counts as a
-    raise.  At most q-1 queries per position.
+    raise.  At most q-1 queries per position.  Every probe resubmits one
+    working buffer, a bytearray for q <= 256, changed in place.
     """
+    y = bytearray(start) if oracle.params.q <= 256 else list(start)
     for pos in positions:
         if cur == 0:
             break
         for v in range(1, oracle.params.q):
             y[pos] = v
-            d = oracle.query(tuple(y)).distance
+            d = oracle.query(y).distance
             d = cur + 1 if d is None else d
             if d < cur:
                 cur = d
@@ -132,7 +135,7 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
     q0 = oracle.query_count
     best, resp = fixing_search(oracle, exact=True)
     pinned = range(params.n - params.epsilon, params.n)
-    return _outcome(oracle, q0, _climb(oracle, list(best), resp.distance, pinned))
+    return _outcome(oracle, q0, _climb(oracle, best, resp.distance, pinned))
 
 
 def _fix_from_positions(oracle: Oracle, y: Template, resp: MatchResponse) -> Template:
@@ -232,12 +235,13 @@ def center_search_binary(oracle: Oracle, start: Sequence[int]) -> Template:
     if eps == 0:
         return y0  # the acceptance ball is the secret itself
 
-    z = list(y0)
+    # both phases resubmit one buffer, flipped in place
+    z = bytearray(y0)
     visited = [y0]
     resolved: dict[int, int] = {}
     for i in range(n):
         z[i] ^= 1
-        if oracle.query(tuple(z)).accepted:
+        if oracle.query(z).accepted:
             visited.append(tuple(z))
             continue
         z[i] ^= 1
@@ -255,10 +259,10 @@ def center_search_binary(oracle: Oracle, start: Sequence[int]) -> Template:
         if i in resolved:
             x[i] = resolved[i]
             continue
-        probe = list(frontier)
-        probe[i] ^= 1
+        z[i] ^= 1
         # an accepted flip means the frontier had coordinate i wrong
-        x[i] = frontier[i] ^ oracle.query(tuple(probe)).accepted
+        x[i] = frontier[i] ^ oracle.query(z).accepted
+        z[i] ^= 1
     return tuple(x)
 
 
@@ -373,8 +377,9 @@ def attack_both_distance(oracle: Oracle) -> AttackOutcome:
     ATTACKS["both_distance"].require(oracle)
     n = oracle.params.n
     q0 = oracle.query_count
-    cur = oracle.query((0,) * n).distance
-    return _outcome(oracle, q0, _climb(oracle, [0] * n, cur, range(n)))
+    y = (0,) * n
+    cur = oracle.query(y).distance
+    return _outcome(oracle, q0, _climb(oracle, y, cur, range(n)))
 
 
 def attack_both_positions(oracle: Oracle) -> AttackOutcome:
@@ -387,13 +392,14 @@ def attack_both_positions(oracle: Oracle) -> AttackOutcome:
     ATTACKS["both_positions"].require(oracle)
     params = oracle.params
     q0 = oracle.query_count
-    x: list[int | None] = [None] * params.n
+    x = [params.q - 1] * params.n
+    unresolved = set(range(1, params.n + 1))
     for c in range(params.q - 1):
         flagged = oracle.query((c,) * params.n).error_positions
-        for i in range(params.n):
-            if x[i] is None and (i + 1) not in flagged:
-                x[i] = c
-    return _outcome(oracle, q0, tuple(params.q - 1 if v is None else v for v in x))
+        for pos in unresolved - flagged:
+            x[pos - 1] = c
+        unresolved &= flagged
+    return _outcome(oracle, q0, tuple(x))
 
 
 def attack_both_positions_values(oracle: Oracle) -> AttackOutcome:

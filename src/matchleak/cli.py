@@ -13,9 +13,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Collection
 
 from .bounds import theoretical_bounds
-from .covering import chvatal_bound, coordinate_fixing_cover, greedy_cover, save_cover, verify_cover
+from .covering import (
+    check_exportable,
+    chvatal_bound,
+    coordinate_fixing_cover,
+    greedy_cover,
+    save_cover,
+    verify_cover,
+)
 from .errors import CapacityError, UsageError
 from .harness import (
     FORMATS,
@@ -57,8 +65,9 @@ _BOOL_KEYS = {"timing"}
 _BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored."""
+def _load_config_file(path: str, keys: Collection[str] = _DEFAULTS) -> dict:
+    """Flat key=value lines; blank lines and # comments ignored.  Only the
+    given keys are accepted: those of the subcommand's options."""
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -69,6 +78,8 @@ def _load_config_file(path: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _DEFAULTS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: key {key!r} is not an option of this subcommand")
         try:
             if key in _INT_KEYS:
                 values[key] = int(val)
@@ -115,6 +126,13 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
                    help="errors per genuine session: exactly one, or uniform on 1..epsilon")
 
 
+def _set_command(p: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int], **defaults) -> None:
+    """Bind a subcommand, once all its options are added, to its function
+    and to the config-file keys it reads: those of its options."""
+    keys = frozenset(action.dest for action in p._actions) & _DEFAULTS.keys()
+    p.set_defaults(func=func, config_keys=keys, **defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchleak",
@@ -131,31 +149,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--payload", choices=["none", "distance", "positions", "posvalues"])
     p_attack.add_argument("--strategy", choices=["fixing", "greedy"], help="minimal-leak search phase")
     p_attack.add_argument("--audit", help="append every oracle response/observation as JSON lines")
-    p_attack.set_defaults(func=_run_and_report)
+    _set_command(p_attack, _run_and_report)
 
     p_bench = sub.add_parser("bench", help="run all eight leakage scenarios and print the table")
     _add_space_options(p_bench)
     _add_run_options(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    _set_command(p_bench, cmd_bench)
 
     p_bounds = sub.add_parser("bounds", help="print the cost report for a space and mode")
     _add_space_options(p_bounds)
     p_bounds.add_argument("--scope", choices=["below", "both"])
     p_bounds.add_argument("--payload", choices=["none", "distance", "positions", "posvalues"])
     p_bounds.add_argument("--out", help="also write the report as JSON")
-    p_bounds.set_defaults(func=cmd_bounds)
+    _set_command(p_bounds, cmd_bounds)
 
     p_cover = sub.add_parser("cover", help="build a ball cover and optionally export it")
     _add_space_options(p_cover)
     p_cover.add_argument("--method", choices=["fixing", "greedy"], help="cover construction (default greedy)")
     p_cover.add_argument("--out", help="export centers as q-ary strings")
-    p_cover.set_defaults(func=cmd_cover)
+    _set_command(p_cover, cmd_cover)
 
     p_acc = sub.add_parser("accumulate", help="passive accumulation runs (shortcut for attack --attack accumulation)")
     _add_space_options(p_acc)
     _add_run_options(p_acc)
     _add_experiment_options(p_acc)
-    p_acc.set_defaults(func=_run_and_report, attack="accumulation")
+    _set_command(p_acc, _run_and_report, attack="accumulation")
 
     return parser
 
@@ -276,6 +294,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
     params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
     method = _resolve(args, "method")
     out = _checked_out(args, "cover")
+    if out:
+        check_exportable(params)
     cover = greedy_cover(params) if method == "greedy" else coordinate_fixing_cover(params)
     guarantee = chvatal_bound(params)
     print(f"method: {method}")
@@ -295,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._file_values = _load_config_file(args.config) if args.config else {}
+        args._file_values = _load_config_file(args.config, args.config_keys) if args.config else {}
         return args.func(args)
     except (UsageError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

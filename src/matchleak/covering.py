@@ -276,12 +276,17 @@ def covering_search(oracle: Oracle, cover: Cover) -> Template:
 # --- export / import ----------------------------------------------------------
 
 
+def check_exportable(params: SpaceParams) -> None:
+    """Raise UsageError unless save_cover can write a cover of this space."""
+    if params.q > len(_EXPORT_DIGITS):
+        raise UsageError(f"export supports q <= {len(_EXPORT_DIGITS)}")
+
+
 def save_cover(cover: Cover, path: str | Path) -> None:
     """Write one q-ary digit string per center, preceded by a parameter
     header line."""
     params = cover.params
-    if params.q > len(_EXPORT_DIGITS):
-        raise UsageError(f"export supports q <= {len(_EXPORT_DIGITS)}")
+    check_exportable(params)
     lines = [
         f"# q={params.q} n={params.n} epsilon={params.epsilon} certified={int(cover.certified)}"
     ]

@@ -25,6 +25,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -96,6 +97,8 @@ class MatchResponse:
 # the two answers that carry nothing but the accept bit
 _ACCEPTED = MatchResponse(accepted=True)
 _REJECTED = MatchResponse(accepted=False)
+# submissions query takes as they are; anything else is listed first
+_SEQUENCES = frozenset({tuple, list, bytes, bytearray})
 # binary digit string of a packed word -> one byte per coordinate
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -253,6 +256,14 @@ def _normalised_cumsum(weights: Sequence[float]) -> list[float]:
     return [s / total for s in sums]
 
 
+@cache
+def _distance_response(accepted: bool, d: int) -> MatchResponse:
+    """The one shared answer carrying the accept bit and distance d; the
+    key holds the accept bit, so oracles with different thresholds never
+    share a wrong one."""
+    return MatchResponse(accepted=accepted, distance=d)
+
+
 def _errors(secret: Template, y: Sequence[int]) -> dict[int, int]:
     """1-based position -> x_i - y_i for every coordinate where y errs."""
     return {i + 1: secret[i] - y[i] for i in range(len(secret)) if secret[i] != y[i]}
@@ -281,9 +292,15 @@ class Oracle:
         # For q <= 256 a submission is checked and converted in C, as one
         # byte per coordinate, and the secret is held as the int of its
         # bytes: the coordinates a submission gets wrong are the nonzero
-        # bytes of the XOR, and at q = 2 their count is its popcount.
+        # bytes of the XOR, and at q = 2 their count is its popcount.  The
+        # secret's int16 row, minus a submission's bytes, gives the
+        # position payloads.
         self._digits = bytes(range(params.q)) if params.q <= 256 else None
-        self.__int = int.from_bytes(bytes(self.__secret), "big") if self._digits else None
+        self.__int = self.__row = None
+        if self._digits:
+            raw = bytes(self.__secret)
+            self.__int = int.from_bytes(raw, "big")
+            self.__row = np.frombuffer(raw, dtype=np.uint8).astype(np.int16)
         self._query_count = 0
         self._session_count = 0
         self._audit_count = 0
@@ -309,19 +326,27 @@ class Oracle:
     def query(self, y: Sequence[int]) -> MatchResponse:
         """Answer one submission.  Malformed submissions (wrong length, a
         coordinate that is not an integer or lies outside the alphabet) raise
-        UsageError and do not advance the query counter."""
+        UsageError and do not advance the query counter.
+
+        ``bytes`` and ``bytearray`` submissions hold one coordinate per
+        byte; for q <= 256 they are checked and answered as they are, so a
+        caller may resubmit one buffer it changes between queries."""
         params = self.params
         n = params.n
-        if type(y) is not tuple and type(y) is not list:
+        kind = type(y)
+        if kind not in _SEQUENCES:
             y = list(y)  # bytearray() of an ndarray or array would read its raw buffer
         if len(y) != n:
             raise UsageError(f"query has length {len(y)}, expected n={n}")
         digits = None
         if self._digits:
-            try:
-                digits = bytearray(y)  # faster than bytes() on a tuple
-            except (TypeError, ValueError):
-                pass
+            if kind is bytes or kind is bytearray:
+                digits = y
+            else:
+                try:
+                    digits = bytearray(y)  # faster than bytes() on a tuple
+                except (TypeError, ValueError):
+                    pass
         if digits is None or digits.translate(None, self._digits):
             digits = as_template(params, y)  # q > 256, or UsageError naming the bad coordinate
             d = sum(1 for a, c in zip(self.__secret, digits) if a != c)
@@ -335,20 +360,28 @@ class Oracle:
             self._on_response(resp)
         return resp
 
-    def _respond(self, y: Sequence[int], d: int) -> MatchResponse:
-        """The response to a counted submission y, of plain int digits, at
-        distance d."""
+    def _respond(self, y: bytes | bytearray | Template, d: int) -> MatchResponse:
+        """The response to a counted submission y at distance d: one byte
+        per coordinate for q <= 256, plain int digits above."""
         accepted = d <= self.params.epsilon
         payload = self.mode.payload
         if payload is Payload.NONE or not (accepted or self.mode.scope is Scope.ALWAYS):
             return _ACCEPTED if accepted else _REJECTED
         if payload is Payload.DISTANCE:
-            return MatchResponse(accepted=accepted, distance=d)
-        secret = self.__secret
-        if payload is Payload.POSITIONS:
-            positions = frozenset(i for i, (a, b) in enumerate(zip(secret, y), 1) if a != b)
-            return MatchResponse(accepted=accepted, error_positions=positions)
-        values = _errors(secret, y)
+            return _distance_response(accepted, d)
+        if self._digits:
+            diff = self.__row - np.frombuffer(y, dtype=np.uint8)
+            wrong = np.flatnonzero(diff)
+            positions = (wrong + 1).tolist()
+            if payload is Payload.POSITIONS:
+                return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
+            values = dict(zip(positions, diff[wrong].tolist()))
+        else:
+            secret = self.__secret
+            if payload is Payload.POSITIONS:
+                positions = frozenset(i for i, (a, b) in enumerate(zip(secret, y), 1) if a != b)
+                return MatchResponse(accepted=accepted, error_positions=positions)
+            values = _errors(secret, y)
         return MatchResponse(
             accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
         )
@@ -391,7 +424,7 @@ class Oracle:
             built = {}
             for i in map(int, rows):
                 y = self._candidate(batch, i)
-                built[i] = (y, self._respond(y, int(dist[i])))
+                built[i] = (y, self._respond(bytes(y) if self._digits else y, int(dist[i])))
             if tap is not None:
                 for i in range(count):
                     tap(built[i][1] if i in built else _REJECTED)

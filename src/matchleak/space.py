@@ -161,4 +161,4 @@ def template_from_index(params: SpaceParams, idx: int) -> Template:
 
 def sample_template(params: SpaceParams, rng: np.random.Generator) -> Template:
     """Uniform draw from Z_q^n; deterministic for a fixed generator state."""
-    return tuple(int(v) for v in rng.integers(0, params.q, size=params.n))
+    return tuple(rng.integers(0, params.q, size=params.n).tolist())

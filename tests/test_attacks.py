@@ -378,6 +378,37 @@ class TestBothPositions:
                     assert out.queries_used == 1
 
 
+def loop_both_positions(oracle: Oracle) -> tuple[tuple[int, ...], int]:
+    """The constant sweep with one n-long loop per constant, as the
+    reference for the set-based attack: the template and queries used."""
+    params = oracle.params
+    q0 = oracle.query_count
+    x = [None] * params.n
+    for c in range(params.q - 1):
+        flagged = oracle.query((c,) * params.n).error_positions
+        for i in range(params.n):
+            if x[i] is None and (i + 1) not in flagged:
+                x[i] = c
+    return tuple(params.q - 1 if v is None else v for v in x), oracle.query_count - q0
+
+
+class TestBothPositionsSetSweep:
+    @pytest.mark.parametrize("q", [2, 3, 16])
+    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    def test_matches_loop_reference(self, q, n, rng):
+        params = SpaceParams(q, n, min(n, 3))
+        mode = LeakageMode(BOTH, Payload.POSITIONS)
+        secrets = [random_secret(params, rng) for _ in range(20)]
+        secrets += [(0,) * n, (q - 1,) * n, tuple(i % q for i in range(n))]
+        for secret in secrets:
+            fast_tap, loop_tap = [], []
+            out = attack_both_positions(Oracle(secret, params, mode, on_response=fast_tap.append))
+            expect, used = loop_both_positions(Oracle(secret, params, mode, on_response=loop_tap.append))
+            assert (out.recovered, out.queries_used) == (expect, used)
+            assert out.recovered == secret
+            assert fast_tap == loop_tap
+
+
 class TestBothPositionsValues:
     def test_single_query_any_secret(self, rng):
         for _ in range(100):

@@ -318,6 +318,22 @@ class TestCli:
             assert f"error: cannot write cover to {bad}: [Errno 2]" in captured.err
         assert built == []
 
+    def test_cover_export_limit_fails_before_the_build(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "greedy_cover", lambda *a: built.append(a))
+        out = tmp_path / "c.txt"
+        assert main(["cover", "--q", "37", "--n", "2", "--epsilon", "1", "--out", str(out)]) == 2
+        assert built == []
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: export supports q <= 36" in captured.err
+
+    def test_cover_export_at_the_alphabet_limit(self, tmp_path):
+        out = tmp_path / "c.txt"
+        assert main(["cover", "--q", "36", "--n", "1", "--epsilon", "0", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == list("0123456789abcdefghijklmnopqrstuvwxyz")
+
     def test_unwritable_bounds_out_fails_before_the_report(self, tmp_path, monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(cli, "theoretical_bounds", lambda *a: ran.append(a))
@@ -403,6 +419,42 @@ class TestCli:
         assert main(["attack", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and f"{cfg}:2" in err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("bench", "workers=3"),
+            ("bench", "timing=1"),
+            ("bench", "alpha=2"),
+            ("bench", "attack=minimal"),
+            ("bounds", "trials=5"),
+            ("cover", "seed=1"),
+            ("cover", "format=jsonl"),
+            ("accumulate", "attack=minimal"),
+            ("accumulate", "strategy=greedy"),
+        ],
+    )
+    def test_config_file_key_without_an_option_is_config_error(self, command, key, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: ran.append(a))
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: ran.append(a))
+        monkeypatch.setattr(cli, "greedy_cover", lambda *a: ran.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=6\n{key}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = key.split("=")[0]
+        assert f"error: {cfg}:2: key {name!r} is not an option of this subcommand" in captured.err
+
+    def test_config_file_keys_of_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q=2\nn=8\nepsilon=2\ntrials=5\nseed=1\nformat=csv\n")
+        assert main(["bench", "--config", str(cfg)]) == 0
+        cfg.write_text("q=2\nn=8\nepsilon=1\nmethod=fixing\n")
+        assert main(["cover", "--config", str(cfg)]) == 0
+        assert "method: fixing" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", ["ture", "2", "on", ""])
     def test_config_file_bad_boolean_is_config_error(self, text, tmp_path, monkeypatch, capsys):

@@ -420,15 +420,18 @@ class TestQueryKernels:
     @settings(max_examples=300, deadline=None)
     @given(submissions())
     def test_matches_tuple_reference(self, case):
+        # every query as a tuple and a list, and for q <= 256 as bytes and
+        # as a bytearray, one coordinate per byte
         params, secret, queries, mode = case
+        forms = (tuple, list, bytes, bytearray) if params.q <= 256 else (tuple, list)
         seen = []
         o = Oracle(secret, params, mode, on_response=seen.append)
         for k, y in enumerate(queries, 1):
             expect = reference_response(secret, y, params.epsilon, mode)
-            assert o.query(y) == expect
-            assert o.query(list(y)) == expect
-            assert o.query_count == 2 * k
-        assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries for _ in (0, 1)]
+            for form in forms:
+                assert o.query(form(y)) == expect
+            assert o.query_count == len(forms) * k
+        assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries for _ in forms]
 
     @settings(max_examples=150, deadline=None)
     @given(submissions())
@@ -447,6 +450,63 @@ class TestQueryKernels:
             assert o.query_count == stop
             assert seen == expect[:stop]
             assert found == [(queries[i], expect[i]) for i in range(stop) if expect[i] != MatchResponse(False)]
+
+
+class TestBufferSubmissions:
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    @pytest.mark.parametrize("q", [2, 3, 16, 255])
+    def test_malformed_buffers_do_not_count(self, kind, q):
+        for payload in Payload:
+            o = Oracle((0, 1, 0, 1), SpaceParams(q, 4, 1), always(payload))
+            for bad in ([0, 1, 0, q], [q, 1, 0, 1], [255, 1, 0, 1], [0, 1, 0], [0, 1, 0, 1, 0], []):
+                with pytest.raises(UsageError):
+                    o.query(kind(bad))
+            assert o.query_count == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_response_outlives_the_buffer(self, mode):
+        # changing the submitted buffer afterwards leaves the answer as it
+        # was, and the oracle holds no view that would stop a resize
+        params = SpaceParams(4, 6, 3)
+        secret = (0, 1, 2, 3, 0, 1)
+        o = Oracle(secret, params, mode)
+        buf = bytearray([1, 1, 2, 0, 0, 3])
+        expect = reference_response(secret, tuple(buf), params.epsilon, mode)
+        resp = o.query(buf)
+        buf[:] = bytes(secret)
+        buf.append(0)
+        assert resp == expect
+        assert o.query(bytes(secret)) == reference_response(secret, secret, params.epsilon, mode)
+
+    def test_shared_distance_responses_keep_their_accept_bit(self):
+        # oracles with different thresholds share distance-only answers, and
+        # the accept bit is part of what each one shares
+        n = 8
+        secret = (0,) * n
+        oracles = {eps: Oracle(secret, SpaceParams(2, n, eps), always(Payload.DISTANCE)) for eps in range(n + 1)}
+        for d in range(n + 1):
+            y = bytearray([1] * d + [0] * (n - d))
+            answers = {eps: o.query(y) for eps, o in oracles.items()}
+            for eps, resp in answers.items():
+                assert resp == MatchResponse(accepted=d <= eps, distance=d)
+            assert all(answers[eps] is answers[d] for eps in range(d, n + 1))
+        assert Oracle(secret, SpaceParams(2, n, 2), below(Payload.DISTANCE)).query((1,) * n) == MatchResponse(False)
+
+    @pytest.mark.parametrize("payload", [Payload.POSITIONS, Payload.POSITIONS_VALUES])
+    @pytest.mark.parametrize("scope", list(Scope))
+    def test_large_position_payloads(self, scope, payload, rng):
+        params = SpaceParams(16, 1024, 8)
+        mode = LeakageMode(scope, payload)
+        secret = sample_template(params, rng)
+        queries = [secret, (0,) * params.n, (15,) * params.n, sample_template(params, rng)]
+        for k in (1, 8, 9, 500):
+            queries.append(tuple(perturb(params, secret, rng.choice(params.n, k, replace=False), rng)))
+        o = Oracle(secret, params, mode)
+        for y in queries:
+            expect = reference_response(secret, y, params.epsilon, mode)
+            for form in (tuple, bytes, bytearray):
+                assert o.query(form(y)) == expect
+        assert o.query_count == 3 * len(queries)
 
 
 def _loop_scan(oracle: Oracle, centers, exact: bool) -> None:
