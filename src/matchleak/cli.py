@@ -2,8 +2,11 @@
 
 Subcommands: attack (single experiment), bench (all-scenario table), bounds
 (print the cost report), cover (build/export ball covers), accumulate
-(passive collection shortcut).  A flat key=value config file can preload any
-flag; explicit flags win.  Exit code 0 only when every bound check passes,
+(passive collection shortcut).  Each option declares its default, type and
+choices once, in argparse; the experiment defaults are ExperimentConfig's.
+A flat key=value config file can preload any option of the subcommand: its
+values go through the same actions and become the subcommand's defaults, so
+explicit flags win.  Exit code 0 only when every bound check passes,
 2 on configuration errors.
 """
 
@@ -12,9 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection
 
+from .attacks import SearchStrategy
 from .bounds import theoretical_bounds
 from .covering import (
     check_exportable,
@@ -36,38 +41,55 @@ from .harness import (
     format_bench,
     run_experiment,
 )
-from .oracle import LeakageMode, observation_to_json, response_to_json
+from .oracle import LeakageMode, Payload, Scope, SessionShape, observation_to_json, response_to_json
 from .space import SpaceParams
 
-_DEFAULTS = {
-    "q": 2,
-    "n": 12,
-    "epsilon": 3,
-    "scope": None,
-    "payload": None,
-    "attack": None,
-    "trials": 100,
-    "seed": 0,
-    "format": "csv",
-    "out": None,
-    "workers": 1,
-    "alpha": None,
-    "session_shape": "single",
-    "strategy": "fixing",
-    "audit": None,
-    "method": "greedy",
-    "timing": False,
-}
-
-_INT_KEYS = {"q", "n", "epsilon", "trials", "seed", "workers"}
-_FLOAT_KEYS = {"alpha"}
-_BOOL_KEYS = {"timing"}
 _BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _load_config_file(path: str, keys: Collection[str] = _DEFAULTS) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored.  Only the
-    given keys are accepted: those of the subcommand's options."""
+def _default(name: str):
+    """An experiment setting's default: its ExperimentConfig field's."""
+    return next(f.default for f in fields(ExperimentConfig) if f.name == name)
+
+
+def _choices(enum: type[Enum]) -> list[str]:
+    return [member.value for member in enum]
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _file_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A subcommand's config-file keys, each its flag with _ for -, mapped to
+    the option's action; --config and --help are not keys."""
+    return {
+        action.option_strings[0].removeprefix("--").replace("-", "_"): action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("config", "help")
+    }
+
+
+def _file_value(action: argparse.Action, text: str):
+    """Convert and check a config-file value as the flag's would be."""
+    if action.nargs == 0:  # a store_true switch
+        return _BOOL_VALUES[text.lower()]
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _load_config_file(path: str, command: str | None = None) -> dict:
+    """Flat key=value lines; blank lines and # comments ignored.
+
+    Each key is an option of ``command`` (of any subcommand when None), and
+    its value goes through that option's type and choices.  The values come
+    back by option dest, ready to be the subcommand's defaults."""
+    subcommands = _subcommands(build_parser())
+    known = {key: a for p in subcommands.values() for key, a in _file_options(p).items()}
+    options = known if command is None else _file_options(subcommands[command])
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -76,61 +98,44 @@ def _load_config_file(path: str, keys: Collection[str] = _DEFAULTS) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key not in keys:
+        if key not in options:
             raise UsageError(f"{path}:{lineno}: key {key!r} is not an option of this subcommand")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _BOOL_KEYS:
-                values[key] = _BOOL_VALUES[val.lower()]
-            else:
-                values[key] = val
+            values[options[key].dest] = _file_value(options[key], val)
         except (KeyError, ValueError):
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str):
-    """Flag > config file > built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in args._file_values:
-        return args._file_values[key]
-    return _DEFAULTS[key]
-
-
 def _add_space_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, help="alphabet size (default 2)")
-    p.add_argument("--n", type=int, help="dimension (default 12)")
-    p.add_argument("--epsilon", type=int, help="acceptance threshold (default 3)")
+    p.add_argument("--q", type=int, default=2, help="alphabet size")
+    p.add_argument("--n", type=int, default=12, help="dimension")
+    p.add_argument("--epsilon", type=int, default=3, help="acceptance threshold")
     p.add_argument("--config", help="key=value config file; flags win")
 
 
-def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, help="trial count (default 100)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--format", choices=FORMATS, help="record format (default csv)")
-    p.add_argument("--out", help="write per-trial records here")
+def _add_run_options(p: argparse.ArgumentParser, out_help: str) -> None:
+    p.add_argument("--trials", type=int, default=_default("trials"), help="trial count")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=_default("master_seed"),
+                   help="master seed")
+    p.add_argument("--format", default=FORMATS[0], help=f"output format: {', '.join(FORMATS)}")
+    p.add_argument("--out", help=out_help)
 
 
 def _add_experiment_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
-    p.add_argument("--timing", action="store_const", const=True, help="emit measured wall time (non-deterministic bytes)")
-    p.add_argument("--alpha", type=float, help="rarest coordinate errs with probability n**(-alpha)")
-    p.add_argument("--session-shape", dest="session_shape", choices=["single", "multi"],
+    p.add_argument("--workers", type=int, default=_default("workers"), help="parallel trial workers")
+    p.add_argument("--timing", action="store_true", help="emit measured wall time (non-deterministic bytes)")
+    p.add_argument("--alpha", type=float, default=_default("alpha"),
+                   help="rarest coordinate errs with probability n**(-alpha); unset: uniform client")
+    p.add_argument("--session-shape", choices=_choices(SessionShape), default=_default("session_shape"),
                    help="errors per genuine session: exactly one, or uniform on 1..epsilon")
 
 
-def _set_command(p: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int], **defaults) -> None:
-    """Bind a subcommand, once all its options are added, to its function
-    and to the config-file keys it reads: those of its options."""
-    keys = frozenset(action.dest for action in p._actions) & _DEFAULTS.keys()
-    p.set_defaults(func=func, config_keys=keys, **defaults)
+def _add_mode_options(p: argparse.ArgumentParser, scope: str | None, payload: str | None) -> None:
+    p.add_argument("--scope", choices=_choices(Scope), default=scope, help="leak scope")
+    p.add_argument("--payload", choices=_choices(Payload), default=payload, help="leak payload")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,71 +145,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_attack = sub.add_parser("attack", help="run one attack over fresh random secrets")
-    _add_space_options(p_attack)
-    _add_run_options(p_attack)
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        _add_space_options(p)
+        return p
+
+    p_attack = add("attack", "run one attack over fresh random secrets")
+    _add_run_options(p_attack, "write per-trial records here")
     _add_experiment_options(p_attack)
     p_attack.add_argument("--attack", help="attack id (e.g. below_distance, both_positions)")
-    p_attack.add_argument("--scope", choices=["below", "both"], help="leak scope; validated against the attack")
-    p_attack.add_argument("--payload", choices=["none", "distance", "positions", "posvalues"])
-    p_attack.add_argument("--strategy", choices=["fixing", "greedy"], help="minimal-leak search phase")
+    _add_mode_options(p_attack, _default("scope"), _default("payload"))
+    p_attack.add_argument("--strategy", choices=_choices(SearchStrategy), default=_default("strategy"),
+                          help="minimal-leak search phase")
     p_attack.add_argument("--audit", help="append every oracle response/observation as JSON lines")
-    _set_command(p_attack, _run_and_report)
+    p_attack.set_defaults(func=_run_and_report)
 
-    p_bench = sub.add_parser("bench", help="run all eight leakage scenarios and print the table")
-    _add_space_options(p_bench)
-    _add_run_options(p_bench)
-    _set_command(p_bench, cmd_bench)
+    p_bench = add("bench", "run all eight leakage scenarios and print the table")
+    _add_run_options(p_bench, "write per-trial records here")
+    p_bench.set_defaults(func=cmd_bench)
 
-    p_bounds = sub.add_parser("bounds", help="print the cost report for a space and mode")
-    _add_space_options(p_bounds)
-    p_bounds.add_argument("--scope", choices=["below", "both"])
-    p_bounds.add_argument("--payload", choices=["none", "distance", "positions", "posvalues"])
+    p_bounds = add("bounds", "print the cost report for a space and mode")
+    _add_mode_options(p_bounds, Scope.BELOW_ONLY.value, Payload.NONE.value)
     p_bounds.add_argument("--out", help="also write the report as JSON")
-    _set_command(p_bounds, cmd_bounds)
+    p_bounds.set_defaults(func=cmd_bounds)
 
-    p_cover = sub.add_parser("cover", help="build a ball cover and optionally export it")
-    _add_space_options(p_cover)
-    p_cover.add_argument("--method", choices=["fixing", "greedy"], help="cover construction (default greedy)")
+    p_cover = add("cover", "build a ball cover and optionally export it")
+    p_cover.add_argument("--method", choices=_choices(SearchStrategy), default=SearchStrategy.GREEDY_COVER.value,
+                         help="cover construction")
     p_cover.add_argument("--out", help="export centers as q-ary strings")
-    _set_command(p_cover, cmd_cover)
+    p_cover.set_defaults(func=cmd_cover)
 
-    p_acc = sub.add_parser("accumulate", help="passive accumulation runs (shortcut for attack --attack accumulation)")
-    _add_space_options(p_acc)
-    _add_run_options(p_acc)
+    p_acc = add("accumulate", "passive accumulation runs (shortcut for attack --attack accumulation)")
+    _add_run_options(p_acc, "write per-trial records here")
     _add_experiment_options(p_acc)
-    _set_command(p_acc, _run_and_report, attack="accumulation")
+    p_acc.set_defaults(func=_run_and_report, attack="accumulation")
 
     return parser
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    attack = _resolve(args, "attack")
-    if not attack:
+    """The experiment the options describe; a setting the subcommand has no
+    option for keeps its ExperimentConfig default."""
+    if not args.attack:
         raise UsageError("no attack selected (use --attack or a config file)")
-    return ExperimentConfig(
-        q=_resolve(args, "q"),
-        n=_resolve(args, "n"),
-        epsilon=_resolve(args, "epsilon"),
-        attack=attack,
-        scope=_resolve(args, "scope") if hasattr(args, "scope") else None,
-        payload=_resolve(args, "payload") if hasattr(args, "payload") else None,
-        trials=_resolve(args, "trials"),
-        master_seed=_resolve(args, "seed"),
-        strategy=_resolve(args, "strategy") if hasattr(args, "strategy") else "fixing",
-        alpha=_resolve(args, "alpha"),
-        session_shape=_resolve(args, "session_shape"),
-        workers=_resolve(args, "workers"),
-    )
+    settings = vars(args)
+    return ExperimentConfig(**{f.name: settings[f.name] for f in fields(ExperimentConfig) if f.name in settings})
 
 
 def _checked_out(args: argparse.Namespace, what: str) -> str | None:
     """The --out path, if any, checked before any work is done, so that an
     unwritable one fails with nothing run."""
-    out = _resolve(args, "out")
-    if out:
-        check_writable(out, what)
-    return out
+    if args.out:
+        check_writable(args.out, what)
+    return args.out
 
 
 def _print_summary(summary: dict, records: list) -> None:
@@ -225,10 +218,9 @@ def _print_summary(summary: dict, records: list) -> None:
 def _run_and_report(args: argparse.Namespace) -> int:
     """The attack and accumulate subcommands: one experiment, summarized."""
     config = _experiment_config(args)
-    fmt = _resolve(args, "format")
-    check_format(fmt)
+    check_format(args.format)
     out = _checked_out(args, "records")
-    audit_path = _resolve(args, "audit") if hasattr(args, "audit") else None
+    audit_path = getattr(args, "audit", None)
     if audit_path:
         with open(audit_path, "w") as sink:
             records, summary = run_experiment(
@@ -239,36 +231,27 @@ def _run_and_report(args: argparse.Namespace) -> int:
     else:
         records, summary = run_experiment(config)
     if out:
-        emit(records, fmt, out, include_timing=bool(_resolve(args, "timing")))
+        emit(records, args.format, out, include_timing=args.timing)
         print(f"records: {out}")
     _print_summary(summary, records)
     return 0 if summary["ok"] else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    fmt = _resolve(args, "format")
-    check_format(fmt)
+    check_format(args.format)
     out = _checked_out(args, "bench rows")
-    rows = bench_table(
-        q=_resolve(args, "q"),
-        n=_resolve(args, "n"),
-        epsilon=_resolve(args, "epsilon"),
-        trials=_resolve(args, "trials"),
-        master_seed=_resolve(args, "seed"),
-    )
+    rows = bench_table(q=args.q, n=args.n, epsilon=args.epsilon, trials=args.trials, master_seed=args.master_seed)
     print(format_bench(rows))
     if out:
-        emit_bench(rows, fmt, out)
+        emit_bench(rows, args.format, out)
         print(f"rows: {out}")
     return 0 if all(r.ok for r in rows) else 1
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
+    params = SpaceParams(args.q, args.n, args.epsilon)
     out = _checked_out(args, "report")
-    scope = _resolve(args, "scope") or "below"
-    payload = _resolve(args, "payload") or "none"
-    report = theoretical_bounds(params, LeakageMode.parse(scope, payload))
+    report = theoretical_bounds(params, LeakageMode.parse(args.scope, args.payload))
     doc = {
         "q": params.q,
         "n": params.n,
@@ -291,14 +274,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    params = SpaceParams(_resolve(args, "q"), _resolve(args, "n"), _resolve(args, "epsilon"))
-    method = _resolve(args, "method")
+    params = SpaceParams(args.q, args.n, args.epsilon)
+    greedy = SearchStrategy(args.method) is SearchStrategy.GREEDY_COVER
     out = _checked_out(args, "cover")
     if out:
         check_exportable(params)
-    cover = greedy_cover(params) if method == "greedy" else coordinate_fixing_cover(params)
+    cover = greedy_cover(params) if greedy else coordinate_fixing_cover(params)
     guarantee = chvatal_bound(params)
-    print(f"method: {method}")
+    print(f"method: {args.method}")
     print(f"centers: {len(cover)}")
     print(f"certified: {int(cover.certified)}")
     print(f"greedy_guarantee: {guarantee:.3f}")
@@ -306,7 +289,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if out:
         save_cover(cover, out)
         print(f"export: {out}")
-    if method == "greedy" and len(cover) > guarantee:
+    if greedy and len(cover) > guarantee:
         return 1
     return 0
 
@@ -315,7 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._file_values = _load_config_file(args.config, args.config_keys) if args.config else {}
+        if args.config:
+            # file values become the subcommand's defaults: flags still win
+            _subcommands(parser)[args.command].set_defaults(**_load_config_file(args.config, args.command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,16 +18,17 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .attacks import ATTACKS, AttackOutcome, PartialTemplate, client_for
+from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, client_for
 from .bounds import coupon_bracket, worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import LeakageMode, Oracle
+from .oracle import LeakageMode, Oracle, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
 
 
@@ -83,13 +84,19 @@ def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]
         raise UsageError("trials must be >= 1")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
-    if config.strategy not in ("fixing", "greedy"):
-        raise UsageError("strategy must be 'fixing' or 'greedy'")
+    _check_choice("strategy", config.strategy, SearchStrategy)
     if config.alpha is not None and config.alpha < 1.0:
         raise UsageError("alpha must be >= 1")
-    if config.session_shape not in ("single", "multi"):
-        raise UsageError("session shape must be 'single' or 'multi'")
+    _check_choice("session shape", config.session_shape, SessionShape)
     return params, mode
+
+
+def _check_choice(what: str, value: str, enum: type[Enum]) -> None:
+    try:
+        enum(value)
+    except ValueError:
+        choices = " or ".join(repr(member.value) for member in enum)
+        raise UsageError(f"{what} must be {choices}") from None
 
 
 def attack_bound(config: ExperimentConfig, params: SpaceParams) -> float | int:
