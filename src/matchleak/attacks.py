@@ -580,6 +580,9 @@ class AttackSpec:
       informational, and the summary checks the mean against
       ``bracket(params, config)``.
     * Rows with a ``bench`` label form the bench table, in registry order.
+    * ``reads`` names the ExperimentConfig settings, beyond the space, mode
+      and run settings every attack takes, that ``run`` or ``bound`` reads;
+      the harness rejects any other such setting away from its default.
     """
 
     id: str
@@ -592,6 +595,7 @@ class AttackSpec:
     eps_positive: bool = False
     bracket: Callable[[SpaceParams, Any], tuple[float, float]] | None = None
     bench: str | None = None
+    reads: tuple[str, ...] = ()
 
     def require(self, oracle: Oracle) -> None:
         """Fail fast, before any interaction, unless the oracle leaks this
@@ -630,11 +634,12 @@ ATTACKS: dict[str, AttackSpec] = {
         AttackSpec("accumulation", LeakageMode.parse("below", "posvalues"),
                    run=lambda o, c, rng: accumulation_collect(o, client_for(c, o.params), rng),
                    bound=lambda p, c: accumulation_bracket(p, c)[1], bracket=accumulation_bracket,
-                   counter="sessions", binary=True, eps_positive=True, bench="below/posvalues accumulation"),
+                   counter="sessions", binary=True, eps_positive=True, bench="below/posvalues accumulation",
+                   reads=("alpha", "session_shape")),
         AttackSpec("minimal", LeakageMode.parse("both", "none"),
                    run=lambda o, c, rng: attack_minimal_binary(o, SearchStrategy(c.strategy)),
                    bound=lambda p, c: _accept_search(p, c) + p.n + 2 * p.epsilon + 1,
-                   binary=True, eps_below_n=True, bench="both/minimal"),
+                   binary=True, eps_below_n=True, bench="both/minimal", reads=("strategy",)),
         AttackSpec("both_distance", LeakageMode.parse("both", "distance"),
                    run=lambda o, c, rng: attack_both_distance(o),
                    bound=lambda p, c: p.n * (p.q - 1) + 1,

@@ -31,6 +31,7 @@ from .covering import (
 )
 from .errors import CapacityError, UsageError
 from .harness import (
+    BENCH_SCENARIOS,
     FORMATS,
     ExperimentConfig,
     bench_table,
@@ -40,6 +41,7 @@ from .harness import (
     emit_bench,
     format_bench,
     run_experiment,
+    validate_config,
 )
 from .oracle import LeakageMode, Payload, Scope, SessionShape, observation_to_json, response_to_json
 from .space import SpaceParams
@@ -157,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_options(p_attack, _default("scope"), _default("payload"))
     p_attack.add_argument("--strategy", choices=_choices(SearchStrategy), default=_default("strategy"),
                           help="minimal-leak search phase")
-    p_attack.add_argument("--audit", help="append every oracle response/observation as JSON lines")
+    p_attack.add_argument("--audit", help="write every oracle response/observation here as JSON lines")
     p_attack.set_defaults(func=_run_and_report)
 
-    p_bench = add("bench", "run all eight leakage scenarios and print the table")
-    _add_run_options(p_bench, "write per-trial records here")
+    p_bench = add("bench", f"run all {len(BENCH_SCENARIOS)} leakage scenarios and print the table")
+    _add_run_options(p_bench, "write bench rows here")
     p_bench.set_defaults(func=cmd_bench)
 
     p_bounds = add("bounds", "print the cost report for a space and mode")
@@ -218,10 +220,12 @@ def _print_summary(summary: dict, records: list) -> None:
 def _run_and_report(args: argparse.Namespace) -> int:
     """The attack and accumulate subcommands: one experiment, summarized."""
     config = _experiment_config(args)
+    validate_config(config)
     check_format(args.format)
     out = _checked_out(args, "records")
     audit_path = getattr(args, "audit", None)
     if audit_path:
+        check_writable(audit_path, "audit")
         with open(audit_path, "w") as sink:
             records, summary = run_experiment(
                 config,

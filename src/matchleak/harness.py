@@ -63,6 +63,10 @@ class TrialRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 FORMATS = ("csv", "jsonl")
+# the settings only some attacks read; each ATTACKS row names those it reads
+_ATTACK_SETTINGS = tuple(
+    f for f in fields(ExperimentConfig) if any(f.name in spec.reads for spec in ATTACKS.values())
+)
 
 
 def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]:
@@ -79,6 +83,10 @@ def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]
         wanted = LeakageMode.parse(config.scope, config.payload)
         if wanted != mode:
             raise UsageError(f"attack {config.attack!r} requires mode {mode}, got {wanted}")
+    for setting in _ATTACK_SETTINGS:
+        value = getattr(config, setting.name)
+        if value != setting.default and setting.name not in spec.reads:
+            raise UsageError(f"attack {config.attack!r} does not read {setting.name} (got {value!r})")
     spec.check(params)
     if config.trials < 1:
         raise UsageError("trials must be >= 1")

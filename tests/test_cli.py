@@ -2,12 +2,14 @@
 in argparse, and a config file goes through the same actions as the flags."""
 
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
-from matchleak import ExperimentConfig, cli, harness
+from matchleak import ExperimentConfig, UsageError, cli, harness
+from matchleak.attacks import ATTACKS
 from matchleak.cli import main
+from matchleak.harness import validate_config
 
 COMMANDS = ("attack", "accumulate", "bench", "bounds", "cover")
 # the subcommands whose options describe an experiment
@@ -156,3 +158,61 @@ def test_bad_format_is_the_harness_message(command, source, tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: unknown output format 'xml'; expected one of: csv, jsonl" in captured.err
+
+
+def test_audit_file_survives_a_config_error(tmp_path, capsys):
+    audit = tmp_path / "keep.jsonl"
+    audit.write_text('{"accepted":1}\n')
+    argv = ["attack", "--attack", "both_positions", "--q", "4", "--n", "5", "--epsilon", "2"]
+    assert main([*argv, "--trials", "0", "--audit", str(audit)]) == 2
+    assert audit.read_text() == '{"accepted":1}\n'
+    assert "error: trials must be >= 1" in capsys.readouterr().err
+
+
+def test_unwritable_audit_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: ran.append(a))
+    bad = tmp_path / "missing" / "audit.jsonl"
+    argv = ["attack", "--attack", "both_positions", "--q", "4", "--n", "5", "--epsilon", "2", "--audit", str(bad)]
+    assert main(argv) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write audit to {bad}: [Errno 2]" in captured.err
+
+
+# the settings only some attacks read, each with a value away from its
+# default, and the attacks that read them
+UNREAD_VALUES = {"strategy": "greedy", "alpha": 3.0, "session_shape": "multi"}
+READERS = {"strategy": {"minimal"}, "alpha": {"accumulation"}, "session_shape": {"accumulation"}}
+
+
+class TestUnreadSettings:
+    @pytest.mark.parametrize(
+        "attack, setting",
+        [(a, s) for a in sorted(ATTACKS) for s in UNREAD_VALUES if a not in READERS[s]],
+    )
+    def test_setting_the_attack_does_not_read_is_config_error(self, attack, setting):
+        cfg = ExperimentConfig(2, 8, 2, attack=attack, **{setting: UNREAD_VALUES[setting]})
+        with pytest.raises(UsageError, match=f"does not read {setting}"):
+            validate_config(cfg)
+        validate_config(replace(cfg, **{setting: getattr(ExperimentConfig(2, 8, 2, attack=attack), setting)}))
+
+    @pytest.mark.parametrize("attack, setting", [(a, s) for s, readers in READERS.items() for a in readers])
+    def test_setting_the_attack_reads_is_accepted(self, attack, setting):
+        validate_config(ExperimentConfig(2, 8, 2, attack=attack, **{setting: UNREAD_VALUES[setting]}))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--attack", "below_positions", "--strategy", "greedy"],
+            ["--attack", "both_distance", "--alpha", "3"],
+            ["--attack", "fault_control", "--session-shape", "multi"],
+        ],
+    )
+    def test_cli_exits_before_any_trial(self, argv, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+        assert main(["attack", "--n", "8", "--epsilon", "2", *argv]) == 2
+        assert ran == []
+        assert "does not read" in capsys.readouterr().err
