@@ -220,10 +220,10 @@ def _print_summary(summary: dict, records: list) -> None:
 def _run_and_report(args: argparse.Namespace) -> int:
     """The attack and accumulate subcommands: one experiment, summarized."""
     config = _experiment_config(args)
-    validate_config(config)
+    audit_path = getattr(args, "audit", None)
+    validate_config(config, taps=bool(audit_path))
     check_format(args.format)
     out = _checked_out(args, "records")
-    audit_path = getattr(args, "audit", None)
     if audit_path:
         check_writable(audit_path, "audit")
         with open(audit_path, "w") as sink:

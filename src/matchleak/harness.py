@@ -69,8 +69,9 @@ _ATTACK_SETTINGS = tuple(
 )
 
 
-def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]:
-    """Resolve and sanity-check a configuration before any trial runs."""
+def validate_config(config: ExperimentConfig, taps: bool = False) -> tuple[SpaceParams, LeakageMode]:
+    """Resolve and sanity-check a configuration before any trial runs;
+    ``taps`` says whether audit taps will watch the trials."""
     spec = ATTACKS.get(config.attack)
     if spec is None:
         known = ", ".join(sorted(ATTACKS))
@@ -92,6 +93,8 @@ def validate_config(config: ExperimentConfig) -> tuple[SpaceParams, LeakageMode]
         raise UsageError("trials must be >= 1")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
+    if taps and config.workers > 1:
+        raise UsageError("audit taps require workers = 1")
     _check_choice("strategy", config.strategy, SearchStrategy)
     if config.alpha is not None and config.alpha < 1.0:
         raise UsageError("alpha must be >= 1")
@@ -205,11 +208,9 @@ def run_experiment(
     Audit taps (on_response/on_observation) require a single worker.
     Nothing is written: emit writes the records.
     """
-    params, _mode = validate_config(config)
+    params, _mode = validate_config(config, taps=on_response is not None or on_observation is not None)
     bound = attack_bound(config, params)
     if config.workers > 1:
-        if on_response is not None or on_observation is not None:
-            raise UsageError("audit taps require workers = 1")
         jobs = [(config, t, bound) for t in range(config.trials)]
         # about four chunks per worker: few round trips, still balanced
         chunksize = math.ceil(config.trials / (4 * config.workers))

@@ -160,13 +160,26 @@ def test_bad_format_is_the_harness_message(command, source, tmp_path, monkeypatc
     assert "error: unknown output format 'xml'; expected one of: csv, jsonl" in captured.err
 
 
-def test_audit_file_survives_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--trials", "0"], "trials must be >= 1"), (["--workers", "2"], "audit taps require workers = 1")],
+)
+def test_audit_file_survives_a_config_error(flags, message, tmp_path, capsys):
     audit = tmp_path / "keep.jsonl"
     audit.write_text('{"accepted":1}\n')
     argv = ["attack", "--attack", "both_positions", "--q", "4", "--n", "5", "--epsilon", "2"]
-    assert main([*argv, "--trials", "0", "--audit", str(audit)]) == 2
+    assert main([*argv, *flags, "--audit", str(audit)]) == 2
     assert audit.read_text() == '{"accepted":1}\n'
-    assert "error: trials must be >= 1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_taps_need_one_worker():
+    cfg = ExperimentConfig(4, 5, 2, attack="both_positions", trials=3, workers=2)
+    with pytest.raises(UsageError, match="audit taps require workers = 1"):
+        harness.run_experiment(cfg, on_response=print)
+    with pytest.raises(UsageError, match="audit taps require workers = 1"):
+        validate_config(cfg, taps=True)
+    validate_config(cfg)
 
 
 def test_unwritable_audit_fails_before_any_trial(tmp_path, monkeypatch, capsys):
