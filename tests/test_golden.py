@@ -146,6 +146,14 @@ AUDIT_CASES = {
     ),
 }
 
+# (q, n, epsilon) -> digest of the exported greedy cover: every center, in
+# the order the greedy picks them
+COVER_CASES = {
+    (2, 12, 3): "8f5e9dd1912e832a02db4ece8e954fad60271483523a2ac9668296eeb0e5eabc",
+    (2, 14, 3): "1a8cdaf9e33ab91be6256cf5f9b4061e8f36c5aba24c5ecd0a3bab551a3756fa",
+    (3, 10, 2): "af1aaa51b7ec0bf631f51906f52beac7fe4fd64a5d2c4c6ccba51ef2ce4d7409",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -174,3 +182,12 @@ def test_audit_digest(name, tmp_path):
     argv = ["attack", *flags.split(), "--trials", "20", "--seed", "3", "--audit", str(audit)]
     assert main(argv) == 0
     assert _sha256(audit) == digest
+
+
+@pytest.mark.parametrize("space", sorted(COVER_CASES), ids="q{0[0]}_n{0[1]}_eps{0[2]}".format)
+def test_greedy_cover_digest(space, tmp_path):
+    q, n, eps = space
+    out = tmp_path / "cover.txt"
+    argv = ["cover", "--q", str(q), "--n", str(n), "--epsilon", str(eps), "--out", str(out)]
+    assert main(argv) == 0
+    assert _sha256(out) == COVER_CASES[space]
