@@ -38,8 +38,6 @@ GREEDY_POINT_GUARD = 1 << 24
 EXACT_POINT_GUARD = 1 << 12
 # at most this many candidates per Oracle.scan chunk
 SCAN_CHUNK = 1 << 12
-# full neighbor matrix is precomputed when it fits this many entries
-_NEIGHBOR_MATRIX_GUARD = 1 << 24
 
 _EXPORT_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -66,54 +64,47 @@ def _guard(points: int, limit: int, what: str) -> None:
         raise CapacityError(f"{what} needs {points} points materialized (guard {limit})")
 
 
-def _delta_patterns(params: SpaceParams) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All nonzero digit-offset patterns of weight <= epsilon.
-
-    Adding a pattern digit-wise (mod q) to a point enumerates its ball;
-    there are |B| - 1 patterns.
-    """
-    patterns = []
-    for w in range(1, params.epsilon + 1):
-        for positions in itertools.combinations(range(params.n), w):
-            for offsets in itertools.product(range(1, params.q), repeat=w):
-                patterns.append((positions, offsets))
-    return patterns
-
-
 class _BallIndex:
-    """Vectorized ball enumeration over integer-encoded points."""
+    """Vectorized ball enumeration over integer-encoded points.
+
+    A ball member is its center plus a nonzero digit offset (mod q) at each
+    of at most epsilon positions.  Adding offset v at coordinate p is one
+    step; step p*(q-1) + v-1 of a point is the change it makes to the
+    point's index.  The |B| - 1 offset patterns are held per weight w as w
+    rows of step numbers, positions outer and offsets inner.
+    """
 
     def __init__(self, params: SpaceParams):
-        self.params = params
-        self.size = params.space_size()
+        q, n = params.q, params.n
+        self.q = q
         self.volume = ball_volume(params)
-        # place values and digits of every index, coordinate 1 first
-        self.weights = params.q ** np.arange(params.n - 1, -1, -1, dtype=np.int64)
-        self.digits = np.arange(self.size, dtype=np.int64)[:, None] // self.weights
-        self.digits %= params.q
-        self.patterns = _delta_patterns(params)
-        self.matrix: np.ndarray | None = None
-        if self.size * self.volume <= _NEIGHBOR_MATRIX_GUARD:
-            self.matrix = self._balls(np.arange(self.size, dtype=np.int64))
-
-    def _balls(self, ids: np.ndarray) -> np.ndarray:
-        """Ball members for each id, shape (len(ids), volume); column 0 is
-        the point itself."""
-        q = self.params.q
-        out = np.empty((len(ids), self.volume), dtype=np.int64)
-        out[:, 0] = ids
-        for col, (positions, offsets) in enumerate(self.patterns, 1):
-            shifted = ids
-            for p, off in zip(positions, offsets):
-                digit = self.digits[ids, p]
-                shifted = shifted + ((digit + off) % q - digit) * self.weights[p]
-            out[:, col] = shifted
-        return out
+        # place values, coordinate 1 first
+        self.weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.offsets = np.arange(1, q, dtype=np.int64)
+        self.groups = []
+        for w in range(1, params.epsilon + 1):
+            combos = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
+            values = np.array(list(itertools.product(range(q - 1), repeat=w)), dtype=np.int64)
+            steps = combos[:, None, :] * (q - 1) + values
+            self.groups.append(steps.reshape(-1, w).T.copy())
 
     def balls(self, ids: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix[ids]
-        return self._balls(np.asarray(ids, dtype=np.int64))
+        """Ball members for each id, shape (len(ids), volume); column 0 is
+        the point itself."""
+        ids = np.asarray(ids, dtype=np.int64)
+        digits = (ids[:, None] // self.weights % self.q)[:, :, None]
+        steps = ((digits + self.offsets) % self.q - digits) * self.weights[:, None]
+        steps = steps.reshape(len(ids), len(self.weights) * len(self.offsets))
+        out = np.empty((len(ids), self.volume), dtype=np.int64)
+        out[:, 0] = ids
+        col = 1
+        for rows in self.groups:
+            members = out[:, col : col + rows.shape[1]]
+            np.add(ids[:, None], steps[:, rows[0]], out=members)
+            for row in rows[1:]:
+                members += steps[:, row]
+            col += rows.shape[1]
+        return out
 
 
 def fixing_centers(params: SpaceParams) -> Iterator[Template]:
@@ -238,7 +229,8 @@ def exact_min_cover_size(params: SpaceParams) -> int:
     _guard(size, EXACT_POINT_GUARD, "exact cover")
     index = _BallIndex(params)
     vol = index.volume
-    ball_mask = [sum(1 << int(m) for m in row) for row in index.balls(np.arange(size, dtype=np.int64))]
+    balls = index.balls(np.arange(size, dtype=np.int64))
+    ball_mask = [sum(1 << int(m) for m in row) for row in balls]
 
     full = (1 << size) - 1
     best = len(greedy_cover(params))
@@ -252,7 +244,7 @@ def exact_min_cover_size(params: SpaceParams) -> int:
         if used + (missing + vol - 1) // vol >= best:
             return
         p = (uncovered & -uncovered).bit_length() - 1  # lowest uncovered point
-        for center in index.balls(np.array([p], dtype=np.int64))[0]:
+        for center in balls[p]:
             branch(uncovered & ~ball_mask[int(center)], used + 1)
 
     branch(full, 0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from matchleak import (
@@ -24,6 +25,10 @@ from matchleak import (
     save_cover,
     verify_cover,
 )
+from matchleak.covering import _BallIndex
+from matchleak.space import template_from_index, template_index
+
+from conftest import ball_templates
 
 
 def covers_all(cover: Cover) -> bool:
@@ -93,16 +98,21 @@ class TestGreedy:
         b = greedy_cover(SpaceParams(3, 4, 1))
         assert a.centers == b.centers
 
-    def test_on_demand_ball_path_matches_precomputed(self, monkeypatch):
-        # force the no-neighbor-matrix code path and compare constructions
-        import matchleak.covering as covering
-
-        params = SpaceParams(3, 5, 1)
-        fast = greedy_cover(params)
-        monkeypatch.setattr(covering, "_NEIGHBOR_MATRIX_GUARD", 0)
-        slow = greedy_cover(params)
-        assert slow.centers == fast.centers
-        assert verify_cover(slow)
+    @pytest.mark.parametrize(
+        "q,n,eps",
+        [(2, 5, 0), (2, 6, 2), (2, 4, 4), (3, 4, 0), (3, 4, 2), (3, 3, 3), (4, 3, 0), (4, 3, 1), (4, 3, 3)],
+    )
+    def test_ball_index_matches_brute_force_balls(self, q, n, eps):
+        params = SpaceParams(q, n, eps)
+        ids = np.arange(params.space_size())
+        balls = _BallIndex(params).balls(ids)
+        assert balls.shape == (len(ids), ball_volume(params))
+        for point, row in zip(ids, balls):
+            center = template_from_index(params, int(point))
+            expected = {template_index(params, t) for t in ball_templates(params, center)}
+            assert row[0] == point
+            assert len(set(row.tolist())) == len(row)
+            assert set(row.tolist()) == expected
 
 
 class TestExactCover:
