@@ -28,6 +28,7 @@ from .oracle import PACKED_MAX_N, MatchResponse, Oracle
 from .space import (
     SpaceParams,
     Template,
+    as_template,
     ball_volume,
     harmonic_number,
     template_from_index,
@@ -206,13 +207,14 @@ def greedy_cover(params: SpaceParams) -> Cover:
 
 def verify_cover(cover: Cover) -> bool:
     """Exhaustively re-check that every point lies within epsilon of some
-    center.  Independent of the construction bookkeeping."""
+    center.  Independent of the construction bookkeeping.  A center that is
+    not a template of the space raises UsageError."""
     params = cover.params
     size = params.space_size()
     _guard(size, GREEDY_POINT_GUARD, "cover verification")
     index = _BallIndex(params)
     covered = np.zeros(size, dtype=bool)
-    ids = np.array([template_index(params, c) for c in cover.centers], dtype=np.int64)
+    ids = np.array([template_index(params, as_template(params, c)) for c in cover.centers], dtype=np.int64)
     covered[index.balls(ids).ravel()] = True
     return bool(covered.all())
 

@@ -115,6 +115,18 @@ class TestGreedy:
             assert set(row.tolist()) == expected
 
 
+class TestVerifyCover:
+    @pytest.mark.parametrize(
+        "center,message",
+        [((0, 1, 5), "coordinate 5 outside"), ((0, 1, -1), "coordinate -1 outside"), ((0, 1), "length 2")],
+    )
+    def test_rejects_malformed_center(self, center, message):
+        # (0, 1, 5) would alias (1, 1, 1) in the index encoding
+        cover = Cover(SpaceParams(2, 3, 1), ((0, 0, 0), center), False)
+        with pytest.raises(UsageError, match=message):
+            verify_cover(cover)
+
+
 class TestExactCover:
     def test_known_small_values(self):
         assert exact_min_cover_size(SpaceParams(2, 3, 1)) == 2
