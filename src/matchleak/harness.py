@@ -96,7 +96,7 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> tuple[Space
     if taps and config.workers > 1:
         raise UsageError("audit taps require workers = 1")
     _check_choice("strategy", config.strategy, SearchStrategy)
-    if config.alpha is not None and config.alpha < 1.0:
+    if config.alpha is not None and not config.alpha >= 1.0:
         raise UsageError("alpha must be >= 1")
     _check_choice("session shape", config.session_shape, SessionShape)
     return params, mode

@@ -173,7 +173,7 @@ class ClientModel:
         """Coordinate 1 errs with probability n**(-alpha) (alpha >= 1), the
         rest share the remaining mass equally.  alpha = 1 is the uniform
         model."""
-        if alpha < 1.0:
+        if not alpha >= 1.0:
             raise UsageError("alpha must be >= 1")
         p1 = float(n) ** (-alpha)
         rest = (1.0 - p1) / (n - 1) if n > 1 else 0.0

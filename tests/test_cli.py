@@ -229,3 +229,12 @@ class TestUnreadSettings:
         assert main(["attack", "--n", "8", "--epsilon", "2", *argv]) == 2
         assert ran == []
         assert "does not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0.5"])
+def test_alpha_below_one_or_nan_exits_before_any_trial(alpha, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+    assert main(["accumulate", "--n", "8", "--epsilon", "2", "--trials", "3", "--alpha", alpha]) == 2
+    assert ran == []
+    assert "alpha must be >= 1" in capsys.readouterr().err

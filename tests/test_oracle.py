@@ -227,6 +227,9 @@ class TestGenuineSessions:
             ClientModel((-0.1, 0.5))
         assert ClientModel((0.25, 0.0, 0.5)).variable_positions() == (1, 3)
         assert ClientModel.rare_first(16, 1.5).min_prob() == pytest.approx(16**-1.5)
+        for alpha in (0.5, float("nan")):
+            with pytest.raises(UsageError, match="alpha must be >= 1"):
+                ClientModel.rare_first(16, alpha)
 
     @staticmethod
     def _inclusion_by_enumeration(probs, eps):
