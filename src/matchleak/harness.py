@@ -369,15 +369,14 @@ class BenchRow:
     ok: int
 
 
-def bench_table(
-    q: int = 2, n: int = 12, epsilon: int = 3, trials: int = 200, master_seed: int = 0
-) -> list[BenchRow]:
+def bench_table(*, q: int, n: int, epsilon: int, trials: int, master_seed: int) -> list[BenchRow]:
     """Run every leakage scenario at desk scale, one row per scenario.
 
     Every row's configuration is validated before any runs, so parameters
     one attack rejects (the minimal-leak and accumulation rows need a binary
     alphabet) fail the whole bench up front.  All rows share the master seed
-    (and therefore the same per-trial secrets).
+    (and therefore the same per-trial secrets).  The defaults are those of
+    the ``bench`` subcommand's options.
     """
     configs = [
         ExperimentConfig(q=q, n=n, epsilon=epsilon, attack=attack, trials=trials, master_seed=master_seed)

@@ -226,20 +226,20 @@ class TestEmit:
 
 class TestBench:
     def test_rows_and_determinism(self, tmp_path):
-        rows = bench_table(trials=25, master_seed=2)
+        rows = bench_table(q=2, n=12, epsilon=3, trials=25, master_seed=2)
         assert [r.scenario for r in rows] == [s for s, _ in BENCH_SCENARIOS]
         assert len(rows) == 8
         assert all(r.ok for r in rows)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_bench(rows, "csv", p1)
-        emit_bench(bench_table(trials=25, master_seed=2), "csv", p2)
+        emit_bench(bench_table(q=2, n=12, epsilon=3, trials=25, master_seed=2), "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
         table = format_bench(rows)
         assert "both/posvalues" in table
 
     def test_requires_binary(self):
         with pytest.raises(UsageError):
-            bench_table(q=3)
+            bench_table(q=3, n=12, epsilon=3, trials=25, master_seed=2)
 
 
 class TestCli:
