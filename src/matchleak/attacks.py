@@ -474,25 +474,22 @@ def accumulation_collect(
     never-erring coordinate is rejected up front since collection could not
     terminate.  If at most epsilon coordinates remain unknown, the partial
     template is also completed into a guess that is guaranteed to sit inside
-    the acceptance ball.
+    the acceptance ball.  Single-error sessions are answered in blocks by
+    ``Oracle.watch``, multi-error ones one at a time.
     """
     ATTACKS["accumulation"].require(oracle)
     params = oracle.params
-    variable = set(client.variable_positions())
-    tgt = set(target) if target is not None else set(variable)
-    if not tgt:
-        raise UsageError("empty collection target")
-    if not tgt <= variable:
-        dead = sorted(tgt - variable)
-        raise UsageError(f"target coordinates {dead} never err; collection cannot terminate")
+    if client.shape is SessionShape.SINGLE_ERROR:
+        partial, used = _fold_block(params, *oracle.watch(client, rng, target, max_sessions))
+    else:
 
-    def sessions() -> Iterable[Observation]:
-        for done in itertools.count():
-            if max_sessions is not None and done >= max_sessions:
-                raise CapacityError(f"collection incomplete after {done} sessions")
-            yield oracle.genuine_session(client, rng)
+        def sessions() -> Iterable[Observation]:
+            for done in itertools.count():
+                if max_sessions is not None and done >= max_sessions:
+                    raise CapacityError(f"collection incomplete after {done} sessions")
+                yield oracle.genuine_session(client, rng)
 
-    partial, used = collect_observations(params, sessions(), tgt)
+        partial, used = collect_observations(params, sessions(), client.collection_target(target))
     unknown = params.n - partial.known_count()
     within = unknown <= params.epsilon
     return AttackOutcome(
@@ -503,6 +500,28 @@ def accumulation_collect(
         sessions_used=used,
         ball_guess=partial.fill(0) if within else None,
     )
+
+
+def _fold_block(
+    params: SpaceParams, positions: np.ndarray, values: np.ndarray
+) -> tuple[PartialTemplate, int]:
+    """collect_observations over single-error sessions given as their
+    1-based error positions and error values, in order: each coordinate
+    takes the value its first observation resolves to, and every later
+    observation of it must agree."""
+    used = len(positions)
+    first = np.full(params.n + 1, used)
+    np.minimum.at(first, positions, np.arange(used))
+    seen = np.flatnonzero(first < used)
+    clash = np.flatnonzero(values != values[first[positions]])
+    if len(clash):
+        raise InternalError(f"observations disagree on coordinate {positions[clash[0]]}")
+    known = {
+        pos: val
+        for pos, delta in zip(seen.tolist(), values[first[seen]].tolist())
+        if (val := resolve_error_value(delta, params.q)) is not None
+    }
+    return PartialTemplate(tuple(known.get(i + 1) for i in range(params.n))), used
 
 
 def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
@@ -532,10 +551,15 @@ def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
 def client_for(config: Any, params: SpaceParams) -> ClientModel:
     """The genuine client an experiment configuration describes: uniform,
     or rare-first with exponent config.alpha."""
-    shape = SessionShape(config.session_shape)
-    if config.alpha is None:
-        return ClientModel.uniform(params.n, shape)
-    return ClientModel.rare_first(params.n, config.alpha, shape)
+    return _client(params.n, config.alpha, config.session_shape)
+
+
+@lru_cache(maxsize=32)
+def _client(n: int, alpha: float | None, shape: str) -> ClientModel:
+    """One immutable client per (n, alpha, shape), shared by every trial."""
+    if alpha is None:
+        return ClientModel.uniform(n, SessionShape(shape))
+    return ClientModel.rare_first(n, alpha, SessionShape(shape))
 
 
 def accumulation_bracket(params: SpaceParams, config: Any) -> tuple[float, float]:

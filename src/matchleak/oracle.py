@@ -8,11 +8,18 @@ erroneous coordinate positions, or positions plus signed error values.
 Two kinds of interaction are counted separately:
 
 * ``query`` -- an active attacker submission (query_count),
-* ``genuine_session`` / ``faulted_session`` -- passive observations of a
-  legitimate client authenticating (session_count).
+* ``genuine_session`` / ``watch`` / ``faulted_session`` -- passive
+  observations of a legitimate client authenticating (session_count).
 
 ``scan`` answers a batch of queries the attacker committed to in advance, in
-vectorised chunks, and counts exactly the queries it answers.
+vectorised chunks, and counts exactly the queries it answers.  ``watch`` is
+its passive counterpart: it answers binary single-error genuine sessions in
+chunks until every target coordinate has erred.  Such a session consumes
+exactly one double of the generator (the shift to the other bit draws
+nothing), so a chunk is one ``rng.random(m)``; the generator state is saved
+before each chunk and, when the stop falls inside one, restored and advanced
+by the sessions used.  Counts, taps and the generator's final state are
+those of the per-session loop.
 
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
@@ -22,6 +29,8 @@ attack peeked.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,11 +40,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .space import SpaceParams, Template, as_template, template_index
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
+# sessions in watch's first chunk; each further chunk doubles
+_WATCH_CHUNK = 64
 
 
 class Scope(Enum):
@@ -125,9 +136,9 @@ class ClientModel:
     """Per-coordinate error behaviour of the legitimate client.
 
     ``error_probs[i]`` is the chance that coordinate i+1 errs in a session;
-    the probabilities must be nonnegative with sum <= 1 and at least one
-    positive entry.  Coordinates with probability zero are non-variable and
-    can never be observed passively.
+    the probabilities must be finite and nonnegative with sum <= 1 and at
+    least one positive entry.  Coordinates with probability zero are
+    non-variable and can never be observed passively.
 
     Session shapes:
 
@@ -139,15 +150,19 @@ class ClientModel:
 
     error_probs: tuple[float, ...]
     shape: SessionShape = SessionShape.SINGLE_ERROR
-    # derived once per client for sample_positions: the normalised weights,
-    # their normalised cumulative sums, and the variable coordinate count
+    # derived once per client: the normalised weights and their normalised
+    # cumulative sums (for sample_positions and watch), and the 1-based
+    # variable coordinates
     _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _variable: int = field(init=False, repr=False, compare=False)
+    _variable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = tuple(float(p) for p in self.error_probs)
         object.__setattr__(self, "error_probs", probs)
+        bad = next((p for p in probs if not math.isfinite(p)), None)
+        if bad is not None:
+            raise UsageError(f"error probabilities must be finite (got {bad})")
         if any(p < 0.0 for p in probs):
             raise UsageError("error probabilities must be nonnegative")
         if sum(probs) > 1.0 + 1e-9:
@@ -158,7 +173,7 @@ class ClientModel:
         weights = tuple((arr / arr.sum()).tolist())  # numpy's pairwise sum, as rng.choice was given
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_cdf", tuple(_normalised_cumsum(weights)))
-        object.__setattr__(self, "_variable", sum(p > 0.0 for p in probs))
+        object.__setattr__(self, "_variable", tuple(i + 1 for i, p in enumerate(probs) if p > 0.0))
 
     @classmethod
     def uniform(
@@ -208,7 +223,21 @@ class ClientModel:
 
     def variable_positions(self) -> tuple[int, ...]:
         """1-based positions with positive error probability."""
-        return tuple(i + 1 for i, p in enumerate(self.error_probs) if p > 0.0)
+        return self._variable
+
+    def collection_target(self, target: Iterable[int] | None = None) -> set[int]:
+        """The 1-based positions a passive collection waits for: target, by
+        default every variable coordinate.  An empty target, or one holding
+        a never-erring coordinate, raises UsageError, since collection could
+        not terminate."""
+        variable = set(self._variable)
+        tgt = set(target) if target is not None else variable
+        if not tgt:
+            raise UsageError("empty collection target")
+        if not tgt <= variable:
+            dead = sorted(tgt - variable)
+            raise UsageError(f"target coordinates {dead} never err; collection cannot terminate")
+        return tgt
 
     def min_prob(self, target: Iterable[int] | None = None) -> float:
         """Smallest error probability among target positions (1-based)."""
@@ -262,6 +291,15 @@ def _distance_response(accepted: bool, d: int) -> MatchResponse:
     key holds the accept bit, so oracles with different thresholds never
     share a wrong one."""
     return MatchResponse(accepted=accepted, distance=d)
+
+
+def _position(p: object) -> int:
+    """A faulted session's error position as an int; only integers (bools
+    and numpy integers included) are positions, as in ``query``."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise UsageError(f"error positions must be integers, got {p!r}") from None
 
 
 def _errors(secret: Template, y: Sequence[int]) -> dict[int, int]:
@@ -469,6 +507,91 @@ class Oracle:
         positions-and-values payload (there is nothing to observe otherwise)
         and epsilon >= 1 (the model never emits error-free sessions).
         """
+        self._check_client(client)
+        k = 1
+        if client.shape is SessionShape.MULTI_ERROR:
+            k = min(int(rng.integers(1, self.params.epsilon + 1)), len(client._variable))
+        positions = client.sample_positions(k, rng)
+        # each erring coordinate moves to a uniformly drawn other symbol, one
+        # draw per position in draw order; for k <= epsilon, scalar draws are
+        # faster than one vector draw.  At q = 2 the other symbol is the only
+        # one, and rng.integers(1, 2) draws nothing, so the draws are skipped.
+        secret, q = self.__secret, self.params.q
+        shifts = [1] * k if q == 2 else [int(rng.integers(1, q)) for _ in positions]
+        return self._emit_observation(
+            {p + 1: secret[p] - (secret[p] + s) % q for p, s in sorted(zip(positions, shifts))}
+        )
+
+    def watch(
+        self,
+        client: ClientModel,
+        rng: np.random.Generator,
+        target: Iterable[int] | None = None,
+        max_sessions: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Answer binary single-error genuine sessions, as ``genuine_session``
+        would answer them one at a time, up to and including the first one
+        after which every target coordinate (1-based; default: every
+        variable one, see ``ClientModel.collection_target``) has erred.
+
+        Every answered session counts one session and fires
+        ``on_observation`` once, in order, with the observation
+        ``genuine_session`` would return, and the generator is left where
+        that loop would leave it.  With ``max_sessions`` set, CapacityError
+        is raised once that many sessions, all counted and tapped, leave a
+        target coordinate unseen.  Besides what ``genuine_session`` rejects,
+        a multi-error client or q != 2 raises UsageError.
+
+        Returns the 1-based error position and the error value x_i - y_i of
+        every answered session, in order.
+        """
+        self._check_client(client)
+        if client.shape is not SessionShape.SINGLE_ERROR or self.params.q != 2:
+            raise UsageError("watch answers single-error sessions at q = 2 only")
+        n = self.params.n
+        tgt = client.collection_target(target)
+        need = np.array([i in tgt for i in range(1, n + 1)])  # target coordinates not yet seen
+        cdf = np.asarray(client._cdf)
+        bits = self.__row
+        flips = bits - (bits + 1) % 2  # each coordinate's error value, as genuine_session builds it
+        gen = rng.bit_generator
+        tap = self._on_observation
+        chunks: list[np.ndarray] = []
+        done, size = 0, _WATCH_CHUNK
+        while need.any():
+            if max_sessions is not None:
+                if done >= max_sessions:
+                    raise CapacityError(f"collection incomplete after {done} sessions")
+                size = min(size, max_sessions - done)
+            # A binary single-error session draws exactly one double: the
+            # coordinate is bisected into the cumulative weights as
+            # sample_positions does, and the shift to the other bit draws
+            # nothing.  So a chunk of sessions is one vector draw; if the
+            # stop falls inside it, the generator goes back to the chunk's
+            # start and draws only up to the stop.
+            state = gen.state
+            pos = np.searchsorted(cdf, rng.random(size), side="right")
+            first = np.full(n, size)
+            np.minimum.at(first, pos, np.arange(size))
+            stop = int(first[need].max()) + 1  # size + 1 while a target coordinate stays unseen
+            if stop < size:
+                gen.state = state
+                rng.random(stop)
+                pos = pos[:stop]
+            need &= first == size
+            self._session_count += len(pos)
+            if tap is not None:
+                for p, v in zip((pos + 1).tolist(), flips[pos].tolist()):
+                    tap(Observation(errors={p: v}))
+            chunks.append(pos)
+            done += len(pos)
+            size *= 2
+        pos = np.concatenate(chunks)
+        return pos + 1, flips[pos]
+
+    def _check_client(self, client: ClientModel) -> None:
+        """Raise UsageError unless this oracle can answer the client's
+        genuine sessions."""
         params = self.params
         if self.mode.payload is not Payload.POSITIONS_VALUES:
             raise UsageError("genuine sessions require the positions+values payload")
@@ -479,19 +602,6 @@ class Oracle:
                 f"client model has {len(client.error_probs)} coordinates, expected {params.n}"
             )
 
-        k = 1
-        if client.shape is SessionShape.MULTI_ERROR:
-            k = min(int(rng.integers(1, params.epsilon + 1)), client._variable)
-        positions = client.sample_positions(k, rng)
-        # each erring coordinate moves to a uniformly drawn other symbol, one
-        # draw per position in draw order; for k <= epsilon, scalar draws are
-        # faster than one vector draw
-        secret, q = self.__secret, params.q
-        shifts = [int(rng.integers(1, q)) for _ in positions]
-        return self._emit_observation(
-            {p + 1: secret[p] - (secret[p] + s) % q for p, s in sorted(zip(positions, shifts))}
-        )
-
     def faulted_session(self, positions: Iterable[int]) -> Observation:
         """Session whose error locations the attacker controls (fault
         injection): the given 1-based coordinates err, everything else
@@ -499,7 +609,7 @@ class Oracle:
         params = self.params
         if self.mode.payload is not Payload.POSITIONS_VALUES:
             raise UsageError("faulted sessions require the positions+values payload")
-        pos = sorted(set(int(p) for p in positions))
+        pos = sorted(set(map(_position, positions)))
         if not pos:
             raise UsageError("a faulted session needs at least one error position")
         if len(pos) > params.epsilon:

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from matchleak import (
     CapacityError,
     ClientModel,
+    ExperimentConfig,
     LeakageMode,
     Observation,
     Oracle,
@@ -12,6 +14,7 @@ from matchleak import (
     Payload,
     Scope,
     SearchStrategy,
+    SessionShape,
     SpaceParams,
     UsageError,
     accumulation_collect,
@@ -32,6 +35,7 @@ from matchleak import (
     resolve_error_value,
     sample_template,
 )
+from matchleak.attacks import client_for
 from matchleak.covering import fixing_search
 
 from conftest import ball_templates, unknown_positions
@@ -528,6 +532,15 @@ class TestAccumulation:
         oracle = Oracle(random_secret(params, rng), params, self.MODE)
         with pytest.raises(CapacityError):
             accumulation_collect(oracle, ClientModel.uniform(16), rng, max_sessions=3)
+
+    def test_client_built_once_per_setting(self):
+        params = SpaceParams(2, 16, 3)
+        cfg = ExperimentConfig(2, 16, 3, attack="accumulation", alpha=1.5)
+        client = client_for(cfg, params)
+        assert client is client_for(replace(cfg, trials=3, master_seed=9), params)
+        assert client == ClientModel.rare_first(16, 1.5)
+        assert client_for(replace(cfg, session_shape="multi"), params).shape is SessionShape.MULTI_ERROR
+        assert client_for(replace(cfg, alpha=None), params) == ClientModel.uniform(16)
 
     def test_uniform_collector_mean_smoke(self, rng):
         # classic collector: mean draws near n*H(n) for the single-error model

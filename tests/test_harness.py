@@ -138,7 +138,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "attack, extra",
-        [("accumulation", {"alpha": 1.5, "session_shape": "multi"}), ("fault_control", {})],
+        [
+            ("accumulation", {"alpha": 1.5}),
+            ("accumulation", {"alpha": 1.5, "session_shape": "multi"}),
+            ("fault_control", {}),
+        ],
     )
     def test_passive_workers_match_sequential(self, attack, extra):
         # 13 trials over two workers come back in uneven chunks

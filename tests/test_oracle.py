@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchleak import (
+    CapacityError,
     ClientModel,
     LeakageMode,
     MatchResponse,
@@ -18,6 +19,8 @@ from matchleak import (
     SessionShape,
     SpaceParams,
     UsageError,
+    accumulation_collect,
+    collect_observations,
     observation_from_json,
     observation_to_json,
     response_from_json,
@@ -218,6 +221,20 @@ class TestGenuineSessions:
         with pytest.raises(UsageError):
             o.faulted_session([0])
 
+    def test_faulted_session_takes_integer_positions_only(self):
+        # as in query: no truncated float, no parsed string, nothing counted
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        for bad in ([1.7, 2], ["3"], [2, Fraction(3)]):
+            with pytest.raises(UsageError, match="error positions must be integers"):
+                o.faulted_session(bad)
+        assert o.session_count == 0
+        assert set(o.faulted_session([np.int64(2), True]).errors) == {1, 2}
+
+    def test_client_model_rejects_non_finite_probabilities(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(UsageError, match=f"error probabilities must be finite \\(got {bad}\\)"):
+                ClientModel((0.5, bad, 0.2))
+
     def test_client_model_validation(self):
         with pytest.raises(UsageError):
             ClientModel((0.5, 0.7))  # mass over 1
@@ -341,6 +358,125 @@ class TestSessionSampler:
                 y[p - 1] = (y[p - 1] + 1) % q
             want = {i + 1: secret[i] - y[i] for i in range(9) if secret[i] != y[i]}
             assert list(o.faulted_session(pos).errors.items()) == list(want.items())
+
+
+class TestWatch:
+    """watch against a genuine_session loop folded by collect_observations,
+    the per-session path it replaces."""
+
+    MODE = below(Payload.POSITIONS_VALUES)
+
+    @staticmethod
+    def _start(seed: int) -> np.random.Generator:
+        """A generator at a seed-dependent state; odd seeds hold a cached
+        32-bit half-word, which a block draw must leave in place."""
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2**31, size=seed % 3)
+        return rng
+
+    def _pair(self, client, seed):
+        """Two oracles over one secret, each with its own tap and generator."""
+        params = SpaceParams(2, len(client.error_probs), 3)
+        secret = sample_template(params, np.random.default_rng(seed + 1000))
+        sides = []
+        for _ in range(2):
+            taps = []
+            sides.append((Oracle(secret, params, self.MODE, on_observation=taps.append), taps, self._start(seed)))
+        return params, sides
+
+    @staticmethod
+    def _loop(params, oracle, client, rng, target, max_sessions=None):
+        """The reference: one genuine_session per session, capped as
+        accumulation_collect caps them."""
+
+        def sessions():
+            for done in itertools.count():
+                if max_sessions is not None and done >= max_sessions:
+                    raise CapacityError(f"collection incomplete after {done} sessions")
+                yield oracle.genuine_session(client, rng)
+
+        return collect_observations(params, sessions(), client.collection_target(target))
+
+    @staticmethod
+    def _targets(client):
+        live = client.variable_positions()
+        return [None, {live[0], live[-1]}]
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
+    def test_matches_session_loop(self, name):
+        client = SAMPLER_CLIENTS[name]
+        for target in self._targets(client):
+            for seed in range(60):
+                params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+                partial, used = self._loop(params, ref, client, ref_rng, target)
+                positions, values = o.watch(client, rng, target)
+                assert len(positions) == used == o.session_count == ref.session_count
+                assert taps == ref_taps
+                assert [{p: v} for p, v in zip(positions.tolist(), values.tolist())] == [
+                    obs.errors for obs in ref_taps
+                ]
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert o.query_count == 0
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
+    def test_accumulation_matches_session_loop(self, name):
+        client = SAMPLER_CLIENTS[name]
+        for target in self._targets(client):
+            for seed in range(60):
+                params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+                partial, used = self._loop(params, ref, client, ref_rng, target)
+                out = accumulation_collect(o, client, rng, target)
+                assert out.recovered == partial
+                assert out.sessions_used == used == o.session_count == ref.session_count
+                assert taps == ref_taps
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
+    def test_session_cap(self, name):
+        client = SAMPLER_CLIENTS[name]
+        for seed in range(30):
+            params, ((o, _, rng), _) = self._pair(client, seed)
+            used = accumulation_collect(o, client, rng).sessions_used
+            # one short of the stop: every capped session is counted, tapped
+            # and drawn, then the cap raises as the loop's does
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            with pytest.raises(CapacityError) as want:
+                self._loop(params, ref, client, ref_rng, None, used - 1)
+            with pytest.raises(CapacityError) as got:
+                accumulation_collect(o, client, rng, max_sessions=used - 1)
+            assert str(got.value) == str(want.value) == f"collection incomplete after {used - 1} sessions"
+            assert o.session_count == ref.session_count == used - 1
+            assert taps == ref_taps
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # a cap at the stop itself is never reached
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            partial, _ = self._loop(params, ref, client, ref_rng, None, used)
+            out = accumulation_collect(o, client, rng, max_sessions=used)
+            assert (out.recovered, out.sessions_used) == (partial, used)
+            assert taps == ref_taps
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rejects_what_it_cannot_answer(self, rng):
+        single = ClientModel.uniform(7)
+        posvalues = below(Payload.POSITIONS_VALUES)
+        cases = [
+            (Oracle(SECRET7, P7, posvalues), ClientModel.uniform(7, SessionShape.MULTI_ERROR), "single-error"),
+            (Oracle((0, 1, 2, 0, 1, 2, 0), SpaceParams(3, 7, 3), posvalues), single, "q = 2"),
+            (Oracle(SECRET7, P7, below(Payload.POSITIONS)), single, r"positions\+values payload"),
+            (Oracle(SECRET7, SpaceParams(2, 7, 0), posvalues), single, "epsilon >= 1"),
+            (Oracle(SECRET7, P7, posvalues), ClientModel.uniform(6), "has 6 coordinates"),
+        ]
+        for o, client, message in cases:
+            state = rng.bit_generator.state
+            with pytest.raises(UsageError, match=message):
+                o.watch(client, rng)
+            assert o.session_count == 0 and rng.bit_generator.state == state
+        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
+        for target in (set(), {8}):
+            with pytest.raises(UsageError):
+                o.watch(ClientModel((0.0,) + (1 / 6,) * 6), rng, target)
+        with pytest.raises(UsageError, match=r"\[1\] never err"):
+            o.watch(ClientModel((0.0,) + (1 / 6,) * 6), rng, {1, 2})
 
 
 class TestAuditSeal:
