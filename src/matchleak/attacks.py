@@ -516,12 +516,10 @@ def _fold_block(
     clash = np.flatnonzero(values != values[first[positions]])
     if len(clash):
         raise InternalError(f"observations disagree on coordinate {positions[clash[0]]}")
-    known = {
-        pos: val
-        for pos, delta in zip(seen.tolist(), values[first[seen]].tolist())
-        if (val := resolve_error_value(delta, params.q)) is not None
-    }
-    return PartialTemplate(tuple(known.get(i + 1) for i in range(params.n))), used
+    coords: list[int | None] = [None] * params.n
+    for pos, delta in zip(seen.tolist(), values[first[seen]].tolist()):
+        coords[pos - 1] = resolve_error_value(delta, params.q)
+    return PartialTemplate(tuple(coords)), used
 
 
 def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:

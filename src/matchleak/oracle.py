@@ -563,12 +563,9 @@ class Oracle:
                 if done >= max_sessions:
                     raise CapacityError(f"collection incomplete after {done} sessions")
                 size = min(size, max_sessions - done)
-            # A binary single-error session draws exactly one double: the
-            # coordinate is bisected into the cumulative weights as
-            # sample_positions does, and the shift to the other bit draws
-            # nothing.  So a chunk of sessions is one vector draw; if the
-            # stop falls inside it, the generator goes back to the chunk's
-            # start and draws only up to the stop.
+            # one double per session (see the module docstring): a chunk is
+            # one vector draw, redrawn from its start up to the stop if the
+            # stop falls inside it
             state = gen.state
             pos = np.searchsorted(cdf, rng.random(size), side="right")
             first = np.full(n, size)
