@@ -293,15 +293,6 @@ def _distance_response(accepted: bool, d: int) -> MatchResponse:
     return MatchResponse(accepted=accepted, distance=d)
 
 
-def _position(p: object) -> int:
-    """A faulted session's error position as an int; only integers (bools
-    and numpy integers included) are positions, as in ``query``."""
-    try:
-        return operator.index(p)
-    except TypeError:
-        raise UsageError(f"error positions must be integers, got {p!r}") from None
-
-
 def _errors(secret: Template, y: Sequence[int]) -> dict[int, int]:
     """1-based position -> x_i - y_i for every coordinate where y errs."""
     return {i + 1: secret[i] - y[i] for i in range(len(secret)) if secret[i] != y[i]}
@@ -606,7 +597,10 @@ class Oracle:
         params = self.params
         if self.mode.payload is not Payload.POSITIONS_VALUES:
             raise UsageError("faulted sessions require the positions+values payload")
-        pos = sorted(set(map(_position, positions)))
+        try:
+            pos = sorted(set(map(operator.index, positions)))  # integers only, as in query
+        except TypeError:
+            raise UsageError("error positions must be integers") from None
         if not pos:
             raise UsageError("a faulted session needs at least one error position")
         if len(pos) > params.epsilon:

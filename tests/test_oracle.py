@@ -408,7 +408,7 @@ class TestWatch:
         for target in self._targets(client):
             for seed in range(60):
                 params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-                partial, used = self._loop(params, ref, client, ref_rng, target)
+                _, used = self._loop(params, ref, client, ref_rng, target)
                 positions, values = o.watch(client, rng, target)
                 assert len(positions) == used == o.session_count == ref.session_count
                 assert taps == ref_taps
