@@ -480,7 +480,7 @@ def accumulation_collect(
     ATTACKS["accumulation"].require(oracle)
     params = oracle.params
     if client.shape is SessionShape.SINGLE_ERROR:
-        partial, used = _fold_block(params, *oracle.watch(client, rng, target, max_sessions))
+        partial, used = _fold_blocks(params, oracle.watch(client, rng, target, max_sessions))
     else:
 
         def sessions() -> Iterable[Observation]:
@@ -502,23 +502,30 @@ def accumulation_collect(
     )
 
 
-def _fold_block(
-    params: SpaceParams, positions: np.ndarray, values: np.ndarray
+def _fold_blocks(
+    params: SpaceParams, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[PartialTemplate, int]:
-    """collect_observations over single-error sessions given as their
-    1-based error positions and error values, in order: each coordinate
-    takes the value its first observation resolves to, and every later
-    observation of it must agree."""
-    used = len(positions)
-    first = np.full(params.n + 1, used)
-    np.minimum.at(first, positions, np.arange(used))
-    seen = np.flatnonzero(first < used)
-    clash = np.flatnonzero(values != values[first[positions]])
-    if len(clash):
-        raise InternalError(f"observations disagree on coordinate {positions[clash[0]]}")
+    """collect_observations over single-error sessions given in blocks of
+    their 1-based error positions and error values, in order, folding each
+    block as it comes: each coordinate takes the value its first
+    observation resolves to, and every later observation of it must
+    agree."""
+    # first error value per coordinate; 0 marks an unseen one, as x_i - y_i != 0 for an error
+    known = np.zeros(params.n + 1, dtype=np.int64)
+    used = 0
+    for positions, values in blocks:
+        m = len(positions)
+        first = np.full(params.n + 1, m)
+        np.minimum.at(first, positions, np.arange(m))
+        new = (first < m) & (known == 0)
+        known[new] = values[first[new]]
+        clash = np.flatnonzero(values != known[positions])
+        if len(clash):
+            raise InternalError(f"observations disagree on coordinate {positions[clash[0]]}")
+        used += m
     coords: list[int | None] = [None] * params.n
-    for pos, delta in zip(seen.tolist(), values[first[seen]].tolist()):
-        coords[pos - 1] = resolve_error_value(delta, params.q)
+    for pos in np.flatnonzero(known).tolist():
+        coords[pos - 1] = resolve_error_value(int(known[pos]), params.q)
     return PartialTemplate(tuple(coords)), used
 
 

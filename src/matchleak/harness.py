@@ -5,6 +5,14 @@ Every trial derives its own generator from (master_seed, trial index), so a
 fixed configuration reproduces identical records and identical output bytes.
 Wall time is measured per trial but written as 0 in canonical output to keep
 files byte-deterministic; pass include_timing=True to emit the measurement.
+
+With w = min(workers, trials) above 1, the trials are split into w strided
+shares (share k holds trials k, k+w, k+2w, ...).  The caller runs share 0
+itself while w-1 children, forked per experiment, run the others and send
+their records back through a pipe.  Forked children inherit the caller's
+patched functions and exit through multiprocessing's own exit path, whose
+finalizers run; a child's exception is re-raised in the caller, and no
+child outlives ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -13,11 +21,11 @@ import csv
 import errno
 import io
 import json
-import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from multiprocessing.connection import Connection
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
@@ -28,7 +36,7 @@ from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, cl
 from .bounds import coupon_bracket, worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import LeakageMode, Oracle, SessionShape
+from .oracle import ClientModel, LeakageMode, Oracle, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
 
 
@@ -91,13 +99,15 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> tuple[Space
     spec.check(params)
     if config.trials < 1:
         raise UsageError("trials must be >= 1")
+    if config.master_seed < 0:
+        raise UsageError(f"master seed must be >= 0 (got {config.master_seed})")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
     if taps and config.workers > 1:
         raise UsageError("audit taps require workers = 1")
     _check_choice("strategy", config.strategy, SearchStrategy)
-    if config.alpha is not None and not config.alpha >= 1.0:
-        raise UsageError("alpha must be >= 1")
+    if config.alpha is not None:
+        ClientModel.rare_first(params.n, config.alpha)  # raises for an alpha it cannot model
     _check_choice("session shape", config.session_shape, SessionShape)
     return params, mode
 
@@ -155,18 +165,18 @@ def _verify_outcome(oracle: Oracle, outcome: AttackOutcome, params: SpaceParams)
 def run_trial(
     config: ExperimentConfig,
     trial: int,
-    bound: float | int | None = None,
+    params: SpaceParams,
+    bound: float | int,
     on_response: Callable | None = None,
     on_observation: Callable | None = None,
 ) -> TrialRecord:
-    params, mode = validate_config(config)
+    """One seeded trial of a configuration ``validate_config`` accepted,
+    with its space and ``attack_bound``."""
     spec = ATTACKS[config.attack]
-    if bound is None:
-        bound = attack_bound(config, params)
     seed = trial_seed(config.master_seed, trial)
     rng = np.random.default_rng(seed)
     secret = sample_template(params, rng)
-    oracle = Oracle(secret, params, mode, on_response=on_response, on_observation=on_observation)
+    oracle = Oracle(secret, params, spec.mode, on_response=on_response, on_observation=on_observation)
     t0 = time.perf_counter_ns()
     outcome = spec.run(oracle, config, rng)
     ms = (time.perf_counter_ns() - t0) // 1_000_000
@@ -191,11 +201,6 @@ def run_trial(
     )
 
 
-def _pool_trial(args: tuple[ExperimentConfig, int, float | int]) -> TrialRecord:
-    config, trial, bound = args
-    return run_trial(config, trial, bound)
-
-
 def run_experiment(
     config: ExperimentConfig,
     on_response: Callable | None = None,
@@ -203,25 +208,60 @@ def run_experiment(
 ) -> tuple[list[TrialRecord], dict]:
     """Run all trials and summarize.
 
-    Records come back in trial order regardless of worker scheduling, and
-    are identical for a fixed configuration no matter the worker count.
+    Records come back in trial order, and are identical for a fixed
+    configuration no matter the worker count (see the module docstring).
     Audit taps (on_response/on_observation) require a single worker.
     Nothing is written: emit writes the records.
     """
     params, _mode = validate_config(config, taps=on_response is not None or on_observation is not None)
     bound = attack_bound(config, params)
-    if config.workers > 1:
-        jobs = [(config, t, bound) for t in range(config.trials)]
-        # about four chunks per worker: few round trips, still balanced
-        chunksize = math.ceil(config.trials / (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_pool_trial, jobs, chunksize=chunksize))
-    else:
-        records = [
-            run_trial(config, t, bound, on_response, on_observation)
-            for t in range(config.trials)
+    w = min(config.workers, config.trials)
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(1, w):
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_share, args=(send, config, k, w, params, bound))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        records: list = [None] * config.trials
+        records[::w] = [
+            run_trial(config, t, params, bound, on_response, on_observation)
+            for t in range(0, config.trials, w)
         ]
+        # receive before joining: a child blocks until its records are read
+        for k, (child, recv) in enumerate(children, 1):
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                child.join()
+                raise InternalError(
+                    f"trial worker {k} exited with code {child.exitcode} before sending its records"
+                ) from None
+            child.join()
+            if not ok:
+                raise result
+            records[k::w] = result
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.terminate()  # a no-op once joined
+            child.join()
     return records, summarize(config, params, records)
+
+
+def _run_share(
+    send: Connection, config: ExperimentConfig, k: int, w: int, params: SpaceParams, bound: float | int
+) -> None:
+    """A forked child's work: run trials k, k+w, ... and send back
+    (True, records) or (False, the exception)."""
+    try:
+        result = (True, [run_trial(config, t, params, bound) for t in range(k, config.trials, w)])
+    except Exception as exc:  # an interrupt ends the child unsent, as a crash does
+        result = (False, exc)
+    send.send(result)
+    send.close()
 
 
 def summarize(config: ExperimentConfig, params: SpaceParams, records: list[TrialRecord]) -> dict:

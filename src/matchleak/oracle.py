@@ -13,13 +13,13 @@ Two kinds of interaction are counted separately:
 
 ``scan`` answers a batch of queries the attacker committed to in advance, in
 vectorised chunks, and counts exactly the queries it answers.  ``watch`` is
-its passive counterpart: it answers binary single-error genuine sessions in
-chunks until every target coordinate has erred.  Such a session consumes
-exactly one double of the generator (the shift to the other bit draws
-nothing), so a chunk is one ``rng.random(m)``; the generator state is saved
-before each chunk and, when the stop falls inside one, restored and advanced
-by the sessions used.  Counts, taps and the generator's final state are
-those of the per-session loop.
+its passive counterpart: it lazily answers binary single-error genuine
+sessions in chunks of at most 2^16 until every target coordinate has erred.
+Such a session consumes exactly one double of the generator (the shift to
+the other bit draws nothing), so a chunk is one ``rng.random(m)``; the
+generator state is saved before each chunk and, when the stop falls inside
+one, restored and advanced by the sessions used.  Counts, taps and the
+generator's final state are those of the per-session loop.
 
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
@@ -45,8 +45,9 @@ from .space import SpaceParams, Template, as_template, template_index
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
-# sessions in watch's first chunk; each further chunk doubles
+# sessions in watch's first chunk; each further chunk doubles, up to the cap
 _WATCH_CHUNK = 64
+_WATCH_MAX_CHUNK = 1 << 16
 
 
 class Scope(Enum):
@@ -187,10 +188,15 @@ class ClientModel:
     ) -> "ClientModel":
         """Coordinate 1 errs with probability n**(-alpha) (alpha >= 1), the
         rest share the remaining mass equally.  alpha = 1 is the uniform
-        model."""
+        model.  An alpha so large that n**(-alpha) is 0 in floating point
+        is rejected: coordinate 1 would never err."""
         if not alpha >= 1.0:
             raise UsageError("alpha must be >= 1")
         p1 = float(n) ** (-alpha)
+        if p1 == 0.0:
+            raise UsageError(
+                f"alpha={alpha} makes coordinate 1's error probability n**(-alpha) underflow to 0 at n={n}"
+            )
         rest = (1.0 - p1) / (n - 1) if n > 1 else 0.0
         return cls((p1,) + (rest,) * (n - 1), shape)
 
@@ -519,7 +525,7 @@ class Oracle:
         rng: np.random.Generator,
         target: Iterable[int] | None = None,
         max_sessions: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Answer binary single-error genuine sessions, as ``genuine_session``
         would answer them one at a time, up to and including the first one
         after which every target coordinate (1-based; default: every
@@ -531,23 +537,30 @@ class Oracle:
         that loop would leave it.  With ``max_sessions`` set, CapacityError
         is raised once that many sessions, all counted and tapped, leave a
         target coordinate unseen.  Besides what ``genuine_session`` rejects,
-        a multi-error client or q != 2 raises UsageError.
+        a multi-error client or q != 2 raises UsageError, at the call.
 
-        Returns the 1-based error position and the error value x_i - y_i of
-        every answered session, in order.
+        Yields, chunk by chunk, the 1-based error position and the error
+        value x_i - y_i of every answered session, in order.  Like ``scan``
+        it is lazy: a chunk is answered (drawn, counted and tapped) when
+        iteration reaches it, and only one chunk is held at a time.
         """
         self._check_client(client)
         if client.shape is not SessionShape.SINGLE_ERROR or self.params.q != 2:
             raise UsageError("watch answers single-error sessions at q = 2 only")
-        n = self.params.n
         tgt = client.collection_target(target)
+        return self._watch(client, rng, tgt, max_sessions)
+
+    def _watch(
+        self, client: ClientModel, rng: np.random.Generator, tgt: set[int], max_sessions: int | None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """watch's chunks, after its checks at the call."""
+        n = self.params.n
         need = np.array([i in tgt for i in range(1, n + 1)])  # target coordinates not yet seen
         cdf = np.asarray(client._cdf)
         bits = self.__row
         flips = bits - (bits + 1) % 2  # each coordinate's error value, as genuine_session builds it
         gen = rng.bit_generator
         tap = self._on_observation
-        chunks: list[np.ndarray] = []
         done, size = 0, _WATCH_CHUNK
         while need.any():
             if max_sessions is not None:
@@ -571,11 +584,9 @@ class Oracle:
             if tap is not None:
                 for p, v in zip((pos + 1).tolist(), flips[pos].tolist()):
                     tap(Observation(errors={p: v}))
-            chunks.append(pos)
             done += len(pos)
-            size *= 2
-        pos = np.concatenate(chunks)
-        return pos + 1, flips[pos]
+            size = min(2 * size, _WATCH_MAX_CHUNK)
+            yield pos + 1, flips[pos]
 
     def _check_client(self, client: ClientModel) -> None:
         """Raise UsageError unless this oracle can answer the client's

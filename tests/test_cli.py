@@ -238,3 +238,30 @@ def test_alpha_below_one_or_nan_exits_before_any_trial(alpha, monkeypatch, capsy
     assert main(["accumulate", "--n", "8", "--epsilon", "2", "--trials", "3", "--alpha", alpha]) == 2
     assert ran == []
     assert "alpha must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "1e308"])
+def test_alpha_whose_rare_chance_is_zero_exits_before_any_trial(alpha, monkeypatch, capsys):
+    # 8**-alpha is 0.0: coordinate 1 would never err, and the run would
+    # report success over the other coordinates only
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+    assert main(["accumulate", "--n", "8", "--epsilon", "2", "--trials", "3", "--alpha", alpha]) == 2
+    assert ran == []
+    assert "error probability n**(-alpha) underflow to 0 at n=8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "--attack", "both_positions", "--q", "4", "--n", "5", "--epsilon", "2"],
+        ["attack", "--attack", "both_positions", "--q", "4", "--n", "5", "--epsilon", "2", "--workers", "2"],
+        ["bench"],
+    ],
+)
+def test_negative_seed_exits_before_any_trial(argv, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert ran == []
+    assert "error: master seed must be >= 0 (got -1)" in capsys.readouterr().err

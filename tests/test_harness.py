@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,7 +24,8 @@ from matchleak import (
     theoretical_bounds,
     worst_case_queries,
 )
-from matchleak import cli, harness
+from matchleak import attacks, cli, harness
+from matchleak.errors import CapacityError, InternalError
 from matchleak.cli import main
 from matchleak.harness import (
     BENCH_SCENARIOS,
@@ -176,6 +180,77 @@ class TestRunExperiment:
         records, summary = run_experiment(cfg)
         assert all(r.sessions == 3 for r in records)
         assert summary["ok"]
+
+
+class TestForkShare:
+    """run_experiment with several workers: the caller runs trials 0, w,
+    2w, ... and each of w-1 forked children runs its own stride."""
+
+    FAULTS = ExperimentConfig(2, 11, 4, attack="fault_control", trials=6, workers=3)
+
+    @pytest.fixture(autouse=True)
+    def _no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _patch_faults(monkeypatch, in_caller=None, in_child=None):
+        """Make the fault-control attack call in_caller() first in the
+        calling process and in_child() first in a forked child; a fork
+        inherits the patch, so the pid tells the two apart."""
+        caller, real = os.getpid(), attacks.fault_controlled_collect
+
+        def patched(*args, **kwargs):
+            act = in_caller if os.getpid() == caller else in_child
+            if act is not None:
+                act()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "fault_controlled_collect", patched)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    def test_records_match_one_worker(self, workers, trials, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        started = []
+
+        class Counted(fork.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(fork, "Process", Counted)
+        cfg = ExperimentConfig(2, 16, 3, attack="accumulation", trials=trials, master_seed=9, alpha=1.5)
+        records, summary = run_experiment(cfg)
+        assert started == []
+        assert run_experiment(replace(cfg, workers=workers)) == (records, summary)
+        # one child per share but the caller's, and none for a single trial
+        assert len(started) == min(workers, trials) - 1
+
+    @pytest.mark.parametrize("kind", [InternalError, CapacityError])
+    def test_child_error_reaches_the_caller(self, kind, monkeypatch):
+        def fail():
+            raise kind("broken in a child")
+
+        self._patch_faults(monkeypatch, in_child=fail)
+        with pytest.raises(kind, match="^broken in a child$"):
+            run_experiment(self.FAULTS)
+
+    def test_child_that_dies_names_its_exit_code(self, monkeypatch):
+        self._patch_faults(monkeypatch, in_child=lambda: os._exit(3))
+        with pytest.raises(InternalError, match="exited with code 3 before sending its records"):
+            run_experiment(self.FAULTS)
+
+    def test_caller_error_stops_every_child(self, monkeypatch):
+        def fail():
+            raise InternalError("broken in the caller")
+
+        # the children would sleep far longer than the test may take
+        self._patch_faults(monkeypatch, in_caller=fail, in_child=lambda: time.sleep(60))
+        t0 = time.monotonic()
+        with pytest.raises(InternalError, match="broken in the caller"):
+            run_experiment(self.FAULTS)
+        assert time.monotonic() - t0 < 30
 
 
 class TestEmit:

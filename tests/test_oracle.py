@@ -28,6 +28,7 @@ from matchleak import (
     sample_template,
 )
 from matchleak import covering
+from matchleak import oracle as oracle_module
 from matchleak.covering import fixing_batches, fixing_centers
 
 from conftest import perturb
@@ -247,6 +248,10 @@ class TestGenuineSessions:
         for alpha in (0.5, float("nan")):
             with pytest.raises(UsageError, match="alpha must be >= 1"):
                 ClientModel.rare_first(16, alpha)
+        for alpha in (float("inf"), 1e308, 300.0):
+            with pytest.raises(UsageError, match="underflow to 0 at n=16"):
+                ClientModel.rare_first(16, alpha)
+        assert ClientModel.rare_first(16, 40.0).variable_positions() == tuple(range(1, 17))
 
     @staticmethod
     def _inclusion_by_enumeration(probs, eps):
@@ -409,7 +414,7 @@ class TestWatch:
             for seed in range(60):
                 params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
                 _, used = self._loop(params, ref, client, ref_rng, target)
-                positions, values = o.watch(client, rng, target)
+                positions, values = map(np.concatenate, zip(*o.watch(client, rng, target)))
                 assert len(positions) == used == o.session_count == ref.session_count
                 assert taps == ref_taps
                 assert [{p: v} for p, v in zip(positions.tolist(), values.tolist())] == [
@@ -455,6 +460,46 @@ class TestWatch:
             assert (out.recovered, out.sessions_used) == (partial, used)
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_capped_chunks_match_session_loop(self, monkeypatch):
+        # chunks capped at their first size, 64 sessions, so every chunk is
+        # capped; the rare coordinate errs with chance 1/4096
+        monkeypatch.setattr(oracle_module, "_WATCH_MAX_CHUNK", 64)
+        client = ClientModel.rare_first(16, 3.0)
+        for seed in range(12):
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            partial, used = self._loop(params, ref, client, ref_rng, None)
+            out = accumulation_collect(o, client, rng)
+            assert used > 3 * 64
+            assert (out.recovered, out.sessions_used) == (partial, used)
+            assert o.session_count == ref.session_count == used
+            assert taps == ref_taps
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # a cap inside a capped chunk: the same sessions, then the same error
+            cap = used - 100
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            with pytest.raises(CapacityError) as want:
+                self._loop(params, ref, client, ref_rng, None, cap)
+            sizes = []
+            with pytest.raises(CapacityError) as got:
+                for positions, _ in o.watch(client, rng, max_sessions=cap):
+                    sizes.append(len(positions))
+            assert str(got.value) == str(want.value)
+            assert max(sizes) == 64 and sum(sizes) == cap == o.session_count == ref.session_count
+            assert taps == ref_taps
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_chunks_stop_doubling_at_the_cap(self, rng):
+        # coordinate 1 errs with chance 16**-6, so 200,000 sessions leave it
+        # unseen: the chunks double from 64 to 2**16, then stay there
+        o = Oracle(sample_template(SpaceParams(2, 16, 3), rng), SpaceParams(2, 16, 3), self.MODE)
+        sizes = []
+        with pytest.raises(CapacityError, match="after 200000 sessions"):
+            for positions, values in o.watch(ClientModel.rare_first(16, 6.0), rng, max_sessions=200_000):
+                sizes.append(len(positions))
+                assert len(values) == len(positions)
+        assert sizes == [64 << i for i in range(11)] + [65536, 3456]
+        assert o.session_count == 200_000
 
     def test_rejects_what_it_cannot_answer(self, rng):
         single = ClientModel.uniform(7)
