@@ -24,10 +24,9 @@ from .attacks import (
     fault_controlled_collect,
     resolve_error_value,
 )
-from .bounds import BoundReport, coupon_bracket, theoretical_bounds, worst_case_queries
+from .bounds import BoundReport, coupon_bracket, greedy_cover_bound, theoretical_bounds, worst_case_queries
 from .covering import (
     Cover,
-    chvatal_bound,
     coordinate_fixing_cover,
     covering_search,
     exact_min_cover_size,
@@ -64,7 +63,6 @@ from .space import (
     Template,
     ball_volume,
     hamming_distance,
-    harmonic_number,
     harmonic_number_exact,
     q_ary_entropy,
     sample_template,

@@ -463,24 +463,21 @@ def accumulation_collect(
     oracle: Oracle,
     client: ClientModel,
     rng: np.random.Generator,
-    target: Iterable[int] | None = None,
     max_sessions: int | None = None,
 ) -> AttackOutcome:
-    """Passive accumulation: watch genuine sessions until every target
-    coordinate has been observed at least once.
+    """Passive accumulation: watch genuine sessions until every variable
+    coordinate of the client has been observed at least once.
 
-    Zero attack queries; sessions are counted instead.  The target defaults
-    to the client's variable coordinates, and a target containing a
-    never-erring coordinate is rejected up front since collection could not
-    terminate.  If at most epsilon coordinates remain unknown, the partial
-    template is also completed into a guess that is guaranteed to sit inside
-    the acceptance ball.  Single-error sessions are answered in blocks by
+    Zero attack queries; sessions are counted instead.  Coordinates that
+    never err stay unknown.  If at most epsilon coordinates remain unknown,
+    the partial template is also completed into a guess that is guaranteed
+    to sit inside the acceptance ball.  Single-error sessions are answered in blocks by
     ``Oracle.watch``, multi-error ones one at a time.
     """
     ATTACKS["accumulation"].require(oracle)
     params = oracle.params
     if client.shape is SessionShape.SINGLE_ERROR:
-        partial, used = _fold_blocks(params, oracle.watch(client, rng, target, max_sessions))
+        partial, used = _fold_blocks(params, oracle.watch(client, rng, max_sessions))
     else:
 
         def sessions() -> Iterable[Observation]:
@@ -489,7 +486,7 @@ def accumulation_collect(
                     raise CapacityError(f"collection incomplete after {done} sessions")
                 yield oracle.genuine_session(client, rng)
 
-        partial, used = collect_observations(params, sessions(), client.collection_target(target))
+        partial, used = collect_observations(params, sessions(), client.variable_positions())
     unknown = params.n - partial.known_count()
     within = unknown <= params.epsilon
     return AttackOutcome(

@@ -16,14 +16,15 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from decimal import MAX_EMAX, Decimal, localcontext
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 from .attacks import SearchStrategy
-from .bounds import theoretical_bounds
+from .bounds import greedy_cover_bound, theoretical_bounds
 from .covering import (
     check_exportable,
-    chvatal_bound,
     coordinate_fixing_cover,
     greedy_cover,
     save_cover,
@@ -135,11 +136,6 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
                    help="errors per genuine session: exactly one, or uniform on 1..epsilon")
 
 
-def _add_mode_options(p: argparse.ArgumentParser, scope: str | None, payload: str | None) -> None:
-    p.add_argument("--scope", choices=_choices(Scope), default=scope, help="leak scope")
-    p.add_argument("--payload", choices=_choices(Payload), default=payload, help="leak payload")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchleak",
@@ -155,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = add("attack", "run one attack over fresh random secrets")
     _add_run_options(p_attack, "write per-trial records here")
     _add_experiment_options(p_attack)
-    p_attack.add_argument("--attack", help="attack id (e.g. below_distance, both_positions)")
-    _add_mode_options(p_attack, _default("scope"), _default("payload"))
+    p_attack.add_argument("--attack", help="attack id, which fixes the leakage mode (e.g. below_distance)")
     p_attack.add_argument("--strategy", choices=_choices(SearchStrategy), default=_default("strategy"),
                           help="minimal-leak search phase")
     p_attack.add_argument("--audit", help="write every oracle response/observation here as JSON lines")
@@ -167,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_bounds = add("bounds", "print the cost report for a space and mode")
-    _add_mode_options(p_bounds, Scope.BELOW_ONLY.value, Payload.NONE.value)
+    p_bounds.add_argument("--scope", choices=_choices(Scope), default=Scope.BELOW_ONLY.value, help="leak scope")
+    p_bounds.add_argument("--payload", choices=_choices(Payload), default=Payload.NONE.value, help="leak payload")
     p_bounds.add_argument("--out", help="also write the report as JSON")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -256,18 +252,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     params = SpaceParams(args.q, args.n, args.epsilon)
     out = _checked_out(args, "report")
     report = theoretical_bounds(params, LeakageMode.parse(args.scope, args.payload))
+    greedy = report.greedy_cover_bound
     doc = {
         "q": params.q,
         "n": params.n,
         "epsilon": params.epsilon,
         "scope": report.mode.scope.value,
         "payload": report.mode.payload.value,
-        "ball_volume": report.ball_volume,
-        "naive_search": report.naive_search,
-        "greedy_cover_bound": float(report.greedy_cover_bound),
-        "greedy_cover_bound_exact": f"{report.greedy_cover_bound.numerator}/{report.greedy_cover_bound.denominator}",
-        "entropy_approx": report.entropy_approx,
-        "worst_case_queries": report.worst_case_queries,
+        "ball_volume": _shown(report.ball_volume),
+        "naive_search": _shown(report.naive_search),
+        "greedy_cover_bound": _shown(greedy),
+        # Decimal writes every digit, where str() of an int stops at 4300
+        "greedy_cover_bound_exact": f"{Decimal(greedy.numerator)}/{Decimal(greedy.denominator)}",
+        "entropy_approx": _shown(report.entropy_approx),
+        "worst_case_queries": _shown(report.worst_case_queries),
     }
     for key, val in doc.items():
         print(f"{key}: {'undefined' if val is None else val}")
@@ -277,6 +275,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shown(x: int | float | Fraction | None) -> int | float | str | None:
+    """A bound as the report shows it: an int or float as it is, a Fraction
+    as a float, and a value beyond float range as a string in scientific
+    notation, correctly rounded from its exact value."""
+    if x is None:
+        return None
+    try:
+        value = float(x)
+    except OverflowError:
+        with localcontext(Emax=MAX_EMAX):
+            return f"{Decimal(x.numerator) / Decimal(x.denominator):.16e}"
+    return x if isinstance(x, int) else value
+
+
 def cmd_cover(args: argparse.Namespace) -> int:
     params = SpaceParams(args.q, args.n, args.epsilon)
     greedy = SearchStrategy(args.method) is SearchStrategy.GREEDY_COVER
@@ -284,11 +296,11 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if out:
         check_exportable(params)
     cover = greedy_cover(params) if greedy else coordinate_fixing_cover(params)
-    guarantee = chvatal_bound(params)
+    guarantee = greedy_cover_bound(params)
     print(f"method: {args.method}")
     print(f"centers: {len(cover)}")
     print(f"certified: {int(cover.certified)}")
-    print(f"greedy_guarantee: {guarantee:.3f}")
+    print(f"greedy_guarantee: {float(guarantee):.3f}")
     print(f"verified: {int(verify_cover(cover))}")
     if out:
         save_cover(cover, out)

@@ -6,8 +6,7 @@ acceptance ball.  Three constructions live here:
 
 * the trivial coordinate-fixing cover (pin epsilon coordinates, enumerate
   the rest),
-* greedy set cover with the classic harmonic-factor guarantee
-  |centers| <= q^n * H(n) / |B|,
+* greedy set cover, whose size bounds.greedy_cover_bound estimates,
 * an exact branch-and-bound minimum (tiny instances; test oracle).
 
 Spaces are materialized as integer indices (lexicographic rank), so
@@ -30,7 +29,6 @@ from .space import (
     Template,
     as_template,
     ball_volume,
-    harmonic_number,
     template_from_index,
     template_index,
 )
@@ -53,11 +51,6 @@ class Cover:
 
     def __len__(self) -> int:
         return len(self.centers)
-
-
-def chvatal_bound(params: SpaceParams) -> float:
-    """Greedy set-cover guarantee: q^n H(n) / |B|."""
-    return params.space_size() * harmonic_number(params.n) / ball_volume(params)
 
 
 def _guard(points: int, limit: int, what: str) -> None:
@@ -180,8 +173,8 @@ def greedy_cover(params: SpaceParams) -> Cover:
 
     Repeatedly picks the center covering the most still-uncovered points,
     breaking ties toward the lexicographically smallest center, until all
-    of Z_q^n is covered.  Certified by construction; the size obeys the
-    harmonic-factor guarantee (asserted by callers/tests, not here).
+    of Z_q^n is covered.  Certified by construction; callers and tests
+    compare the size with bounds.greedy_cover_bound.
     """
     size = params.space_size()
     _guard(size, GREEDY_POINT_GUARD, "greedy cover")

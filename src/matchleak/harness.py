@@ -36,7 +36,7 @@ from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, cl
 from .bounds import coupon_bracket, worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import ClientModel, LeakageMode, Oracle, SessionShape
+from .oracle import ClientModel, Oracle, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
 
 
@@ -45,9 +45,7 @@ class ExperimentConfig:
     q: int
     n: int
     epsilon: int
-    attack: str
-    scope: str | None = None          # validated against the attack's required mode
-    payload: str | None = None
+    attack: str                       # fixes the leakage mode: one attack per scenario
     trials: int = 100
     master_seed: int = 0
     strategy: str = "fixing"          # minimal-leak search phase
@@ -77,7 +75,7 @@ _ATTACK_SETTINGS = tuple(
 )
 
 
-def validate_config(config: ExperimentConfig, taps: bool = False) -> tuple[SpaceParams, LeakageMode]:
+def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams:
     """Resolve and sanity-check a configuration before any trial runs;
     ``taps`` says whether audit taps will watch the trials."""
     spec = ATTACKS.get(config.attack)
@@ -85,13 +83,6 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> tuple[Space
         known = ", ".join(sorted(ATTACKS))
         raise UsageError(f"unknown attack {config.attack!r}; expected one of: {known}")
     params = SpaceParams(config.q, config.n, config.epsilon)
-    mode = spec.mode
-    if config.scope is not None or config.payload is not None:
-        if config.scope is None or config.payload is None:
-            raise UsageError("scope and payload must be given together")
-        wanted = LeakageMode.parse(config.scope, config.payload)
-        if wanted != mode:
-            raise UsageError(f"attack {config.attack!r} requires mode {mode}, got {wanted}")
     for setting in _ATTACK_SETTINGS:
         value = getattr(config, setting.name)
         if value != setting.default and setting.name not in spec.reads:
@@ -109,7 +100,7 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> tuple[Space
     if config.alpha is not None:
         ClientModel.rare_first(params.n, config.alpha)  # raises for an alpha it cannot model
     _check_choice("session shape", config.session_shape, SessionShape)
-    return params, mode
+    return params
 
 
 def _check_choice(what: str, value: str, enum: type[Enum]) -> None:
@@ -213,7 +204,7 @@ def run_experiment(
     Audit taps (on_response/on_observation) require a single worker.
     Nothing is written: emit writes the records.
     """
-    params, _mode = validate_config(config, taps=on_response is not None or on_observation is not None)
+    params = validate_config(config, taps=on_response is not None or on_observation is not None)
     bound = attack_bound(config, params)
     w = min(config.workers, config.trials)
     fork = multiprocessing.get_context("fork")
@@ -279,7 +270,7 @@ def summarize(config: ExperimentConfig, params: SpaceParams, records: list[Trial
         "queries_max": max(queries),
         "sessions_mean": sum(sessions) / len(records),
         "sessions_max": max(sessions),
-        "bound": records[0].bound if records else None,
+        "bound": records[0].bound,
         "violations": sum(1 for r in records if not r.bound_ok),
         "exact_failures": sum(1 for r in records if not r.exact),
         "not_within_ball": sum(1 for r in records if not r.within_ball),

@@ -14,7 +14,7 @@ Two kinds of interaction are counted separately:
 ``scan`` answers a batch of queries the attacker committed to in advance, in
 vectorised chunks, and counts exactly the queries it answers.  ``watch`` is
 its passive counterpart: it lazily answers binary single-error genuine
-sessions in chunks of at most 2^16 until every target coordinate has erred.
+sessions in chunks of at most 2^16 until every variable coordinate has erred.
 Such a session consumes exactly one double of the generator (the shift to
 the other bit draws nothing), so a chunk is one ``rng.random(m)``; the
 generator state is saved before each chunk and, when the stop falls inside
@@ -231,25 +231,10 @@ class ClientModel:
         """1-based positions with positive error probability."""
         return self._variable
 
-    def collection_target(self, target: Iterable[int] | None = None) -> set[int]:
-        """The 1-based positions a passive collection waits for: target, by
-        default every variable coordinate.  An empty target, or one holding
-        a never-erring coordinate, raises UsageError, since collection could
-        not terminate."""
-        variable = set(self._variable)
-        tgt = set(target) if target is not None else variable
-        if not tgt:
-            raise UsageError("empty collection target")
-        if not tgt <= variable:
-            dead = sorted(tgt - variable)
-            raise UsageError(f"target coordinates {dead} never err; collection cannot terminate")
-        return tgt
-
-    def min_prob(self, target: Iterable[int] | None = None) -> float:
-        """Smallest error probability among target positions (1-based)."""
-        if target is None:
-            target = self.variable_positions()
-        return min(self.error_probs[i - 1] for i in target)
+    def min_prob(self) -> float:
+        """Smallest positive error probability: the rarest variable
+        coordinate's."""
+        return min(self.error_probs[i - 1] for i in self._variable)
 
     def observation_chance(self, epsilon: int) -> tuple[float, float]:
         """Bounds (lo, hi) on the smallest per-session chance that a variable
@@ -523,20 +508,18 @@ class Oracle:
         self,
         client: ClientModel,
         rng: np.random.Generator,
-        target: Iterable[int] | None = None,
         max_sessions: int | None = None,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Answer binary single-error genuine sessions, as ``genuine_session``
         would answer them one at a time, up to and including the first one
-        after which every target coordinate (1-based; default: every
-        variable one, see ``ClientModel.collection_target``) has erred.
+        after which every variable coordinate has erred.
 
         Every answered session counts one session and fires
         ``on_observation`` once, in order, with the observation
         ``genuine_session`` would return, and the generator is left where
         that loop would leave it.  With ``max_sessions`` set, CapacityError
         is raised once that many sessions, all counted and tapped, leave a
-        target coordinate unseen.  Besides what ``genuine_session`` rejects,
+        variable coordinate unseen.  Besides what ``genuine_session`` rejects,
         a multi-error client or q != 2 raises UsageError, at the call.
 
         Yields, chunk by chunk, the 1-based error position and the error
@@ -547,15 +530,14 @@ class Oracle:
         self._check_client(client)
         if client.shape is not SessionShape.SINGLE_ERROR or self.params.q != 2:
             raise UsageError("watch answers single-error sessions at q = 2 only")
-        tgt = client.collection_target(target)
-        return self._watch(client, rng, tgt, max_sessions)
+        return self._watch(client, rng, max_sessions)
 
     def _watch(
-        self, client: ClientModel, rng: np.random.Generator, tgt: set[int], max_sessions: int | None
+        self, client: ClientModel, rng: np.random.Generator, max_sessions: int | None
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """watch's chunks, after its checks at the call."""
         n = self.params.n
-        need = np.array([i in tgt for i in range(1, n + 1)])  # target coordinates not yet seen
+        need = np.array(client.error_probs) > 0.0  # variable coordinates not yet seen
         cdf = np.asarray(client._cdf)
         bits = self.__row
         flips = bits - (bits + 1) % 2  # each coordinate's error value, as genuine_session builds it
@@ -574,7 +556,7 @@ class Oracle:
             pos = np.searchsorted(cdf, rng.random(size), side="right")
             first = np.full(n, size)
             np.minimum.at(first, pos, np.arange(size))
-            stop = int(first[need].max()) + 1  # size + 1 while a target coordinate stays unseen
+            stop = int(first[need].max()) + 1  # size + 1 while a variable coordinate stays unseen
             if stop < size:
                 gen.state = state
                 rng.random(stop)

@@ -118,15 +118,9 @@ def q_ary_entropy(q: int, r: float) -> float:
     )
 
 
-def harmonic_number(n: int) -> float:
-    """H(n) = sum_{i=1}^{n} 1/i.  Satisfies H(n) <= ln(n) + 1."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    return math.fsum(1.0 / i for i in range(1, n + 1))
-
-
 def harmonic_number_exact(n: int) -> Fraction:
-    """H(n) as an exact rational; intended for desk-scale n."""
+    """H(n) = sum_{i=1}^{n} 1/i as an exact rational; intended for
+    desk-scale n.  Satisfies H(n) <= ln(n) + 1."""
     if n < 1:
         raise UsageError("n must be >= 1")
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))

@@ -38,13 +38,13 @@ from matchleak import (
     attack_minimal_binary,
     ball_volume,
     center_search_binary,
-    chvatal_bound,
     coordinate_fixing_cover,
     coupon_bracket,
     exact_min_cover_size,
     fault_controlled_collect,
     greedy_cover,
-    harmonic_number,
+    greedy_cover_bound,
+    harmonic_number_exact,
     q_ary_entropy,
     sample_template,
     verify_cover,
@@ -261,7 +261,7 @@ def test_criterion_07_covering():
         cover = greedy_cover(params)
         if not (cover.certified and verify_cover(cover)):
             uncertified += 1
-        if len(cover) > chvatal_bound(params):
+        if len(cover) > greedy_cover_bound(params):
             guarantee_misses += 1
 
     sandwich_grid = [
@@ -302,7 +302,7 @@ def test_criterion_08_accumulation():
         oracle = Oracle(sample_template(params, rng), params, mode)
         sessions.append(accumulation_collect(oracle, client, rng).sessions_used)
     mean_uniform = statistics.mean(sessions)
-    expected = 20 * harmonic_number(20)
+    expected = 20 * float(harmonic_number_exact(20))
     uniform_ok = abs(mean_uniform - expected) / expected < 0.05
 
     # (b) weighted collection lands inside the expectation bracket

@@ -52,8 +52,7 @@ def test_help_prints_every_default_once(command, capsys):
 FLAG_FILE_CASES = [
     ("attack", {
         "attack": "minimal", "q": "2", "n": "7", "epsilon": "2", "trials": "4", "seed": "9",
-        "format": "jsonl", "out": "r.jsonl", "timing": "1", "scope": "both", "payload": "none",
-        "strategy": "greedy", "audit": "a.jsonl",
+        "format": "jsonl", "out": "r.jsonl", "timing": "1", "strategy": "greedy", "audit": "a.jsonl",
     }),
     ("attack", {"attack": "accumulation", "n": "8", "workers": "2", "alpha": "1.5", "session_shape": "multi"}),
     ("accumulate", {
@@ -116,8 +115,6 @@ def test_config_file_and_flags_build_the_same_experiment(command, values, tmp_pa
 @pytest.mark.parametrize(
     "command, key",
     [
-        ("attack", "scope"),
-        ("attack", "payload"),
         ("attack", "strategy"),
         ("attack", "session_shape"),
         ("accumulate", "session_shape"),

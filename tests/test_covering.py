@@ -14,11 +14,11 @@ from matchleak import (
     SpaceParams,
     UsageError,
     ball_volume,
-    chvatal_bound,
     coordinate_fixing_cover,
     covering_search,
     exact_min_cover_size,
     greedy_cover,
+    greedy_cover_bound,
     hamming_distance,
     load_cover,
     sample_template,
@@ -74,7 +74,7 @@ class TestGreedy:
         # perfect-code optimum here
         params = SpaceParams(2, 7, 1)
         cover = greedy_cover(params)
-        assert len(cover) <= math.floor(chvatal_bound(params))
+        assert len(cover) <= math.floor(greedy_cover_bound(params))
         assert len(cover) == 16
         assert covers_all(cover)
 
@@ -87,7 +87,7 @@ class TestGreedy:
         cover = greedy_cover(params)
         assert cover.certified
         assert verify_cover(cover)
-        assert len(cover) <= chvatal_bound(params)
+        assert len(cover) <= greedy_cover_bound(params)
 
     def test_guard(self):
         with pytest.raises(CapacityError):
@@ -178,7 +178,7 @@ class TestCoveringSearch:
             found = covering_search(oracle, cover)
             assert hamming_distance(found, secret) <= 2
             assert oracle.query_count <= len(cover)
-            assert len(cover) <= chvatal_bound(params)
+            assert len(cover) <= greedy_cover_bound(params)
 
     def test_uncertified_cover_rejected(self):
         params = SpaceParams(2, 3, 1)

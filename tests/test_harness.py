@@ -19,6 +19,7 @@ from matchleak import (
     coupon_bracket,
     emit,
     harmonic_number_exact,
+    q_ary_entropy,
     read_records,
     run_experiment,
     theoretical_bounds,
@@ -82,6 +83,22 @@ class TestBoundReport:
         assert worst_case_queries(params, LeakageMode(Scope.ALWAYS, Payload.NONE)) is None
         assert worst_case_queries(SpaceParams(2, 6, 2), LeakageMode(Scope.ALWAYS, Payload.NONE)) == 16 + 6 + 5
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("attack", sorted(a for a, spec in attacks.ATTACKS.items() if spec.counter == "queries"))
+    def test_worst_case_only_where_the_attack_runs(self, attack, q):
+        # the report states a cost exactly where the attack would run, and
+        # then the one the harness checks trials against
+        n = 6
+        for eps in (0, n - 1, n):
+            config = ExperimentConfig(q, n, eps, attack=attack)
+            stated = worst_case_queries(SpaceParams(q, n, eps), attacks.ATTACKS[attack].mode)
+            try:
+                params = validate_config(config)
+            except UsageError:
+                assert stated is None, (q, eps)
+            else:
+                assert stated == attack_bound(config, params), (q, eps)
+
     def test_coupon_bracket(self):
         lo, hi = coupon_bracket(16, 16**-1.5)
         assert lo == pytest.approx(64.0)
@@ -95,16 +112,6 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             validate_config(ExperimentConfig(2, 8, 2, attack="quantum"))
 
-    def test_mode_mismatch_rejected_before_trials(self):
-        cfg = ExperimentConfig(2, 8, 2, attack="below_distance", scope="both", payload="distance")
-        with pytest.raises(UsageError):
-            validate_config(cfg)
-
-    def test_matching_mode_accepted(self):
-        cfg = ExperimentConfig(2, 8, 2, attack="below_distance", scope="below", payload="distance")
-        params, mode = validate_config(cfg)
-        assert mode == LeakageMode(Scope.BELOW_ONLY, Payload.DISTANCE)
-
     def test_binary_only_attacks(self):
         with pytest.raises(UsageError):
             validate_config(ExperimentConfig(3, 8, 2, attack="minimal"))
@@ -117,7 +124,7 @@ class TestConfigValidation:
 
     def test_greedy_strategy_bound(self):
         cfg = ExperimentConfig(2, 8, 1, attack="minimal", strategy="greedy")
-        params, _ = validate_config(cfg)
+        params = validate_config(cfg)
         bound = attack_bound(cfg, params)
         assert bound <= math.ceil(256 * float(harmonic_number_exact(8)) / 9) + 8 + 2 + 1
 
@@ -438,13 +445,15 @@ class TestCli:
         cfg.write_text(f"timing={text}\n")
         assert cli._load_config_file(str(cfg)) == {"timing": timed}
 
-    def test_incompatible_mode_is_config_error(self, capsys):
-        code = main([
-            "attack", "--attack", "both_positions", "--scope", "below",
-            "--payload", "positions", "--q", "4", "--n", "5", "--epsilon", "2",
-        ])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_attack_takes_no_mode_flags(self, capsys):
+        # the attack fixes the mode, so even the matching one is not an option
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "attack", "--attack", "both_positions", "--scope", "both",
+                "--payload", "positions", "--q", "4", "--n", "5", "--epsilon", "2",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scope both --payload positions" in capsys.readouterr().err
 
     def test_bounds_command(self, capsys, tmp_path):
         out = tmp_path / "bounds.json"
@@ -457,6 +466,37 @@ class TestCli:
         assert doc["naive_search"] == 256
         assert doc["worst_case_queries"] == 258
         assert doc["ball_volume"] == 56
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--q", "16", "--n", "1024", "--epsilon", "8", "--payload", "posvalues"],
+            ["--q", "3", "--n", "700", "--epsilon", "2"],
+            ["--q", "2", "--n", "1100", "--epsilon", "1"],
+        ],
+    )
+    def test_bounds_beyond_float_range(self, argv, capsys, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", *argv, "--out", str(out)]) == 0
+        printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        q, n, eps = (int(v) for v in argv[1:6:2])
+        params = SpaceParams(q, n, eps)
+
+        def near(text, exact):
+            mantissa, exponent = text.split("e+")
+            assert 1 <= float(mantissa) < 10
+            assert abs(Fraction(mantissa) * 10 ** int(exponent) / exact - 1) < Fraction(1, 10**15)
+
+        exact = Fraction(params.space_size()) * harmonic_number_exact(n) / ball_volume(params)
+        near(doc["greedy_cover_bound"], exact)
+        assert doc["greedy_cover_bound_exact"] == f"{exact.numerator}/{exact.denominator}"
+        near(doc["naive_search"], q ** (n - eps))
+        mantissa, exponent = doc["entropy_approx"].split("e+")
+        log10 = n * (1 - q_ary_entropy(q, eps / n)) * math.log10(q)
+        assert int(exponent) + math.log10(float(mantissa)) == pytest.approx(log10, rel=1e-12)
+        for key, value in doc.items():
+            assert printed[key] == ("undefined" if value is None else str(value))
 
     def test_cover_command(self, tmp_path, capsys):
         out = tmp_path / "cover.txt"
@@ -511,6 +551,9 @@ class TestCli:
             ("cover", "format=jsonl"),
             ("accumulate", "attack=minimal"),
             ("accumulate", "strategy=greedy"),
+            # the attack fixes the mode; only bounds takes it as an input
+            ("attack", "scope=below"),
+            ("attack", "payload=none"),
         ],
     )
     def test_config_file_key_without_an_option_is_config_error(self, command, key, tmp_path, monkeypatch, capsys):

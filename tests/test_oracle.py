@@ -390,7 +390,7 @@ class TestWatch:
         return params, sides
 
     @staticmethod
-    def _loop(params, oracle, client, rng, target, max_sessions=None):
+    def _loop(params, oracle, client, rng, max_sessions=None):
         """The reference: one genuine_session per session, capped as
         accumulation_collect caps them."""
 
@@ -400,41 +400,34 @@ class TestWatch:
                     raise CapacityError(f"collection incomplete after {done} sessions")
                 yield oracle.genuine_session(client, rng)
 
-        return collect_observations(params, sessions(), client.collection_target(target))
-
-    @staticmethod
-    def _targets(client):
-        live = client.variable_positions()
-        return [None, {live[0], live[-1]}]
+        return collect_observations(params, sessions(), client.variable_positions())
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
     def test_matches_session_loop(self, name):
         client = SAMPLER_CLIENTS[name]
-        for target in self._targets(client):
-            for seed in range(60):
-                params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-                _, used = self._loop(params, ref, client, ref_rng, target)
-                positions, values = map(np.concatenate, zip(*o.watch(client, rng, target)))
-                assert len(positions) == used == o.session_count == ref.session_count
-                assert taps == ref_taps
-                assert [{p: v} for p, v in zip(positions.tolist(), values.tolist())] == [
-                    obs.errors for obs in ref_taps
-                ]
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-                assert o.query_count == 0
+        for seed in range(60):
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            _, used = self._loop(params, ref, client, ref_rng)
+            positions, values = map(np.concatenate, zip(*o.watch(client, rng)))
+            assert len(positions) == used == o.session_count == ref.session_count
+            assert taps == ref_taps
+            assert [{p: v} for p, v in zip(positions.tolist(), values.tolist())] == [
+                obs.errors for obs in ref_taps
+            ]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert o.query_count == 0
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
     def test_accumulation_matches_session_loop(self, name):
         client = SAMPLER_CLIENTS[name]
-        for target in self._targets(client):
-            for seed in range(60):
-                params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-                partial, used = self._loop(params, ref, client, ref_rng, target)
-                out = accumulation_collect(o, client, rng, target)
-                assert out.recovered == partial
-                assert out.sessions_used == used == o.session_count == ref.session_count
-                assert taps == ref_taps
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for seed in range(60):
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            partial, used = self._loop(params, ref, client, ref_rng)
+            out = accumulation_collect(o, client, rng)
+            assert out.recovered == partial
+            assert out.sessions_used == used == o.session_count == ref.session_count
+            assert taps == ref_taps
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
     def test_session_cap(self, name):
@@ -446,7 +439,7 @@ class TestWatch:
             # and drawn, then the cap raises as the loop's does
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
             with pytest.raises(CapacityError) as want:
-                self._loop(params, ref, client, ref_rng, None, used - 1)
+                self._loop(params, ref, client, ref_rng, used - 1)
             with pytest.raises(CapacityError) as got:
                 accumulation_collect(o, client, rng, max_sessions=used - 1)
             assert str(got.value) == str(want.value) == f"collection incomplete after {used - 1} sessions"
@@ -455,7 +448,7 @@ class TestWatch:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             # a cap at the stop itself is never reached
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-            partial, _ = self._loop(params, ref, client, ref_rng, None, used)
+            partial, _ = self._loop(params, ref, client, ref_rng, used)
             out = accumulation_collect(o, client, rng, max_sessions=used)
             assert (out.recovered, out.sessions_used) == (partial, used)
             assert taps == ref_taps
@@ -468,7 +461,7 @@ class TestWatch:
         client = ClientModel.rare_first(16, 3.0)
         for seed in range(12):
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-            partial, used = self._loop(params, ref, client, ref_rng, None)
+            partial, used = self._loop(params, ref, client, ref_rng)
             out = accumulation_collect(o, client, rng)
             assert used > 3 * 64
             assert (out.recovered, out.sessions_used) == (partial, used)
@@ -479,7 +472,7 @@ class TestWatch:
             cap = used - 100
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
             with pytest.raises(CapacityError) as want:
-                self._loop(params, ref, client, ref_rng, None, cap)
+                self._loop(params, ref, client, ref_rng, cap)
             sizes = []
             with pytest.raises(CapacityError) as got:
                 for positions, _ in o.watch(client, rng, max_sessions=cap):
@@ -516,12 +509,6 @@ class TestWatch:
             with pytest.raises(UsageError, match=message):
                 o.watch(client, rng)
             assert o.session_count == 0 and rng.bit_generator.state == state
-        o = Oracle(SECRET7, P7, below(Payload.POSITIONS_VALUES))
-        for target in (set(), {8}):
-            with pytest.raises(UsageError):
-                o.watch(ClientModel((0.0,) + (1 / 6,) * 6), rng, target)
-        with pytest.raises(UsageError, match=r"\[1\] never err"):
-            o.watch(ClientModel((0.0,) + (1 / 6,) * 6), rng, {1, 2})
 
 
 class TestAuditSeal:
