@@ -135,8 +135,8 @@ AUDIT_CASES = {
         "--attack both_posvalues --q 16 --n 64 --epsilon 8",
         "39453b72fae83f50f5beaeb3d02468111651dd674a1279ec0e1b68e5e15ac236",
     ),
-    # every genuine session's observation, single-error uniform and
-    # rare-first; multi-error sessions redraw
+    # every genuine session's observation, single-error and multi-error,
+    # uniform and rare-first
     "accumulation_uniform": (
         "--attack accumulation --q 2 --n 16 --epsilon 3",
         "d5e7e948e0d3d7c3fed43ffb37104d2d716317886bff91f3c0f638246fc6daca",
@@ -144,6 +144,10 @@ AUDIT_CASES = {
     "accumulation_rare": (
         "--attack accumulation --q 2 --n 16 --epsilon 3 --alpha 1.5",
         "a27b43395dfad38b7b7835e2625c7dc6e6a8354f256de97de7b2afa483c414c0",
+    ),
+    "accumulation_uniform_multi": (
+        "--attack accumulation --q 2 --n 16 --epsilon 3 --session-shape multi",
+        "5192fbd759113f4f6f9e0bd4f9371db60363d09d7de14364ff6a8db6bf9579c0",
     ),
     "accumulation_rare_multi": (
         "--attack accumulation --q 2 --n 16 --epsilon 3 --alpha 1.5 --session-shape multi",
