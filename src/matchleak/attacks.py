@@ -25,14 +25,7 @@ import numpy as np
 from .bounds import coupon_bracket
 from .covering import covering_search, fixing_search, greedy_cover
 from .errors import CapacityError, InternalError, UsageError
-from .oracle import (
-    ClientModel,
-    LeakageMode,
-    MatchResponse,
-    Observation,
-    Oracle,
-    SessionShape,
-)
+from .oracle import ClientModel, LeakageMode, MatchResponse, Oracle, SessionShape
 from .space import SpaceParams, Template, as_template
 
 # the minimal-leak fallback for n <= 2*eps materializes the whole space
@@ -431,32 +424,23 @@ def resolve_error_value(delta: int, q: int) -> int | None:
 
 
 def collect_observations(
-    params: SpaceParams,
-    observations: Iterable[Observation],
-    target: Iterable[int] | None = None,
-) -> tuple[PartialTemplate, int]:
+    params: SpaceParams, observations: Iterable[Iterable[tuple[int, int]]]
+) -> PartialTemplate:
     """Fold observations into a partial template.
 
-    Stops as soon as every target position (1-based; default: all) is known,
-    testing that before pulling each observation, so a lazy stream is never
-    drawn further than needed; also stops when the stream ends.  Returns the
-    partial template and the number of observations consumed.
+    Each observation is an iterable of (1-based position, x_i - y_i) pairs:
+    a chunk of ``Oracle.watch``, or a session's ``errors.items()``.  Each
+    coordinate takes the value its first resolvable leak gives, and every
+    later one must agree.
     """
-    tgt = set(target) if target is not None else set(range(1, params.n + 1))
     q = params.q
     known: dict[int, int] = {}
-    used = 0
-    stream = iter(observations)
-    while not tgt <= known.keys():
-        obs = next(stream, None)
-        if obs is None:
-            break
-        used += 1
-        for pos, delta in obs.errors.items():
+    for pairs in observations:
+        for pos, delta in pairs:
             val = resolve_error_value(delta, q)
             if val is not None and known.setdefault(pos, val) != val:
                 raise InternalError(f"observations disagree on coordinate {pos}")
-    return PartialTemplate(tuple(known.get(i + 1) for i in range(params.n))), used
+    return PartialTemplate(tuple(known.get(i + 1) for i in range(params.n)))
 
 
 def accumulation_collect(
@@ -471,22 +455,12 @@ def accumulation_collect(
     Zero attack queries; sessions are counted instead.  Coordinates that
     never err stay unknown.  If at most epsilon coordinates remain unknown,
     the partial template is also completed into a guess that is guaranteed
-    to sit inside the acceptance ball.  Single-error sessions are answered in blocks by
-    ``Oracle.watch``, multi-error ones one at a time.
+    to sit inside the acceptance ball.
     """
     ATTACKS["accumulation"].require(oracle)
     params = oracle.params
-    if client.shape is SessionShape.SINGLE_ERROR:
-        partial, used = _fold_blocks(params, oracle.watch(client, rng, max_sessions))
-    else:
-
-        def sessions() -> Iterable[Observation]:
-            for done in itertools.count():
-                if max_sessions is not None and done >= max_sessions:
-                    raise CapacityError(f"collection incomplete after {done} sessions")
-                yield oracle.genuine_session(client, rng)
-
-        partial, used = collect_observations(params, sessions(), client.variable_positions())
+    s0 = oracle.session_count
+    partial = collect_observations(params, oracle.watch(client, rng, max_sessions))
     unknown = params.n - partial.known_count()
     within = unknown <= params.epsilon
     return AttackOutcome(
@@ -494,36 +468,9 @@ def accumulation_collect(
         queries_used=0,
         exact_recovery=unknown == 0,
         within_ball=within,
-        sessions_used=used,
+        sessions_used=oracle.session_count - s0,
         ball_guess=partial.fill(0) if within else None,
     )
-
-
-def _fold_blocks(
-    params: SpaceParams, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> tuple[PartialTemplate, int]:
-    """collect_observations over single-error sessions given in blocks of
-    their 1-based error positions and error values, in order, folding each
-    block as it comes: each coordinate takes the value its first
-    observation resolves to, and every later observation of it must
-    agree."""
-    # first error value per coordinate; 0 marks an unseen one, as x_i - y_i != 0 for an error
-    known = np.zeros(params.n + 1, dtype=np.int64)
-    used = 0
-    for positions, values in blocks:
-        m = len(positions)
-        first = np.full(params.n + 1, m)
-        np.minimum.at(first, positions, np.arange(m))
-        new = (first < m) & (known == 0)
-        known[new] = values[first[new]]
-        clash = np.flatnonzero(values != known[positions])
-        if len(clash):
-            raise InternalError(f"observations disagree on coordinate {positions[clash[0]]}")
-        used += m
-    coords: list[int | None] = [None] * params.n
-    for pos in np.flatnonzero(known).tolist():
-        coords[pos - 1] = resolve_error_value(int(known[pos]), params.q)
-    return PartialTemplate(tuple(coords)), used
 
 
 def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
@@ -534,8 +481,9 @@ def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["fault_control"].require(oracle)
     n, eps = oracle.params.n, oracle.params.epsilon
+    s0 = oracle.session_count
     chunks = (range(lo, min(lo + eps, n + 1)) for lo in range(1, n + 1, eps))
-    partial, used = collect_observations(oracle.params, map(oracle.faulted_session, chunks))
+    partial = collect_observations(oracle.params, (oracle.faulted_session(c).errors.items() for c in chunks))
     if None in partial.coords:
         raise InternalError("fault-controlled sessions left coordinates unknown")
     return AttackOutcome(
@@ -543,7 +491,7 @@ def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
         queries_used=0,
         exact_recovery=True,
         within_ball=True,
-        sessions_used=used,
+        sessions_used=oracle.session_count - s0,
     )
 
 

@@ -69,6 +69,8 @@ class TrialRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 FORMATS = ("csv", "jsonl")
+# validate_config refuses a passive experiment expected to need more sessions
+MAX_EXPECTED_SESSIONS = 2**32
 # the settings only some attacks read; each ATTACKS row names those it reads
 _ATTACK_SETTINGS = tuple(
     f for f in fields(ExperimentConfig) if any(f.name in spec.reads for spec in ATTACKS.values())
@@ -100,6 +102,13 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams
     if config.alpha is not None:
         ClientModel.rare_first(params.n, config.alpha)  # raises for an alpha it cannot model
     _check_choice("session shape", config.session_shape, SessionShape)
+    if spec.bracket is not None:
+        lo = spec.bracket(params, config)[0]  # a lower bound on the expected sessions
+        if lo > MAX_EXPECTED_SESSIONS:
+            raise UsageError(
+                f"attack {config.attack!r} expects at least {lo:.3g} sessions per trial, "
+                f"above the limit of {MAX_EXPECTED_SESSIONS} (2^32)"
+            )
     return params
 
 

@@ -13,13 +13,15 @@ Two kinds of interaction are counted separately:
 
 ``scan`` answers a batch of queries the attacker committed to in advance, in
 vectorised chunks, and counts exactly the queries it answers.  ``watch`` is
-its passive counterpart: it lazily answers binary single-error genuine
-sessions in chunks of at most 2^16 until every variable coordinate has erred.
-Such a session consumes exactly one double of the generator (the shift to
-the other bit draws nothing), so a chunk is one ``rng.random(m)``; the
-generator state is saved before each chunk and, when the stop falls inside
-one, restored and advanced by the sessions used.  Counts, taps and the
-generator's final state are those of the per-session loop.
+its passive counterpart: it lazily answers genuine sessions until every
+variable coordinate has erred, and is the one place that stop lives.  A
+binary single-error session consumes exactly one double of the generator
+(the shift to the other bit draws nothing), so such sessions come in chunks
+of at most 2^16, each one ``rng.random(m)``; the generator state is saved
+before each chunk and, when the stop falls inside one, restored and advanced
+by the sessions used.  Every other client's chunk is one ``genuine_session``.
+Counts, taps and the generator's final state are those of the per-session
+loop.
 
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
@@ -509,66 +511,83 @@ class Oracle:
         client: ClientModel,
         rng: np.random.Generator,
         max_sessions: int | None = None,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Answer binary single-error genuine sessions, as ``genuine_session``
-        would answer them one at a time, up to and including the first one
-        after which every variable coordinate has erred.
+    ) -> Iterator[Iterable[tuple[int, int]]]:
+        """Answer genuine sessions, as ``genuine_session`` would answer them
+        one at a time, up to and including the first one after which every
+        variable coordinate has erred.
 
         Every answered session counts one session and fires
         ``on_observation`` once, in order, with the observation
         ``genuine_session`` would return, and the generator is left where
         that loop would leave it.  With ``max_sessions`` set, CapacityError
         is raised once that many sessions, all counted and tapped, leave a
-        variable coordinate unseen.  Besides what ``genuine_session`` rejects,
-        a multi-error client or q != 2 raises UsageError, at the call.
+        variable coordinate unseen.  What ``genuine_session`` rejects raises
+        UsageError, at the call.
 
-        Yields, chunk by chunk, the 1-based error position and the error
-        value x_i - y_i of every answered session, in order.  Like ``scan``
+        Yields, chunk by chunk, the distinct (1-based position, error value
+        x_i - y_i) pairs that the chunk's sessions leaked.  Binary
+        single-error sessions come in blocks of 64, then doubling up to
+        2^16, where a coordinate's error value is the same in every session;
+        every other client's chunk is one ``genuine_session``.  Like ``scan``
         it is lazy: a chunk is answered (drawn, counted and tapped) when
         iteration reaches it, and only one chunk is held at a time.
         """
         self._check_client(client)
-        if client.shape is not SessionShape.SINGLE_ERROR or self.params.q != 2:
-            raise UsageError("watch answers single-error sessions at q = 2 only")
         return self._watch(client, rng, max_sessions)
 
     def _watch(
         self, client: ClientModel, rng: np.random.Generator, max_sessions: int | None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[Iterable[tuple[int, int]]]:
         """watch's chunks, after its checks at the call."""
-        n = self.params.n
-        need = np.array(client.error_probs) > 0.0  # variable coordinates not yet seen
-        cdf = np.asarray(client._cdf)
-        bits = self.__row
-        flips = bits - (bits + 1) % 2  # each coordinate's error value, as genuine_session builds it
-        gen = rng.bit_generator
-        tap = self._on_observation
+        unseen = set(client.variable_positions())
+        blocks = client.shape is SessionShape.SINGLE_ERROR and self.params.q == 2
+        if blocks:
+            cdf = np.asarray(client._cdf)
+            bits = self.__row
+            flips = bits - (bits + 1) % 2  # each coordinate's error value, as genuine_session builds it
         done, size = 0, _WATCH_CHUNK
-        while need.any():
+        while unseen:
             if max_sessions is not None:
                 if done >= max_sessions:
                     raise CapacityError(f"collection incomplete after {done} sessions")
                 size = min(size, max_sessions - done)
-            # one double per session (see the module docstring): a chunk is
-            # one vector draw, redrawn from its start up to the stop if the
-            # stop falls inside it
-            state = gen.state
-            pos = np.searchsorted(cdf, rng.random(size), side="right")
-            first = np.full(n, size)
-            np.minimum.at(first, pos, np.arange(size))
-            stop = int(first[need].max()) + 1  # size + 1 while a variable coordinate stays unseen
-            if stop < size:
-                gen.state = state
-                rng.random(stop)
-                pos = pos[:stop]
-            need &= first == size
-            self._session_count += len(pos)
-            if tap is not None:
-                for p, v in zip((pos + 1).tolist(), flips[pos].tolist()):
-                    tap(Observation(errors={p: v}))
-            done += len(pos)
-            size = min(2 * size, _WATCH_MAX_CHUNK)
-            yield pos + 1, flips[pos]
+            if blocks:
+                errors, used = self._session_block(cdf, flips, rng, size, unseen)
+                size = min(2 * size, _WATCH_MAX_CHUNK)
+            else:
+                errors, used = self.genuine_session(client, rng).errors, 1
+            unseen.difference_update(errors)
+            done += used
+            yield errors.items()
+
+    def _session_block(
+        self, cdf: np.ndarray, flips: np.ndarray, rng: np.random.Generator, size: int, unseen: set[int]
+    ) -> tuple[dict[int, int], int]:
+        """Answer up to ``size`` binary single-error sessions, stopping after
+        the first one that leaves no position of ``unseen`` unseen.  Returns
+        the first error value of each position they leaked and the sessions
+        answered."""
+        # one double per session (see the module docstring): a block is one
+        # vector draw, redrawn from its start up to the stop if the stop
+        # falls inside it
+        gen = rng.bit_generator
+        state = gen.state
+        pos = np.searchsorted(cdf, rng.random(size), side="right")
+        first = np.full(len(cdf), size)
+        np.minimum.at(first, pos, np.arange(size))
+        need = np.fromiter(unseen, dtype=np.intp, count=len(unseen)) - 1
+        stop = int(first[need].max()) + 1  # size + 1 while a variable coordinate stays unseen
+        if stop < size:
+            gen.state = state
+            rng.random(stop)
+            pos = pos[:stop]
+        self._session_count += len(pos)
+        tap = self._on_observation
+        if tap is not None:
+            for p, v in zip((pos + 1).tolist(), flips[pos].tolist()):
+                tap(Observation(errors={p: v}))
+        seen = np.flatnonzero(first < len(pos))
+        return dict(zip((seen + 1).tolist(), flips[seen].tolist())), len(pos)
 
     def _check_client(self, client: ClientModel) -> None:
         """Raise UsageError unless this oracle can answer the client's

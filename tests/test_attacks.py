@@ -7,6 +7,7 @@ from matchleak import (
     CapacityError,
     ClientModel,
     ExperimentConfig,
+    InternalError,
     LeakageMode,
     Observation,
     Oracle,
@@ -464,31 +465,15 @@ class TestAccumulation:
             Observation(errors={1: -1, 2: -1, 3: 1}),
             Observation(errors={3: 1, 4: 1, 5: -1}),
         ]
-        partial, used = collect_observations(params, obs)
-        assert used == 2
+        partial = collect_observations(params, (o.errors.items() for o in obs))
         assert partial.coords == (0, 0, 1, 1, 0, None, None)
         assert unknown_positions(partial) == (6, 7)
         # two unknowns <= threshold: any completion lies in the ball
         assert hamming_distance(partial.fill(0), (0, 0, 1, 1, 0, 1, 0)) <= 3
 
-    def test_collection_stops_at_target(self):
-        params = SpaceParams(2, 4, 2)
-        obs = [Observation(errors={1: 1}), Observation(errors={2: -1}), Observation(errors={3: 1})]
-        partial, used = collect_observations(params, obs, target={1, 2})
-        assert used == 2 and partial.coords == (1, 0, None, None)
-
-    def test_lazy_stream_not_drawn_past_completion(self):
-        params = SpaceParams(2, 2, 1)
-        pulled = []
-
-        def stream():
-            for obs in (Observation(errors={1: 1}), Observation(errors={2: -1}), Observation(errors={1: 1})):
-                pulled.append(obs)
-                yield obs
-
-        partial, used = collect_observations(params, stream())
-        assert used == 2 and len(pulled) == 2
-        assert partial.coords == (1, 0)
+    def test_disagreeing_observations_raise(self):
+        with pytest.raises(InternalError, match="coordinate 2"):
+            collect_observations(SpaceParams(2, 4, 2), [[(1, 1), (2, -1)], [(2, 1)]])
 
     def test_live_collection_exact(self, rng):
         params = SpaceParams(2, 12, 3)

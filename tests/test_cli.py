@@ -248,6 +248,15 @@ def test_alpha_whose_rare_chance_is_zero_exits_before_any_trial(alpha, monkeypat
     assert "error probability n**(-alpha) underflow to 0 at n=8" in capsys.readouterr().err
 
 
+def test_hopeless_accumulation_exits_before_any_trial(monkeypatch, capsys):
+    # a trial would expect about 1.5e48 sessions and never end
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+    assert main(["accumulate", "--n", "16", "--epsilon", "3", "--trials", "1", "--alpha", "40"]) == 2
+    assert ran == []
+    assert "above the limit of 4294967296 (2^32)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

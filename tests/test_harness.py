@@ -122,6 +122,18 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             validate_config(ExperimentConfig(2, 8, 0, attack="fault_control"))
 
+    def test_hopeless_accumulation_refused(self):
+        # coordinate 1 errs with chance 16**-40: a trial expects at least
+        # 16**40, about 1.5e48, sessions
+        cfg = ExperimentConfig(2, 16, 3, attack="accumulation", trials=1, alpha=40.0)
+        with pytest.raises(UsageError, match=r"at least 1.46e\+48 sessions .* limit of 4294967296"):
+            validate_config(cfg)
+        # the limit's own lower end, 16**8 = 2**32, still runs, as do the
+        # passive benchmark's runs, whose lower end is 64
+        validate_config(replace(cfg, alpha=8.0))
+        for shape in ("single", "multi"):
+            validate_config(replace(cfg, alpha=1.5, session_shape=shape))
+
     def test_greedy_strategy_bound(self):
         cfg = ExperimentConfig(2, 8, 1, attack="minimal", strategy="greedy")
         params = validate_config(cfg)

@@ -14,15 +14,16 @@ from matchleak import (
     MatchResponse,
     Observation,
     Oracle,
+    PartialTemplate,
     Payload,
     Scope,
     SessionShape,
     SpaceParams,
     UsageError,
     accumulation_collect,
-    collect_observations,
     observation_from_json,
     observation_to_json,
+    resolve_error_value,
     response_from_json,
     response_to_json,
     sample_template,
@@ -366,8 +367,8 @@ class TestSessionSampler:
 
 
 class TestWatch:
-    """watch against a genuine_session loop folded by collect_observations,
-    the per-session path it replaces."""
+    """watch against a genuine_session loop with its own stop and cap, the
+    per-session path it replaces."""
 
     MODE = below(Payload.POSITIONS_VALUES)
 
@@ -379,9 +380,9 @@ class TestWatch:
         rng.integers(0, 2**31, size=seed % 3)
         return rng
 
-    def _pair(self, client, seed):
+    def _pair(self, client, seed, q=2):
         """Two oracles over one secret, each with its own tap and generator."""
-        params = SpaceParams(2, len(client.error_probs), 3)
+        params = SpaceParams(q, len(client.error_probs), 3)
         secret = sample_template(params, np.random.default_rng(seed + 1000))
         sides = []
         for _ in range(2):
@@ -390,67 +391,94 @@ class TestWatch:
         return params, sides
 
     @staticmethod
-    def _loop(params, oracle, client, rng, max_sessions=None):
-        """The reference: one genuine_session per session, capped as
-        accumulation_collect caps them."""
+    def _loop(oracle, client, rng, max_sessions=None):
+        """The reference: one genuine_session per session until every
+        variable coordinate has erred, raising at the cap as watch does.
+        Returns each session's errors, in order."""
+        unseen = set(client.variable_positions())
+        sessions = []
+        while unseen:
+            if max_sessions is not None and len(sessions) >= max_sessions:
+                raise CapacityError(f"collection incomplete after {len(sessions)} sessions")
+            errors = oracle.genuine_session(client, rng).errors
+            unseen -= errors.keys()
+            sessions.append(errors)
+        return sessions
 
-        def sessions():
-            for done in itertools.count():
-                if max_sessions is not None and done >= max_sessions:
-                    raise CapacityError(f"collection incomplete after {done} sessions")
-                yield oracle.genuine_session(client, rng)
+    @staticmethod
+    def _partial(params, sessions):
+        """The partial template of the reference sessions: each coordinate
+        resolved from its first leak."""
+        known = {}
+        for errors in sessions:
+            for p, v in errors.items():
+                known.setdefault(p, resolve_error_value(v, params.q))
+        return PartialTemplate(tuple(known.get(i) for i in range(1, params.n + 1)))
 
-        return collect_observations(params, sessions(), client.variable_positions())
+    @staticmethod
+    def _drain(o, client, rng, max_sessions=None):
+        """Every pair watch yields, and the session count after each chunk;
+        a CapacityError propagates."""
+        pairs, counts = set(), []
+        for chunk in o.watch(client, rng, max_sessions):
+            pairs.update(chunk)
+            counts.append(o.session_count)
+        return pairs, counts
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("shape", list(SessionShape))
     @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
-    def test_matches_session_loop(self, name):
-        client = SAMPLER_CLIENTS[name]
+    def test_matches_session_loop(self, q, shape, name):
+        client = ClientModel(SAMPLER_CLIENTS[name].error_probs, shape)
         for seed in range(60):
-            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-            _, used = self._loop(params, ref, client, ref_rng)
-            positions, values = map(np.concatenate, zip(*o.watch(client, rng)))
-            assert len(positions) == used == o.session_count == ref.session_count
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed, q)
+            sessions = self._loop(ref, client, ref_rng)
+            pairs, counts = self._drain(o, client, rng)
+            assert pairs == {pair for errors in sessions for pair in errors.items()}
+            assert counts[-1] == len(sessions) == o.session_count == ref.session_count
             assert taps == ref_taps
-            assert [{p: v} for p, v in zip(positions.tolist(), values.tolist())] == [
-                obs.errors for obs in ref_taps
-            ]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             assert o.query_count == 0
 
+    # accumulation is a binary attack
+    @pytest.mark.parametrize("shape", list(SessionShape))
     @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
-    def test_accumulation_matches_session_loop(self, name):
-        client = SAMPLER_CLIENTS[name]
+    def test_accumulation_matches_session_loop(self, shape, name):
+        client = ClientModel(SAMPLER_CLIENTS[name].error_probs, shape)
         for seed in range(60):
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-            partial, used = self._loop(params, ref, client, ref_rng)
+            sessions = self._loop(ref, client, ref_rng)
             out = accumulation_collect(o, client, rng)
-            assert out.recovered == partial
-            assert out.sessions_used == used == o.session_count == ref.session_count
+            assert out.recovered == self._partial(params, sessions)
+            assert out.sessions_used == len(sessions) == o.session_count == ref.session_count
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("shape", list(SessionShape))
     @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
-    def test_session_cap(self, name):
-        client = SAMPLER_CLIENTS[name]
+    def test_session_cap(self, q, shape, name):
+        client = ClientModel(SAMPLER_CLIENTS[name].error_probs, shape)
         for seed in range(30):
-            params, ((o, _, rng), _) = self._pair(client, seed)
-            used = accumulation_collect(o, client, rng).sessions_used
+            params, ((o, _, rng), _) = self._pair(client, seed, q)
+            used = len(self._loop(o, client, rng))
             # one short of the stop: every capped session is counted, tapped
             # and drawn, then the cap raises as the loop's does
-            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed, q)
             with pytest.raises(CapacityError) as want:
-                self._loop(params, ref, client, ref_rng, used - 1)
+                self._loop(ref, client, ref_rng, used - 1)
             with pytest.raises(CapacityError) as got:
-                accumulation_collect(o, client, rng, max_sessions=used - 1)
+                self._drain(o, client, rng, used - 1)
             assert str(got.value) == str(want.value) == f"collection incomplete after {used - 1} sessions"
             assert o.session_count == ref.session_count == used - 1
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             # a cap at the stop itself is never reached
-            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-            partial, _ = self._loop(params, ref, client, ref_rng, used)
-            out = accumulation_collect(o, client, rng, max_sessions=used)
-            assert (out.recovered, out.sessions_used) == (partial, used)
+            params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed, q)
+            sessions = self._loop(ref, client, ref_rng, used)
+            pairs, counts = self._drain(o, client, rng, used)
+            assert pairs == {pair for errors in sessions for pair in errors.items()}
+            assert counts[-1] == o.session_count == used
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -461,24 +489,25 @@ class TestWatch:
         client = ClientModel.rare_first(16, 3.0)
         for seed in range(12):
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
-            partial, used = self._loop(params, ref, client, ref_rng)
+            sessions = self._loop(ref, client, ref_rng)
             out = accumulation_collect(o, client, rng)
-            assert used > 3 * 64
-            assert (out.recovered, out.sessions_used) == (partial, used)
-            assert o.session_count == ref.session_count == used
+            assert len(sessions) > 3 * 64
+            assert (out.recovered, out.sessions_used) == (self._partial(params, sessions), len(sessions))
+            assert o.session_count == ref.session_count == len(sessions)
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             # a cap inside a capped chunk: the same sessions, then the same error
-            cap = used - 100
+            cap = len(sessions) - 100
             params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed)
             with pytest.raises(CapacityError) as want:
-                self._loop(params, ref, client, ref_rng, cap)
-            sizes = []
+                self._loop(ref, client, ref_rng, cap)
+            counts = []
             with pytest.raises(CapacityError) as got:
-                for positions, _ in o.watch(client, rng, max_sessions=cap):
-                    sizes.append(len(positions))
+                for _ in o.watch(client, rng, max_sessions=cap):
+                    counts.append(o.session_count)
+            sizes = np.diff([0, *counts])
             assert str(got.value) == str(want.value)
-            assert max(sizes) == 64 and sum(sizes) == cap == o.session_count == ref.session_count
+            assert max(sizes) == 64 and counts[-1] == cap == o.session_count == ref.session_count
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -486,20 +515,19 @@ class TestWatch:
         # coordinate 1 errs with chance 16**-6, so 200,000 sessions leave it
         # unseen: the chunks double from 64 to 2**16, then stay there
         o = Oracle(sample_template(SpaceParams(2, 16, 3), rng), SpaceParams(2, 16, 3), self.MODE)
-        sizes = []
+        counts = []
         with pytest.raises(CapacityError, match="after 200000 sessions"):
-            for positions, values in o.watch(ClientModel.rare_first(16, 6.0), rng, max_sessions=200_000):
-                sizes.append(len(positions))
-                assert len(values) == len(positions)
-        assert sizes == [64 << i for i in range(11)] + [65536, 3456]
+            for chunk in o.watch(ClientModel.rare_first(16, 6.0), rng, max_sessions=200_000):
+                counts.append(o.session_count)
+                # the distinct pairs of the chunk: at most one per coordinate
+                assert len(dict(chunk)) == len(chunk) <= 16
+        assert np.diff([0, *counts]).tolist() == [64 << i for i in range(11)] + [65536, 3456]
         assert o.session_count == 200_000
 
     def test_rejects_what_it_cannot_answer(self, rng):
         single = ClientModel.uniform(7)
         posvalues = below(Payload.POSITIONS_VALUES)
         cases = [
-            (Oracle(SECRET7, P7, posvalues), ClientModel.uniform(7, SessionShape.MULTI_ERROR), "single-error"),
-            (Oracle((0, 1, 2, 0, 1, 2, 0), SpaceParams(3, 7, 3), posvalues), single, "q = 2"),
             (Oracle(SECRET7, P7, below(Payload.POSITIONS)), single, r"positions\+values payload"),
             (Oracle(SECRET7, SpaceParams(2, 7, 0), posvalues), single, "epsilon >= 1"),
             (Oracle(SECRET7, P7, posvalues), ClientModel.uniform(6), "has 6 coordinates"),

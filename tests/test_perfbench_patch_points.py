@@ -2,12 +2,14 @@
 
 Installing its Capture and Tracer against this tree fails here, with an
 AttributeError, when a refactor drops or renames a name they wrap, instead
-of in a traced benchmark run.
+of in a traced benchmark run.  So does a refactor that answers sessions
+past the oracle methods the Tracer wraps.
 """
 
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matchleak import attacks, bounds, covering, harness, oracle, space
@@ -37,3 +39,27 @@ def test_install_and_restore(kind, tmp_path, monkeypatch):
         # a failed install leaves the patches it already made
         tool.__exit__(None, None, None)
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("attack", ["accumulation_multi", "fault_control"])
+def test_every_session_reaches_the_wrapped_methods(attack, monkeypatch):
+    # Tracer.install wraps these two on the class; an attack that answers
+    # its sessions on a private path would leave them out of a trace
+    calls = []
+    for name in ("genuine_session", "faulted_session"):
+        method = getattr(oracle.Oracle, name)
+
+        def wrapped(self, *args, _method=method, **kwargs):
+            calls.append(1)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.Oracle, name, wrapped)
+    params = space.SpaceParams(2, 16, 3)
+    rng = np.random.default_rng(5)
+    mode = oracle.LeakageMode.parse("below", "posvalues")
+    o = oracle.Oracle(space.sample_template(params, rng), params, mode)
+    if attack == "fault_control":
+        out = attacks.fault_controlled_collect(o)
+    else:
+        out = attacks.accumulation_collect(o, oracle.ClientModel.uniform(16, oracle.SessionShape.MULTI_ERROR), rng)
+    assert len(calls) == o.session_count == out.sessions_used > 0
