@@ -107,7 +107,7 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams
         if lo > MAX_EXPECTED_SESSIONS:
             raise UsageError(
                 f"attack {config.attack!r} expects at least {lo:.3g} sessions per trial, "
-                f"above the limit of {MAX_EXPECTED_SESSIONS} (2^32)"
+                f"above the limit of {MAX_EXPECTED_SESSIONS}"
             )
     return params
 
