@@ -117,6 +117,15 @@ AUDIT_CASES = {
         "--attack minimal --q 2 --n 10 --epsilon 2",
         "2c76022878b9249d2200b24b6a38380d84970a6194b2c687012c47ac60c86351",
     ),
+    # the greedy-cover accept search, and the exact scan over digit rows
+    "minimal_greedy": (
+        "--attack minimal --q 2 --n 9 --epsilon 2 --strategy greedy",
+        "53c5b1022a6447d4819d1e3b68861b74add55730aa765f74c69f9a464939f10c",
+    ),
+    "below_distance": (
+        "--attack below_distance --q 3 --n 6 --epsilon 2",
+        "693bab6a34d09d8ec13441af1716c1d7283193b292ab20e2268943a70e30eb49",
+    ),
     # the distance climb at q = 2 and q = 4, and the position payloads at
     # q = 16, whose responses carry many flagged coordinates
     "both_distance_q2": (
