@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .bounds import coupon_bracket
-from .covering import covering_search, fixing_search, greedy_cover
+from .covering import covering_search, greedy_cover
 from .errors import CapacityError, InternalError, UsageError
 from .oracle import ClientModel, LeakageMode, MatchResponse, Oracle, SessionShape
 from .space import SpaceParams, Template, as_template
@@ -126,7 +126,7 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
     ATTACKS["below_distance"].require(oracle)
     params = oracle.params
     q0 = oracle.query_count
-    best, resp = fixing_search(oracle, exact=True)
+    best, resp = covering_search(oracle, exact=True)
     pinned = range(params.n - params.epsilon, params.n)
     return _outcome(oracle, q0, _climb(oracle, best, resp.distance, pinned))
 
@@ -179,7 +179,7 @@ def attack_below_positions(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["below_positions"].require(oracle)
     q0 = oracle.query_count
-    y, resp = fixing_search(oracle)
+    y, resp = covering_search(oracle)
     return _outcome(oracle, q0, _fix_from_positions(oracle, y, resp))
 
 
@@ -193,7 +193,7 @@ def attack_below_positions_values(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["below_posvalues"].require(oracle)
     q0 = oracle.query_count
-    y, resp = fixing_search(oracle)
+    y, resp = covering_search(oracle)
     return _outcome(oracle, q0, _correct(y, resp))
 
 
@@ -344,17 +344,15 @@ def attack_minimal_binary(
 ) -> AttackOutcome:
     """Recover a binary secret from the accept bit alone.
 
-    Phase one finds any accepted point: either the pinned-coordinate scan
-    (<= 2^(n-eps) queries) or a greedy ball cover queried center by center
-    (<= q^n H(n)/|B| queries).  Phase two hands the point to the center
-    search.  Total budget 2^(n-eps) + n + 2*eps + 1 for coordinate fixing.
+    Phase one finds any accepted point by scanning a cover's centers: the
+    pinned-coordinate centers (at most 2^(n-eps) queries) or a greedy ball
+    cover (at most the cover's size).  Phase two hands the point to the
+    center search, within n + 2*eps + 1 further queries.
     """
     ATTACKS["minimal"].require(oracle)
     q0 = oracle.query_count
-    if SearchStrategy(strategy) is SearchStrategy.GREEDY_COVER:
-        y0 = covering_search(oracle, greedy_cover(oracle.params))
-    else:
-        y0, _ = fixing_search(oracle)
+    greedy = SearchStrategy(strategy) is SearchStrategy.GREEDY_COVER
+    y0, _ = covering_search(oracle, greedy_cover(oracle.params) if greedy else None)
     return _outcome(oracle, q0, center_search_binary(oracle, y0))
 
 

@@ -9,6 +9,9 @@ acceptance ball.  Three constructions live here:
 * greedy set cover, whose size bounds.greedy_cover_bound estimates,
 * an exact branch-and-bound minimum (tiny instances; test oracle).
 
+covering_search is the one accept search: a scan over a cover's centers,
+or over the fixing centers without building that cover.
+
 Spaces are materialized as integer indices (lexicographic rank), so
 construction is guarded by a point budget rather than allowed to thrash.
 """
@@ -142,26 +145,6 @@ def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
         yield rows
 
 
-def fixing_search(oracle: Oracle, exact: bool = False) -> tuple[Template, MatchResponse]:
-    """The pinned-coordinate accept search, as one Oracle.scan over the
-    fixing centers.
-
-    Returns the first accepted center with its response or, with ``exact``
-    (for the distance payload), the accepted center of smallest leaked
-    distance (the first on ties), the scan stopping at distance 0.  The centers cover the space, so the
-    scan always meets an acceptance.
-    """
-    scan = oracle.scan(fixing_batches(oracle.params), stop_at_exact=exact)
-    hits = (hit for hit in scan if hit[1].accepted)
-    if exact:
-        best = min(hits, key=lambda hit: hit[1].distance, default=None)
-    else:
-        best = next(hits, None)
-    if best is None:
-        raise InternalError("pinned-coordinate search exhausted without an acceptance")
-    return best
-
-
 def coordinate_fixing_cover(params: SpaceParams) -> Cover:
     """The fixing centers as a certified cover (see fixing_centers)."""
     _guard(params.q ** (params.n - params.epsilon), GREEDY_POINT_GUARD, "coordinate-fixing cover")
@@ -246,18 +229,36 @@ def exact_min_cover_size(params: SpaceParams) -> int:
     return best
 
 
-def covering_search(oracle: Oracle, cover: Cover) -> Template:
-    """Query the centers of a certified cover in order and return the first
-    accepted one.  Coverage guarantees an acceptance before exhaustion;
-    running out indicates a broken oracle/cover pairing."""
-    if not cover.certified:
-        raise UsageError("covering search requires a certified cover")
-    if cover.params != oracle.params:
-        raise UsageError("cover and oracle disagree on space parameters")
-    for center in cover.centers:
-        if oracle.query(center).accepted:
-            return center
-    raise InternalError("covering centers exhausted without an acceptance")
+def covering_search(
+    oracle: Oracle, cover: Cover | None = None, exact: bool = False
+) -> tuple[Template, MatchResponse]:
+    """The accept search, as one Oracle.scan over the centers of a certified
+    cover, in chunks of at most SCAN_CHUNK digit rows, or over the fixing
+    centers (fixing_batches) when cover is None.
+
+    Returns the first accepted center with its response or, with ``exact``
+    (for the distance payload), the accepted center of smallest leaked
+    distance (the first on ties), the scan stopping at distance 0.  The
+    centers cover the space, so the scan always meets an acceptance;
+    running out indicates a broken oracle/cover pairing.
+    """
+    if cover is None:
+        batches = fixing_batches(oracle.params)
+    else:
+        if not cover.certified:
+            raise UsageError("covering search requires a certified cover")
+        if cover.params != oracle.params:
+            raise UsageError("cover and oracle disagree on space parameters")
+        centers = cover.centers
+        batches = (np.array(centers[i : i + SCAN_CHUNK]) for i in range(0, len(centers), SCAN_CHUNK))
+    hits = (hit for hit in oracle.scan(batches, stop_at_exact=exact) if hit[1].accepted)
+    if exact:
+        best = min(hits, key=lambda hit: hit[1].distance, default=None)
+    else:
+        best = next(hits, None)
+    if best is None:
+        raise InternalError("covering centers exhausted without an acceptance")
+    return best
 
 
 # --- export / import ----------------------------------------------------------

@@ -286,11 +286,6 @@ def _distance_response(accepted: bool, d: int) -> MatchResponse:
     return MatchResponse(accepted=accepted, distance=d)
 
 
-def _errors(secret: Template, y: Sequence[int]) -> dict[int, int]:
-    """1-based position -> x_i - y_i for every coordinate where y errs."""
-    return {i + 1: secret[i] - y[i] for i in range(len(secret)) if secret[i] != y[i]}
-
-
 class Oracle:
     """Match oracle over a sealed secret with strict interaction accounting.
 
@@ -315,14 +310,18 @@ class Oracle:
         # byte per coordinate, and the secret is held as the int of its
         # bytes: the coordinates a submission gets wrong are the nonzero
         # bytes of the XOR, and at q = 2 their count is its popcount.  The
-        # secret's int16 row, minus a submission's bytes, gives the
-        # position payloads.
+        # secret is also held as a numpy row (int16 from its bytes; above
+        # q = 256 int64, or object for digits past 63 bits): the row minus
+        # a submission gives the position payloads, and scan compares
+        # candidates with it.
         self._digits = bytes(range(params.q)) if params.q <= 256 else None
-        self.__int = self.__row = None
+        self.__int = None
         if self._digits:
             raw = bytes(self.__secret)
             self.__int = int.from_bytes(raw, "big")
             self.__row = np.frombuffer(raw, dtype=np.uint8).astype(np.int16)
+        else:
+            self.__row = np.array(self.__secret, dtype=np.int64 if params.q <= 1 << 63 else object)
         self._query_count = 0
         self._session_count = 0
         self._audit_count = 0
@@ -391,19 +390,13 @@ class Oracle:
             return _ACCEPTED if accepted else _REJECTED
         if payload is Payload.DISTANCE:
             return _distance_response(accepted, d)
-        if self._digits:
-            diff = self.__row - np.frombuffer(y, dtype=np.uint8)
-            wrong = np.flatnonzero(diff)
-            positions = (wrong + 1).tolist()
-            if payload is Payload.POSITIONS:
-                return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
-            values = dict(zip(positions, diff[wrong].tolist()))
-        else:
-            secret = self.__secret
-            if payload is Payload.POSITIONS:
-                positions = frozenset(i for i, (a, b) in enumerate(zip(secret, y), 1) if a != b)
-                return MatchResponse(accepted=accepted, error_positions=positions)
-            values = _errors(secret, y)
+        row = self.__row
+        diff = row - (np.frombuffer(y, dtype=np.uint8) if self._digits else np.array(y, dtype=row.dtype))
+        wrong = np.flatnonzero(diff)
+        positions = (wrong + 1).tolist()
+        if payload is Payload.POSITIONS:
+            return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
+        values = dict(zip(positions, diff[wrong].tolist()))
         return MatchResponse(
             accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
         )
@@ -470,7 +463,7 @@ class Oracle:
             raise UsageError(f"scan candidates must be packed words or rows of n={n} integer digits")
         if batch.size and (batch.min() < 0 or batch.max() >= params.q):
             raise UsageError(f"scan candidate has a coordinate outside [0, {params.q - 1}]")
-        return np.count_nonzero(batch != np.array(self.__secret), axis=1)
+        return np.count_nonzero(batch != self.__row, axis=1)
 
     def _candidate(self, batch: np.ndarray, i: int) -> Template:
         """Row i of a scan chunk as a template."""

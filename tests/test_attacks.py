@@ -28,6 +28,7 @@ from matchleak import (
     attack_minimal_binary,
     center_search_binary,
     collect_observations,
+    covering_search,
     fault_controlled_collect,
     greedy_cover,
     greedy_cover_bound,
@@ -37,7 +38,6 @@ from matchleak import (
     sample_template,
 )
 from matchleak.attacks import client_for
-from matchleak.covering import fixing_search
 
 from conftest import ball_templates, unknown_positions
 
@@ -87,7 +87,7 @@ class TestModeDiscipline:
 class TestExhaustiveSearch:
     def test_all_zero_secret_found_first(self):
         oracle = make((0,) * 6, 2, 6, 2, BOTH, Payload.NONE)
-        found = fixing_search(oracle)[0]
+        found = covering_search(oracle)[0]
         assert oracle.query_count == 1
         assert oracle.query(found).accepted
 
@@ -95,7 +95,7 @@ class TestExhaustiveSearch:
         params = SpaceParams(2, 5, 4)
         for _ in range(20):
             oracle = Oracle(random_secret(params, rng), params, LeakageMode(BOTH, Payload.NONE))
-            fixing_search(oracle)[0]
+            covering_search(oracle)[0]
             assert oracle.query_count <= 2
 
     def test_worst_case_bound_exhaustively(self):
@@ -104,7 +104,7 @@ class TestExhaustiveSearch:
         worst = 0
         for secret in itertools.product(range(2), repeat=8):
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.NONE))
-            y = fixing_search(oracle)[0]
+            y = covering_search(oracle)[0]
             assert hamming_distance(y, secret) <= 2
             worst = max(worst, oracle.query_count)
         assert worst <= 2**6
@@ -113,7 +113,7 @@ class TestExhaustiveSearch:
         # all-ones free block forces the scan to its very last candidate
         params = SpaceParams(2, 10, 3)
         oracle = Oracle((1,) * 10, params, LeakageMode(BOTH, Payload.NONE))
-        found = fixing_search(oracle)[0]
+        found = covering_search(oracle)[0]
         assert oracle.query_count == 2**7
         assert found == (1,) * 7 + (0,) * 3
 

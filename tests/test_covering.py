@@ -166,8 +166,8 @@ class TestCoveringSearch:
         cover = coordinate_fixing_cover(params)
         secret = cover.centers[5]
         oracle = Oracle(secret, params, LeakageMode(Scope.ALWAYS, Payload.NONE))
-        found = covering_search(oracle, cover)
-        assert found == secret and oracle.query_count == 6
+        found, resp = covering_search(oracle, cover)
+        assert found == secret and resp.accepted and oracle.query_count == 6
 
     def test_acceptance_guaranteed(self, rng):
         params = SpaceParams(2, 8, 2)
@@ -175,8 +175,8 @@ class TestCoveringSearch:
         for _ in range(50):
             secret = sample_template(params, rng)
             oracle = Oracle(secret, params, LeakageMode(Scope.ALWAYS, Payload.NONE))
-            found = covering_search(oracle, cover)
-            assert hamming_distance(found, secret) <= 2
+            found, resp = covering_search(oracle, cover)
+            assert resp.accepted and hamming_distance(found, secret) <= 2
             assert oracle.query_count <= len(cover)
             assert len(cover) <= greedy_cover_bound(params)
 

@@ -632,6 +632,19 @@ class TestQueryKernels:
             assert o.query_count == len(forms) * k
         assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries for _ in forms]
 
+    @pytest.mark.parametrize("q", [2**63, 2**64, 2**70])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_digits_past_int64(self, q, mode):
+        # the secret's row is int64 while every digit fits, object dtype past that
+        params = SpaceParams(q, 6, 3)
+        secret = (q - 1, 0, q // 2, 5, q - 2, 1)
+        queries = [secret, (0,) * 6, (q - 1,) * 6, (q - 1, 1, q // 2, 5, 0, 1), (0, 0, q // 2 + 1, 5, q - 2, 1)]
+        seen = []
+        o = Oracle(secret, params, mode, on_response=seen.append)
+        for y in queries:
+            assert o.query(y) == reference_response(secret, y, params.epsilon, mode)
+        assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries]
+
     @settings(max_examples=150, deadline=None)
     @given(submissions())
     def test_scan_rows_match_reference(self, case):
@@ -717,6 +730,12 @@ def _loop_scan(oracle: Oracle, centers, exact: bool) -> None:
             return
 
 
+def _first_cover(cover, x) -> int:
+    """Index of the first center of cover within epsilon of x."""
+    eps = cover.params.epsilon
+    return next(i for i, c in enumerate(cover.centers) if sum(a != b for a, b in zip(c, x)) <= eps)
+
+
 class TestScan:
     @pytest.mark.parametrize(
         "q,n,eps",
@@ -742,6 +761,27 @@ class TestScan:
                 assert fast_tap == loop_tap
                 centers = itertools.islice(fixing_centers(params), loop.query_count)
                 assert found == [(y, r) for y, r in zip(centers, loop_tap) if r != MatchResponse(False)]
+
+    @pytest.mark.parametrize("q,n,eps", [(2, 9, 2), (3, 5, 1)])
+    @pytest.mark.parametrize("chunk", [7, covering.SCAN_CHUNK])
+    def test_cover_search_matches_per_query_loop(self, q, n, eps, chunk, rng, monkeypatch):
+        monkeypatch.setattr(covering, "SCAN_CHUNK", chunk)
+        params = SpaceParams(q, n, eps)
+        cover = covering.greedy_cover(params)
+        secrets = [sample_template(params, rng) for _ in range(12)]
+        # a point only the last center covers: the scan's very end
+        secrets.append(max(itertools.product(range(q), repeat=n), key=lambda x: _first_cover(cover, x)))
+        for secret in secrets:
+            for mode, exact in [(always(Payload.NONE), False), (below(Payload.DISTANCE), True)]:
+                fast_tap, loop_tap = [], []
+                fast = Oracle(secret, params, mode, on_response=fast_tap.append)
+                loop = Oracle(secret, params, mode, on_response=loop_tap.append)
+                found = covering.covering_search(fast, cover, exact=exact)
+                _loop_scan(loop, cover.centers, exact)
+                assert fast.query_count == loop.query_count
+                assert fast_tap == loop_tap
+                hits = [(y, r) for y, r in zip(cover.centers, loop_tap) if r.accepted]
+                assert found == (min(hits, key=lambda hit: hit[1].distance) if exact else hits[0])
 
     def test_kernel_follows_q_and_n(self):
         assert next(fixing_batches(SpaceParams(2, 63, 3))).dtype == np.uint64

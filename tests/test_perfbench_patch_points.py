@@ -3,7 +3,8 @@
 Installing its Capture and Tracer against this tree fails here, with an
 AttributeError, when a refactor drops or renames a name they wrap, instead
 of in a traced benchmark run.  So does a refactor that answers sessions
-past the oracle methods the Tracer wraps.
+past the oracle methods the Tracer wraps, or finds an attack's accepted
+point past the accept search it wraps.
 """
 
 import types
@@ -63,3 +64,33 @@ def test_every_session_reaches_the_wrapped_methods(attack, monkeypatch):
     else:
         out = attacks.accumulation_collect(o, oracle.ClientModel.uniform(16, oracle.SessionShape.MULTI_ERROR), rng)
     assert len(calls) == o.session_count == out.sessions_used > 0
+
+
+@pytest.mark.parametrize(
+    "attack,strategy",
+    [
+        ("below_distance", None),
+        ("below_positions", None),
+        ("below_posvalues", None),
+        ("minimal", "fixing"),
+        ("minimal", "greedy"),
+    ],
+)
+def test_every_accept_search_reaches_the_wrapped_search(attack, strategy, monkeypatch):
+    # Tracer.install wraps attacks.covering_search; an attack that found its
+    # accepted point on another path would leave its search out of a trace
+    calls = []
+    search = attacks.covering_search
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "covering_search", wrapped)
+    spec = attacks.ATTACKS[attack]
+    params = space.SpaceParams(2, 9, 2)
+    rng = np.random.default_rng(7)
+    o = oracle.Oracle(space.sample_template(params, rng), params, spec.mode)
+    out = spec.run(o, types.SimpleNamespace(strategy=strategy), rng)
+    assert out.recovered == o.audit_secret()
+    assert len(calls) == 1
