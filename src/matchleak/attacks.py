@@ -377,19 +377,19 @@ def attack_both_positions(oracle: Oracle) -> AttackOutcome:
     """Constant sweep when error positions leak on every query.
 
     Submit (c, ..., c) for c = 0..q-2; the unflagged positions of each
-    response equal c.  Whatever stays flagged throughout must be q-1, so the
-    last constant is never submitted.  Always exactly q-1 queries.
+    response are exactly the coordinates equal to c, so each coordinate is
+    unflagged by at most one constant.  Whatever stays flagged throughout
+    must be q-1, so the last constant is never submitted.  Always exactly
+    q-1 queries.
     """
     ATTACKS["both_positions"].require(oracle)
     params = oracle.params
     q0 = oracle.query_count
     x = [params.q - 1] * params.n
-    unresolved = set(range(1, params.n + 1))
+    every = frozenset(range(1, params.n + 1))
     for c in range(params.q - 1):
-        flagged = oracle.query((c,) * params.n).error_positions
-        for pos in unresolved - flagged:
+        for pos in every - oracle.query((c,) * params.n).error_positions:
             x[pos - 1] = c
-        unresolved &= flagged
     return _outcome(oracle, q0, tuple(x))
 
 

@@ -154,7 +154,7 @@ def _verify_outcome(oracle: Oracle, outcome: AttackOutcome, params: SpaceParams)
         within = int(guess is not None and hamming_distance(guess, secret) <= params.epsilon)
     else:
         exact = int(tuple(recovered) == secret)
-        within = int(hamming_distance(recovered, secret) <= params.epsilon)
+        within = int(exact or hamming_distance(recovered, secret) <= params.epsilon)
     if outcome.exact_recovery and not exact:
         raise InternalError("verification failed: attack claimed exact recovery but missed")
     if outcome.within_ball and not within:

@@ -37,19 +37,22 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .space import SpaceParams, Template, as_template, template_index
+from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, template_index
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
 # sessions in watch's first chunk; each further chunk doubles, up to the cap
 _WATCH_CHUNK = 64
 _WATCH_MAX_CHUNK = 1 << 16
+# for q <= 256, a positions-and-values payload with more wrong coordinates
+# than this is built from the numpy row, which is faster there
+_BYTES_POSVALUES_MAX_D = 128
 
 
 class Scope(Enum):
@@ -111,10 +114,15 @@ class MatchResponse:
 # the two answers that carry nothing but the accept bit
 _ACCEPTED = MatchResponse(accepted=True)
 _REJECTED = MatchResponse(accepted=False)
-# submissions query takes as they are; anything else is listed first
-_SEQUENCES = frozenset({tuple, list, bytes, bytearray})
 # binary digit string of a packed word -> one byte per coordinate
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@cache
+def _positions(n: int) -> tuple[int, ...]:
+    """The 1-based positions 1..n, which ``compress`` filters into a
+    position payload."""
+    return tuple(range(1, n + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,11 +317,14 @@ class Oracle:
         # For q <= 256 a submission is checked and converted in C, as one
         # byte per coordinate, and the secret is held as the int of its
         # bytes: the coordinates a submission gets wrong are the nonzero
-        # bytes of the XOR, and at q = 2 their count is its popcount.  The
-        # secret is also held as a numpy row (int16 from its bytes; above
-        # q = 256 int64, or object for digits past 63 bits): the row minus
-        # a submission gives the position payloads, and scan compares
-        # candidates with it.
+        # bytes of the XOR, and at q = 2 their count is its popcount.  Both
+        # position payloads are read off those XOR bytes, except
+        # positions-and-values past _BYTES_POSVALUES_MAX_D wrong
+        # coordinates.  The secret is also held as a numpy row (int16 from
+        # its bytes; above q = 256 int64, or object for digits past 63
+        # bits): the row minus a submission gives the other position
+        # payloads, scan compares candidates with it, and binary
+        # single-error sessions read their flips from it.
         self._digits = bytes(range(params.q)) if params.q <= 256 else None
         self.__int = None
         if self._digits:
@@ -355,11 +366,11 @@ class Oracle:
         params = self.params
         n = params.n
         kind = type(y)
-        if kind not in _SEQUENCES:
-            y = list(y)  # bytearray() of an ndarray or array would read its raw buffer
+        if kind not in BYTE_SEQUENCES:
+            y = list(y)  # element-wise: never an ndarray's or array's raw buffer
         if len(y) != n:
             raise UsageError(f"query has length {len(y)}, expected n={n}")
-        digits = None
+        digits = wrong = None
         if self._digits:
             if kind is bytes or kind is bytearray:
                 digits = y
@@ -374,29 +385,49 @@ class Oracle:
         elif params.q == 2:
             d = (int.from_bytes(digits, "big") ^ self.__int).bit_count()
         else:
-            d = n - (int.from_bytes(digits, "big") ^ self.__int).to_bytes(n, "big").count(0)
+            wrong = (int.from_bytes(digits, "big") ^ self.__int).to_bytes(n, "big")
+            d = n - wrong.count(0)
         self._query_count += 1
-        resp = self._respond(digits, d)
+        resp = self._respond(digits, d, wrong)
         if self._on_response is not None:
             self._on_response(resp)
         return resp
 
-    def _respond(self, y: bytes | bytearray | Template, d: int) -> MatchResponse:
+    def _respond(
+        self, y: bytes | bytearray | Template, d: int, wrong: bytes | None = None
+    ) -> MatchResponse:
         """The response to a counted submission y at distance d: one byte
-        per coordinate for q <= 256, plain int digits above."""
+        per coordinate for q <= 256, plain int digits above.
+
+        For q <= 256 the position payloads come from ``wrong``, y's bytes
+        XOR the secret's, nonzero exactly where y errs (built here when the
+        caller has not), through ``compress`` over the positions 1..n.  A
+        positions-and-values payload past _BYTES_POSVALUES_MAX_D wrong
+        coordinates, and every position payload above q = 256, comes from
+        the secret's numpy row minus y instead."""
         accepted = d <= self.params.epsilon
         payload = self.mode.payload
         if payload is Payload.NONE or not (accepted or self.mode.scope is Scope.ALWAYS):
             return _ACCEPTED if accepted else _REJECTED
         if payload is Payload.DISTANCE:
             return _distance_response(accepted, d)
-        row = self.__row
-        diff = row - (np.frombuffer(y, dtype=np.uint8) if self._digits else np.array(y, dtype=row.dtype))
-        wrong = np.flatnonzero(diff)
-        positions = (wrong + 1).tolist()
-        if payload is Payload.POSITIONS:
-            return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
-        values = dict(zip(positions, diff[wrong].tolist()))
+        n = self.params.n
+        if self._digits and (payload is Payload.POSITIONS or d <= _BYTES_POSVALUES_MAX_D):
+            if wrong is None:
+                wrong = (int.from_bytes(y, "big") ^ self.__int).to_bytes(n, "big")
+            positions = compress(_positions(n), wrong)
+            if payload is Payload.POSITIONS:
+                return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
+            secret = self.__secret
+            values = {p: secret[p - 1] - y[p - 1] for p in positions}
+        else:
+            row = self.__row
+            diff = row - (np.frombuffer(y, dtype=np.uint8) if self._digits else np.array(y, dtype=row.dtype))
+            at = np.flatnonzero(diff)
+            positions = (at + 1).tolist()
+            if payload is Payload.POSITIONS:
+                return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
+            values = dict(zip(positions, diff[at].tolist()))
         return MatchResponse(
             accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
         )

@@ -52,13 +52,30 @@ class SpaceParams:
         return self.q**self.n
 
 
+# sequences read as one byte per coordinate at q <= 256; bytearray() of an
+# ndarray or an array.array would read its raw buffer, not its coordinates
+BYTE_SEQUENCES = frozenset({tuple, list, bytes, bytearray})
+# every byte; its first q are the digits of Z_q
+_ALL_BYTES = bytes(range(256))
+
+
 def as_template(params: SpaceParams, coords: Sequence[int]) -> Template:
     """Validate a coordinate sequence against params and return it as a tuple.
 
     Raises UsageError on wrong length, non-integer entries (anything without
     ``__index__``: floats, Fractions; bools and numpy integers pass), or
-    out-of-range values.
+    out-of-range values.  For q <= 256 a tuple, list, bytes or bytearray is
+    first checked in C, as one byte per coordinate; anything else, and
+    anything that check rejects, is checked one coordinate at a time.
     """
+    if params.q <= 256 and type(coords) in BYTE_SEQUENCES:
+        try:
+            raw = bytearray(coords)  # faster than bytes() on a tuple
+        except (TypeError, ValueError):
+            pass
+        else:
+            if len(raw) == params.n and not raw.translate(None, _ALL_BYTES[: params.q]):
+                return tuple(raw)
     try:
         t = tuple(map(operator.index, coords))
     except TypeError:
@@ -119,11 +136,26 @@ def q_ary_entropy(q: int, r: float) -> float:
 
 
 def harmonic_number_exact(n: int) -> Fraction:
-    """H(n) = sum_{i=1}^{n} 1/i as an exact rational; intended for
-    desk-scale n.  Satisfies H(n) <= ln(n) + 1."""
+    """H(n) = sum_{i=1}^{n} 1/i as an exact rational.  Satisfies
+    H(n) <= ln(n) + 1.
+
+    Summed by binary splitting: each half of 1..n is summed as an
+    unreduced fraction, the halves are added by cross-multiplying, and the
+    one gcd is taken at the end, so the operands of the big products stay
+    balanced."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+
+    def split(a: int, b: int) -> tuple[int, int]:
+        """sum_{i=a}^{b-1} 1/i as an unreduced (numerator, denominator)."""
+        if b - a == 1:
+            return 1, a
+        m = (a + b) // 2
+        p1, q1 = split(a, m)
+        p2, q2 = split(m, b)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    return Fraction(*split(1, n + 1))
 
 
 # --- lexicographic index encoding -----------------------------------------

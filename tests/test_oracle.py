@@ -596,11 +596,13 @@ MODES = [LeakageMode(scope, payload) for scope in Scope for payload in Payload]
 
 @st.composite
 def submissions(draw):
-    """A space (half of them binary; q = 300 takes the path past one byte
-    per digit), a secret, and queries near it as well as uniform ones, so
-    that both answers arise."""
-    q = draw(st.sampled_from([2, 2, 2, 3, 5, 300]))
-    n = draw(st.integers(1, 256))
+    """A space (most of them binary; q = 256 has the largest one-byte
+    digit, and q = 257 and 300 take the path past one byte per digit), a
+    secret, and queries near it as well as uniform ones, so that both
+    answers arise.  n is drawn up to 256, or from the word and byte-path
+    edges up to 1024."""
+    q = draw(st.sampled_from([2, 2, 2, 2, 3, 5, 256, 257, 300]))
+    n = draw(st.one_of(st.integers(1, 256), st.sampled_from([1, 64, 65, 256, 1024])))
     eps = draw(st.integers(0, n))
 
     def digits(v: int) -> tuple[int, ...]:
@@ -631,6 +633,27 @@ class TestQueryKernels:
                 assert o.query(form(y)) == expect
             assert o.query_count == len(forms) * k
         assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries for _ in forms]
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 256, 1024])
+    @pytest.mark.parametrize("q", [256, 257])
+    def test_byte_edges(self, q, n, rng):
+        # digit 255 is the last that fits a byte; q = 257 has one digit past it
+        params = SpaceParams(q, n, min(n, 8))
+        secret = (255, *sample_template(params, rng)[1:])
+        if n > 1:
+            secret = (*secret[:-1], q - 1)
+        queries = [secret, (0,) * n, (q - 1,) * n, (255,) * n, sample_template(params, rng)]
+        for k in sorted({1, min(n, params.epsilon + 1), max(1, n // 2), n}):
+            queries.append(tuple(perturb(params, secret, rng.choice(n, k, replace=False), rng)))
+        forms = (tuple, list, bytes, bytearray) if q <= 256 else (tuple, list)
+        for mode in MODES:
+            expect = [reference_response(secret, y, params.epsilon, mode) for y in queries]
+            seen = []
+            o = Oracle(secret, params, mode, on_response=seen.append)
+            for y, answer in zip(queries, expect):
+                for form in forms:
+                    assert o.query(form(y)) == answer
+            assert seen == [answer for answer in expect for _ in forms]
 
     @pytest.mark.parametrize("q", [2**63, 2**64, 2**70])
     @pytest.mark.parametrize("mode", MODES)
@@ -711,7 +734,8 @@ class TestBufferSubmissions:
         mode = LeakageMode(scope, payload)
         secret = sample_template(params, rng)
         queries = [secret, (0,) * params.n, (15,) * params.n, sample_template(params, rng)]
-        for k in (1, 8, 9, 500):
+        cut = oracle_module._BYTES_POSVALUES_MAX_D  # the last distance built from bytes
+        for k in (1, 8, 9, cut, cut + 1, 500):
             queries.append(tuple(perturb(params, secret, rng.choice(params.n, k, replace=False), rng)))
         o = Oracle(secret, params, mode)
         for y in queries:
@@ -782,6 +806,27 @@ class TestScan:
                 assert fast_tap == loop_tap
                 hits = [(y, r) for y, r in zip(cover.centers, loop_tap) if r.accepted]
                 assert found == (min(hits, key=lambda hit: hit[1].distance) if exact else hits[0])
+
+    @pytest.mark.parametrize("payload", [Payload.POSITIONS, Payload.POSITIONS_VALUES])
+    def test_dense_position_payloads(self, payload, rng):
+        # every candidate answered in full at n = 1024: far ones (about 960
+        # wrong coordinates), both sides of the byte-path distance cutoff,
+        # and last one coordinate off the secret, where the scan stops
+        params = SpaceParams(16, 1024, 8)
+        mode = always(payload)
+        secret = sample_template(params, rng)
+        cut = oracle_module._BYTES_POSVALUES_MAX_D
+        rows = [sample_template(params, rng), (0,) * params.n, (15,) * params.n]
+        for k in (960, cut + 1, cut, 1):
+            rows.append(tuple(perturb(params, secret, rng.choice(params.n, k, replace=False), rng)))
+        rows.append(secret)
+        expect = [reference_response(secret, y, params.epsilon, mode) for y in rows]
+        seen = []
+        o = Oracle(secret, params, mode, on_response=seen.append)
+        found = list(o.scan([np.array(rows, dtype=np.int64)]))
+        assert o.query_count == len(rows) - 1
+        assert seen == expect[:-1]
+        assert found == list(zip(rows[:-1], expect[:-1]))
 
     def test_kernel_follows_q_and_n(self):
         assert next(fixing_batches(SpaceParams(2, 63, 3))).dtype == np.uint64

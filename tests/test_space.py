@@ -1,4 +1,6 @@
 import math
+import operator
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +51,68 @@ class TestAsTemplate:
         for coords in [(0, 1), (0, 1, 2, 0), (0, 1, 3), (-1, 0, 0)]:
             with pytest.raises(UsageError):
                 as_template(self.P, coords)
+
+
+def per_coordinate_as_template(params: SpaceParams, coords) -> tuple[int, ...]:
+    """as_template checked one coordinate at a time, with no byte path: the
+    reference its byte check must agree with."""
+    try:
+        t = tuple(map(operator.index, coords))
+    except TypeError:
+        for c in coords:
+            try:
+                operator.index(c)
+            except TypeError:
+                raise UsageError(f"template coordinates must be integers, got {c!r}") from None
+        raise
+    if len(t) != params.n:
+        raise UsageError(f"template has length {len(t)}, expected n={params.n}")
+    if min(t) < 0 or max(t) >= params.q:
+        bad = next(c for c in t if not 0 <= c < params.q)
+        raise UsageError(f"coordinate {bad} outside [0, {params.q - 1}]")
+    return t
+
+
+def _outcome(fn, params, coords):
+    """fn's result, or the type and text of what it raised.  A generator
+    holding a non-integer is spent before the per-coordinate search for it,
+    so the reference re-raises the TypeError itself there."""
+    try:
+        return fn(params, coords)
+    except (UsageError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestAsTemplateBytes:
+    @pytest.mark.parametrize("q", [2, 16, 256, 257])
+    def test_matches_per_coordinate_reference(self, q):
+        # each input is built afresh for each of the two calls, since one
+        # form is a generator; ndarrays and array.array must be read per
+        # coordinate, never as their raw buffers
+        params = SpaceParams(q, 4, 1)
+        rows = [
+            (0, 1, 0, 1), (q - 1, 0, 1, q - 1), (True, True, False, 1), (np.True_, 1, 0, 1),
+            (np.int64(1), np.uint8(1), 0, 1), (np.int8(-1), 0, 0, 0), (np.uint16(q), 0, 0, 0),
+            (0.5, 1, 0, 1), (0.0, 1, 0, 1), (np.float64(1), 0, 0, 0), (Fraction(1, 2), 1, 0, 1),
+            ("0", 1, 0, 1), (None, 1, 0, 1), (-1, 1, 0, 1), (q, 1, 0, 1), (255, 1, 0, 1), (256, 1, 0, 1),
+            (2**70, 1, 0, 1), (0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 0.5), (-1, 0, 0), (q, 0, 0, 0, 0),
+        ]
+        forms = [tuple, list, iter, lambda r: np.array(r, dtype=object)]
+        makers = [lambda r=r, form=form: form(r) for r in rows for form in forms]
+        others = [
+            np.array([1, 1, 0, 1]), np.array([1, 1, 0, 1], dtype=np.uint8), np.array([0.5, 1, 0, 1]),
+            np.array([0.0, 1.0, 0.0, 1.0]), np.array([257, 1, 0, 1]), np.array([1, 1, 0], dtype=np.uint8),
+            array("i", [1, 1, 0, 1]), array("B", [1, 1, 0, 1]), array("i", [256, 0, 0, 1]), "0101", "01",
+            bytes([0, 1, 0, 1]), bytes([255, 0, 0, 0]), bytes([0, 1, 0]), bytes([min(q, 256) - 1, 0, 0, 1]),
+            bytearray([0, 1, 0, 1]), bytearray([255, 0, 0, 0]), bytearray([0, 1, 0, 1, 1]),
+        ]
+        makers += [lambda c=c: c for c in others]
+        for make in makers:
+            expect = _outcome(per_coordinate_as_template, params, make())
+            got = _outcome(as_template, params, make())
+            assert got == expect, make()
+            if isinstance(got, tuple):
+                assert all(type(c) is int for c in got)
 
 
 class TestHammingDistance:
@@ -168,6 +232,10 @@ class TestHarmonic:
 
     def test_fourth_by_summation(self):
         assert harmonic_number_exact(4) == Fraction(25, 12)
+
+    def test_matches_the_direct_sum(self):
+        for n in [*range(1, 301), 4000]:
+            assert harmonic_number_exact(n) == sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
     def test_log_bound(self):
         # exact at small n; the float sums below reach a million
