@@ -109,6 +109,11 @@ AUDIT_CASES = {
         "--attack below_distance --q 2 --n 12 --epsilon 3",
         "30caabd91c6bb4aee1a5e8fb97e19499a2bea614f58e567698f96bbea810f95f",
     ),
+    # an exact scan over 8,192 packed candidates, two scan chunks
+    "below_distance_q2_two_chunks": (
+        "--attack below_distance --q 2 --n 14 --epsilon 1",
+        "cba44a1a34541198e4affbd3897bad62bcadcc321dee19c2665e2d3168b0a524",
+    ),
     "below_posvalues_q2": (
         "--attack below_posvalues --q 2 --n 12 --epsilon 3",
         "3bd02b937629c7fb17adb379bce01ad26d089096ee3092e6a84447fced8a8245",
