@@ -97,7 +97,7 @@ def _correct(y: Template, resp: MatchResponse) -> Template:
     """Apply a positions-and-values leak: x_i = y_i + delta_i where flagged."""
     z = list(y)
     for pos, delta in resp.error_values.items():
-        z[pos - 1] = y[pos - 1] + delta
+        z[pos - 1] += delta
     return tuple(z)
 
 

@@ -238,7 +238,8 @@ def covering_search(
 
     Returns the first accepted center with its response or, with ``exact``
     (for the distance payload), the accepted center of smallest leaked
-    distance (the first on ties), the scan stopping at distance 0.  The
+    distance (the first on ties), the scan stopping at distance 0: the
+    last one the scan yields, each nearer than the ones before it.  The
     centers cover the space, so the scan always meets an acceptance;
     running out indicates a broken oracle/cover pairing.
     """
@@ -253,7 +254,9 @@ def covering_search(
         batches = (np.array(centers[i : i + SCAN_CHUNK]) for i in range(0, len(centers), SCAN_CHUNK))
     hits = (hit for hit in oracle.scan(batches, stop_at_exact=exact) if hit[1].accepted)
     if exact:
-        best = min(hits, key=lambda hit: hit[1].distance, default=None)
+        best = None
+        for best in hits:
+            pass
     else:
         best = next(hits, None)
     if best is None:

@@ -125,6 +125,14 @@ def _positions(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+@cache
+def _digit_mask(q: int, n: int) -> int:
+    """For q a power of two up to 256: the int of n bytes, each holding the
+    bits no digit of Z_q sets, so that n one-byte digits are all in the
+    alphabet iff the int of their bytes shares no bit with it."""
+    return int.from_bytes(bytes([255 ^ (q - 1)]) * n, "big")
+
+
 @dataclass(frozen=True, slots=True)
 class Observation:
     """Leak harvested from one accepted genuine session.
@@ -317,22 +325,28 @@ class Oracle:
         # For q <= 256 a submission is checked and converted in C, as one
         # byte per coordinate, and the secret is held as the int of its
         # bytes: the coordinates a submission gets wrong are the nonzero
-        # bytes of the XOR, and at q = 2 their count is its popcount.  Both
+        # bytes of the XOR, and at q = 2 their count is its popcount.  When
+        # q is a power of two the check is one AND of the submission's int
+        # with _digit_mask, and other q delete the digits with translate.  Both
         # position payloads are read off those XOR bytes, except
         # positions-and-values past _BYTES_POSVALUES_MAX_D wrong
         # coordinates.  The secret is also held as a numpy row (int16 from
         # its bytes; above q = 256 int64, or object for digits past 63
         # bits): the row minus a submission gives the other position
         # payloads, scan compares candidates with it, and binary
-        # single-error sessions read their flips from it.
-        self._digits = bytes(range(params.q)) if params.q <= 256 else None
+        # single-error sessions read their flips from it.  Packed scan
+        # chunks compare with the secret's word, made at the first of them.
+        q = params.q
+        self._digits = bytes(range(q)) if q <= 256 else None
+        self._mask = _digit_mask(q, params.n) if q <= 256 and q & (q - 1) == 0 else None
         self.__int = None
+        self.__word = None
         if self._digits:
             raw = bytes(self.__secret)
             self.__int = int.from_bytes(raw, "big")
             self.__row = np.frombuffer(raw, dtype=np.uint8).astype(np.int16)
         else:
-            self.__row = np.array(self.__secret, dtype=np.int64 if params.q <= 1 << 63 else object)
+            self.__row = np.array(self.__secret, dtype=np.int64 if q <= 1 << 63 else object)
         self._query_count = 0
         self._session_count = 0
         self._audit_count = 0
@@ -362,7 +376,10 @@ class Oracle:
 
         ``bytes`` and ``bytearray`` submissions hold one coordinate per
         byte; for q <= 256 they are checked and answered as they are, so a
-        caller may resubmit one buffer it changes between queries."""
+        caller may resubmit one buffer it changes between queries.  Their
+        digits are read once, as the int of their bytes: for q a power of
+        two that int is checked against _digit_mask and XORed with the
+        secret's; other q check the bytes with translate first."""
         params = self.params
         n = params.n
         kind = type(y)
@@ -379,13 +396,18 @@ class Oracle:
                     digits = bytearray(y)  # faster than bytes() on a tuple
                 except (TypeError, ValueError):
                     pass
-        if digits is None or digits.translate(None, self._digits):
+        if digits is not None:
+            v = int.from_bytes(digits, "big")
+            mask = self._mask
+            if (v & mask) if mask is not None else digits.translate(None, self._digits):
+                digits = None
+        if digits is None:
             digits = as_template(params, y)  # q > 256, or UsageError naming the bad coordinate
             d = sum(1 for a, c in zip(self.__secret, digits) if a != c)
         elif params.q == 2:
-            d = (int.from_bytes(digits, "big") ^ self.__int).bit_count()
+            d = (v ^ self.__int).bit_count()
         else:
-            wrong = (int.from_bytes(digits, "big") ^ self.__int).to_bytes(n, "big")
+            wrong = (v ^ self.__int).to_bytes(n, "big")
             d = n - wrong.count(0)
         self._query_count += 1
         resp = self._respond(digits, d, wrong)
@@ -452,7 +474,11 @@ class Oracle:
         candidates counts.
 
         Yields, in order, every answered candidate whose response carries
-        more than a bare rejection, with that response.  The scan is lazy:
+        more than a bare rejection, with that response; with
+        ``stop_at_exact``, only each accepted candidate strictly nearer than
+        every accepted one before it, so the last one yielded is the first
+        at the smallest distance.  Templates and responses are built only
+        for what is yielded, and for what a tap is given.  The scan is lazy:
         a chunk is answered (counted and tapped) when iteration reaches it,
         and only one chunk's answers are held at a time.
         """
@@ -460,21 +486,30 @@ class Oracle:
             raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
         bare = self.mode.payload is Payload.NONE or self.mode.scope is Scope.BELOW_ONLY
         tap = self._on_response
+        best = self.params.epsilon + 1  # the nearest accepted distance so far
         for batch in batches:
             dist = self._distances(batch)
             accepted = dist <= self.params.epsilon
             stops = np.flatnonzero(dist == 0 if stop_at_exact else accepted)
             count = int(stops[0]) + 1 if len(stops) else len(dist)
             self._query_count += count
-            rows = np.flatnonzero(accepted[:count]) if bare else range(count)
+            hits = np.flatnonzero(accepted[:count])
+            answered = hits if bare else np.arange(count)
+            if stop_at_exact:
+                near = dist[hits]
+                floor = np.minimum.accumulate(np.concatenate(([best], near)))
+                hits, best = hits[near < floor[:-1]], int(floor[-1])
+            else:
+                hits = answered
             built = {}
-            for i in map(int, rows):
+            for i in (answered if tap is not None else hits).tolist():
                 y = self._candidate(batch, i)
                 built[i] = (y, self._respond(bytes(y) if self._digits else y, int(dist[i])))
             if tap is not None:
                 for i in range(count):
                     tap(built[i][1] if i in built else _REJECTED)
-            yield from built.values()
+            for i in hits.tolist():
+                yield built[i]
             if len(stops):
                 return
 
@@ -487,9 +522,11 @@ class Oracle:
         if batch.ndim == 1 and batch.dtype == np.uint64:
             if params.q != 2 or n > PACKED_MAX_N:
                 raise UsageError(f"packed candidates need q = 2 and n <= {PACKED_MAX_N} (got {params})")
-            if np.any(batch >> np.uint64(n)):
+            if len(batch) and int(batch.max()) >> n:
                 raise UsageError(f"packed candidate has bits above the low n={n}")
-            return np.bitwise_count(batch ^ np.uint64(template_index(params, self.__secret)))
+            if self.__word is None:
+                self.__word = np.uint64(template_index(params, self.__secret))
+            return np.bitwise_count(batch ^ self.__word)
         if batch.ndim != 2 or batch.shape[1] != n or batch.dtype.kind not in "iu":
             raise UsageError(f"scan candidates must be packed words or rows of n={n} integer digits")
         if batch.size and (batch.min() < 0 or batch.max() >= params.q):

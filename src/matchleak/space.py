@@ -64,11 +64,14 @@ def as_template(params: SpaceParams, coords: Sequence[int]) -> Template:
 
     Raises UsageError on wrong length, non-integer entries (anything without
     ``__index__``: floats, Fractions; bools and numpy integers pass), or
-    out-of-range values.  For q <= 256 a tuple, list, bytes or bytearray is
-    first checked in C, as one byte per coordinate; anything else, and
-    anything that check rejects, is checked one coordinate at a time.
+    out-of-range values.  Anything but a tuple, list, bytes or bytearray is
+    first read into a list, element-wise, so that an iterator is read once.
+    For q <= 256 the coordinates are then checked in C, as one byte each;
+    anything that check rejects is checked one coordinate at a time.
     """
-    if params.q <= 256 and type(coords) in BYTE_SEQUENCES:
+    if type(coords) not in BYTE_SEQUENCES:
+        coords = list(coords)
+    if params.q <= 256:
         try:
             raw = bytearray(coords)  # faster than bytes() on a tuple
         except (TypeError, ValueError):

@@ -698,6 +698,30 @@ class TestBufferSubmissions:
                     o.query(kind(bad))
             assert o.query_count == 0
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 1024])
+    @pytest.mark.parametrize("q", [2, 4, 128, 256, 3])
+    def test_digits_outside_the_alphabet_do_not_count(self, q, n):
+        # a power-of-two q is checked with one mask over the submission's
+        # int, q = 3 with translate; a bad byte at either end of the int
+        # catches a mask misaligned there, and at q = 256 every byte is a digit
+        params = SpaceParams(q, n, 1)
+        secret = tuple(i % q for i in range(n))
+        bads = [(0,) * (n - 1), (0,) * (n + 1)]
+        for byte in (q, 255) if q < 256 else ():
+            bads += [(byte,) + (0,) * (n - 1), (0,) * (n - 1) + (byte,)]
+        top = ((q - 1,) * n, (q - 1,) + (0,) * (n - 1), (0,) * (n - 1) + (q - 1,))
+        for payload in Payload:
+            o = Oracle(secret, params, always(payload))
+            for bad in bads:
+                for form in (tuple, list, bytes, bytearray):
+                    with pytest.raises(UsageError, match="outside" if len(bad) == n else "length"):
+                        o.query(form(bad))
+            assert o.query_count == 0
+            for y in top:
+                for form in (tuple, list, bytes, bytearray):
+                    assert o.query(form(y)) == reference_response(secret, y, params.epsilon, always(payload))
+            assert o.query_count == 4 * len(top)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_response_outlives_the_buffer(self, mode):
         # changing the submitted buffer afterwards leaves the answer as it
@@ -754,6 +778,16 @@ def _loop_scan(oracle: Oracle, centers, exact: bool) -> None:
             return
 
 
+def _nearer_hits(hits):
+    """The accepted hits strictly nearer than every accepted hit before
+    them: what an exact scan yields."""
+    kept = []
+    for y, r in hits:
+        if r.accepted and (not kept or r.distance < kept[-1][1].distance):
+            kept.append((y, r))
+    return kept
+
+
 def _first_cover(cover, x) -> int:
     """Index of the first center of cover within epsilon of x."""
     eps = cover.params.epsilon
@@ -784,7 +818,11 @@ class TestScan:
                 assert fast.query_count == loop.query_count  # the same stop index
                 assert fast_tap == loop_tap
                 centers = itertools.islice(fixing_centers(params), loop.query_count)
-                assert found == [(y, r) for y, r in zip(centers, loop_tap) if r != MatchResponse(False)]
+                hits = [(y, r) for y, r in zip(centers, loop_tap) if r != MatchResponse(False)]
+                assert found == (_nearer_hits(hits) if exact else hits)
+                untapped = Oracle(secret, params, mode)
+                assert list(untapped.scan(fixing_batches(params), stop_at_exact=exact)) == found
+                assert untapped.query_count == loop.query_count
 
     @pytest.mark.parametrize("q,n,eps", [(2, 9, 2), (3, 5, 1)])
     @pytest.mark.parametrize("chunk", [7, covering.SCAN_CHUNK])
@@ -806,6 +844,41 @@ class TestScan:
                 assert fast_tap == loop_tap
                 hits = [(y, r) for y, r in zip(cover.centers, loop_tap) if r.accepted]
                 assert found == (min(hits, key=lambda hit: hit[1].distance) if exact else hits[0])
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_exact_tie_across_a_chunk_boundary(self, packed, monkeypatch):
+        # rows 6 and 7, the last of the first chunk of 7 and the first of the
+        # second, tie at the smallest distance 1: the first of them wins
+        monkeypatch.setattr(covering, "SCAN_CHUNK", 7)
+        params = SpaceParams(2, 6, 2)
+        secret = (1,) * 6
+        centers = [(0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1), (1, 0, 0, 0, 1, 0), (0, 0, 1, 1, 1, 1),
+                   (0, 1, 0, 1, 0, 1), (1, 1, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1), (1, 0, 1, 1, 1, 1),
+                   (1, 1, 0, 1, 1, 1), (1, 1, 1, 1, 0, 0), (0, 0, 1, 0, 1, 1)]
+        rows = np.array(centers, dtype=np.int64)
+        if packed:
+            rows = np.array([int("".join(map(str, c)), 2) for c in centers], dtype=np.uint64)
+        mode = below(Payload.DISTANCE)
+        expect = [reference_response(secret, c, params.epsilon, mode) for c in centers]
+        for tap in ([], None):
+            o = Oracle(secret, params, mode, on_response=None if tap is None else tap.append)
+            found = list(o.scan([rows[:7], rows[7:]], stop_at_exact=True))
+            assert found == [(centers[3], expect[3]), (centers[6], expect[6])]
+            assert o.query_count == len(centers)
+            assert tap is None or tap == expect
+        cover = covering.Cover(params=params, centers=tuple(centers), certified=True)
+        assert covering.covering_search(Oracle(secret, params, mode), cover, exact=True) == (centers[6], expect[6])
+
+    def test_exact_scan_builds_only_what_it_yields(self, rng, monkeypatch):
+        params = SpaceParams(2, 16, 3)
+        built = []
+        candidate = Oracle._candidate
+        monkeypatch.setattr(Oracle, "_candidate", lambda self, batch, i: built.append(i) or candidate(self, batch, i))
+        for secret in [sample_template(params, rng) for _ in range(8)] + [(1,) * params.n]:
+            built.clear()
+            o = Oracle(secret, params, below(Payload.DISTANCE))
+            found = list(o.scan(fixing_batches(params), stop_at_exact=True))
+            assert len(built) == len(found) <= params.epsilon + 1
 
     @pytest.mark.parametrize("payload", [Payload.POSITIONS, Payload.POSITIONS_VALUES])
     def test_dense_position_payloads(self, payload, rng):
