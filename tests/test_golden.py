@@ -131,6 +131,16 @@ AUDIT_CASES = {
         "--attack below_distance --q 3 --n 6 --epsilon 2",
         "693bab6a34d09d8ec13441af1716c1d7283193b292ab20e2268943a70e30eb49",
     ),
+    # row scans over 6,561 fixing centers in three chunks: exact, and first
+    # acceptance followed by the value sweep
+    "below_distance_q3_three_chunks": (
+        "--attack below_distance --q 3 --n 9 --epsilon 1",
+        "30e9bf1d0aa1361259ff675130a295c7e8e86637c5903e7ae20d950da1328132",
+    ),
+    "below_positions_q3_three_chunks": (
+        "--attack below_positions --q 3 --n 9 --epsilon 1",
+        "2d6c5f27fb5f6fa85b7d27a534e448ac105ef777ce37ff3dfc1b0a1db7943f94",
+    ),
     # the distance climb at q = 2 and q = 4, and the position payloads at
     # q = 16, whose responses carry many flagged coordinates
     "both_distance_q2": (
