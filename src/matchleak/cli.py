@@ -84,15 +84,14 @@ def _file_value(action: argparse.Action, text: str):
     return value
 
 
-def _load_config_file(path: str, command: str | None = None) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored.
 
-    Each key is an option of ``command`` (of any subcommand when None), and
-    its value goes through that option's type and choices.  The values come
-    back by option dest, ready to be the subcommand's defaults."""
+    Each key is an option of ``command``, and its value goes through that
+    option's type and choices.  The values come back by option dest, ready
+    to be the subcommand's defaults."""
     subcommands = _subcommands(build_parser())
-    known = {key: a for p in subcommands.values() for key, a in _file_options(p).items()}
-    options = known if command is None else _file_options(subcommands[command])
+    options = _file_options(subcommands[command])
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -101,9 +100,9 @@ def _load_config_file(path: str, command: str | None = None) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in options:
+            if not any(key in _file_options(p) for p in subcommands.values()):
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             raise UsageError(f"{path}:{lineno}: key {key!r} is not an option of this subcommand")
         try:
             values[options[key].dest] = _file_value(options[key], val)

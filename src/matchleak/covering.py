@@ -117,13 +117,13 @@ def fixing_centers(params: SpaceParams) -> Iterator[Template]:
 
 
 def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
-    """fixing_centers as Oracle.scan chunks of at most SCAN_CHUNK candidates
-    (q when q > SCAN_CHUNK), in the same order, so no q^(n-eps) array is
-    built.
+    """fixing_centers as Oracle.scan chunks of at most SCAN_CHUNK candidates,
+    in the same order, so no q^(n-eps) array is built.
 
     A chunk varies the lowest free coordinates over a table built once: as
     packed uint64 words at q = 2 with n <= PACKED_MAX_N, as rows of digits
-    otherwise.
+    otherwise.  When q > SCAN_CHUNK the table holds one piece of the lowest
+    free coordinate's range, and each chunk shifts it to its own piece.
     """
     q, n, eps = params.q, params.n, params.epsilon
     free = n - eps
@@ -136,13 +136,17 @@ def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
         for h in range(1 << high):
             yield words | np.uint64(h << (low + eps))
         return
-    block = np.zeros((q**low, n), dtype=np.min_scalar_type(q - 1))
+    span = q**low
+    block = np.zeros((min(span, SCAN_CHUNK), n), dtype=np.min_scalar_type(q - 1))
     place = q ** np.arange(low - 1, -1, -1)
-    block[:, high:free] = np.arange(q**low)[:, None] // place % q
+    block[:, high:free] = np.arange(len(block))[:, None] // place % q
     for head in itertools.product(range(q), repeat=high):
-        rows = block.copy()
-        rows[:, :high] = head
-        yield rows
+        for start in range(0, span, len(block)):
+            rows = block[: span - start].copy()
+            rows[:, :high] = head
+            if start:  # only when q > SCAN_CHUNK, so low = 1
+                rows[:, high] += start
+            yield rows
 
 
 def coordinate_fixing_cover(params: SpaceParams) -> Cover:
@@ -236,11 +240,10 @@ def covering_search(
     cover, in chunks of at most SCAN_CHUNK digit rows, or over the fixing
     centers (fixing_batches) when cover is None.
 
-    Returns the first accepted center with its response or, with ``exact``
-    (for the distance payload), the accepted center of smallest leaked
-    distance (the first on ties), the scan stopping at distance 0: the
-    last one the scan yields, each nearer than the ones before it.  The
-    centers cover the space, so the scan always meets an acceptance;
+    Returns Oracle.scan's hit: the first accepted center with its response
+    or, with ``exact`` (for the distance payload), the first accepted
+    center of smallest leaked distance, the scan stopping at distance 0.
+    The centers cover the space, so the scan always meets an acceptance;
     running out indicates a broken oracle/cover pairing.
     """
     if cover is None:
@@ -252,16 +255,10 @@ def covering_search(
             raise UsageError("cover and oracle disagree on space parameters")
         centers = cover.centers
         batches = (np.array(centers[i : i + SCAN_CHUNK]) for i in range(0, len(centers), SCAN_CHUNK))
-    hits = (hit for hit in oracle.scan(batches, stop_at_exact=exact) if hit[1].accepted)
-    if exact:
-        best = None
-        for best in hits:
-            pass
-    else:
-        best = next(hits, None)
-    if best is None:
+    hit = oracle.scan(batches, exact=exact)
+    if hit is None:
         raise InternalError("covering centers exhausted without an acceptance")
-    return best
+    return hit
 
 
 # --- export / import ----------------------------------------------------------

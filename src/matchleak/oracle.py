@@ -12,9 +12,10 @@ Two kinds of interaction are counted separately:
   observations of a legitimate client authenticating (session_count).
 
 ``scan`` answers a batch of queries the attacker committed to in advance, in
-vectorised chunks, and counts exactly the queries it answers.  ``watch`` is
-its passive counterpart: it lazily answers genuine sessions until every
-variable coordinate has erred, and is the one place that stop lives.  A
+vectorised chunks, counts exactly the queries it answers and returns the
+hit it stops on.  ``watch`` is its passive counterpart: it yields the leaks
+of genuine sessions, chunk by chunk, until every variable coordinate has
+erred, and is the one place that stop lives.  A
 binary single-error session consumes exactly one double of the generator
 (the shift to the other bit draws nothing), so such sessions come in chunks
 of at most 2^16, each one ``rng.random(m)``; the generator state is saved
@@ -43,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, template_index
+from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, template_from_index, template_index
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
@@ -114,8 +115,6 @@ class MatchResponse:
 # the two answers that carry nothing but the accept bit
 _ACCEPTED = MatchResponse(accepted=True)
 _REJECTED = MatchResponse(accepted=False)
-# binary digit string of a packed word -> one byte per coordinate
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @cache
@@ -455,63 +454,53 @@ class Oracle:
         )
 
     def scan(
-        self, batches: Iterable[np.ndarray], stop_at_exact: bool = False
-    ) -> Iterator[tuple[Template, MatchResponse]]:
+        self, batches: Iterable[np.ndarray], exact: bool = False
+    ) -> tuple[Template, MatchResponse] | None:
         """Answer a sequence of candidates committed in advance, in order, as
         ``query`` would answer them one at a time, up to and including the
-        stop point.
+        stop point, and return the hit the scan stops on.
 
         ``batches`` yields the candidates in chunks, each either a 1-D uint64
         array of packed words (q = 2 and n <= PACKED_MAX_N only; coordinate 1
         is the most significant of the low n bits), compared by popcount, or
         a 2-D integer array with one row of n digits per candidate, compared
         row by row.  The stop point is the first accepted candidate or, with
-        ``stop_at_exact``, the first one at distance 0 (for payloads that
-        reveal the distance of an accepted query); without one the scan ends
-        with the last candidate.  Every answered candidate counts one query
-        and fires ``on_response`` once, in order, with the response ``query``
-        would return.  A malformed chunk raises UsageError before any of its
-        candidates counts.
+        ``exact``, the first one at distance 0 (for payloads that reveal the
+        distance of an accepted query); without one the scan ends with the
+        last candidate.  Chunks are drawn only up to the stop.  Every
+        answered candidate counts one query and fires ``on_response`` once,
+        in order, with the response ``query`` would return.  A malformed
+        chunk raises UsageError before any of its candidates counts.
 
-        Yields, in order, every answered candidate whose response carries
-        more than a bare rejection, with that response; with
-        ``stop_at_exact``, only each accepted candidate strictly nearer than
-        every accepted one before it, so the last one yielded is the first
-        at the smallest distance.  Templates and responses are built only
-        for what is yielded, and for what a tap is given.  The scan is lazy:
-        a chunk is answered (counted and tapped) when iteration reaches it,
-        and only one chunk's answers are held at a time.
+        Returns (template, response) for the first accepted candidate or,
+        with ``exact``, for the first one at the smallest accepted distance;
+        None when no answered candidate is accepted.  Without a tap, at most
+        one candidate per chunk is decoded and answered in full.
         """
-        if stop_at_exact and self.mode.payload is Payload.NONE:
+        payload = self.mode.payload
+        if exact and payload is Payload.NONE:
             raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
-        bare = self.mode.payload is Payload.NONE or self.mode.scope is Scope.BELOW_ONLY
+        bare = payload is Payload.NONE or self.mode.scope is Scope.BELOW_ONLY
+        eps = self.params.epsilon
         tap = self._on_response
-        best = self.params.epsilon + 1  # the nearest accepted distance so far
+        hit, nearest = None, eps + 1
         for batch in batches:
             dist = self._distances(batch)
-            accepted = dist <= self.params.epsilon
-            stops = np.flatnonzero(dist == 0 if stop_at_exact else accepted)
+            accepted = dist <= eps
+            stops = np.flatnonzero(dist == 0 if exact else accepted)
             count = int(stops[0]) + 1 if len(stops) else len(dist)
             self._query_count += count
-            hits = np.flatnonzero(accepted[:count])
-            answered = hits if bare else np.arange(count)
-            if stop_at_exact:
-                near = dist[hits]
-                floor = np.minimum.accumulate(np.concatenate(([best], near)))
-                hits, best = hits[near < floor[:-1]], int(floor[-1])
-            else:
-                hits = answered
-            built = {}
-            for i in (answered if tap is not None else hits).tolist():
-                y = self._candidate(batch, i)
-                built[i] = (y, self._respond(bytes(y) if self._digits else y, int(dist[i])))
             if tap is not None:
-                for i in range(count):
-                    tap(built[i][1] if i in built else _REJECTED)
-            for i in hits.tolist():
-                yield built[i]
+                for i, a in enumerate(accepted[:count].tolist()):
+                    tap(self._hit(batch, dist, i)[1] if a or not bare else _REJECTED)
+            hits = np.flatnonzero(accepted[:count])
+            if len(hits):
+                i = int(hits[np.argmin(dist[hits])])
+                if dist[i] < nearest:
+                    hit, nearest = self._hit(batch, dist, i), int(dist[i])
             if len(stops):
-                return
+                break
+        return hit
 
     def _distances(self, batch: np.ndarray) -> np.ndarray:
         """Distance from the secret of every candidate in a scan chunk."""
@@ -533,11 +522,11 @@ class Oracle:
             raise UsageError(f"scan candidate has a coordinate outside [0, {params.q - 1}]")
         return np.count_nonzero(batch != self.__row, axis=1)
 
-    def _candidate(self, batch: np.ndarray, i: int) -> Template:
-        """Row i of a scan chunk as a template."""
-        if batch.ndim == 1:
-            return tuple(format(int(batch[i]), f"0{self.params.n}b").encode().translate(_BITS))
-        return tuple(batch[i].tolist())
+    def _hit(self, batch: np.ndarray, dist: np.ndarray, i: int) -> tuple[Template, MatchResponse]:
+        """Row i of a scan chunk as a template, with its response; a packed
+        word is the template's index at q = 2."""
+        y = template_from_index(self.params, int(batch[i])) if batch.ndim == 1 else tuple(batch[i].tolist())
+        return y, self._respond(bytes(y) if self._digits else y, int(dist[i]))
 
     # -- passive sessions ---------------------------------------------------
 
@@ -589,9 +578,9 @@ class Oracle:
         x_i - y_i) pairs that the chunk's sessions leaked.  Binary
         single-error sessions come in blocks of 64, then doubling up to
         2^16, where a coordinate's error value is the same in every session;
-        every other client's chunk is one ``genuine_session``.  Like ``scan``
-        it is lazy: a chunk is answered (drawn, counted and tapped) when
-        iteration reaches it, and only one chunk is held at a time.
+        every other client's chunk is one ``genuine_session``.  It is lazy:
+        a chunk is answered (drawn, counted and tapped) when iteration
+        reaches it, and only one chunk is held at a time.
         """
         self._check_client(client)
         return self._watch(client, rng, max_sessions)

@@ -455,7 +455,7 @@ class TestCli:
     def test_config_file_booleans(self, text, timed, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"timing={text}\n")
-        assert cli._load_config_file(str(cfg)) == {"timing": timed}
+        assert cli._load_config_file(str(cfg), "attack") == {"timing": timed}
 
     def test_attack_takes_no_mode_flags(self, capsys):
         # the attack fixes the mode, so even the matching one is not an option

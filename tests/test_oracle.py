@@ -671,20 +671,24 @@ class TestQueryKernels:
     @settings(max_examples=150, deadline=None)
     @given(submissions())
     def test_scan_rows_match_reference(self, case):
-        # the same candidates as digit rows and, at q = 2 and n <= 63, as packed words
+        # the same candidates as digit rows and, at q = 2 and n <= 63, as
+        # packed words, against the per-query loop and the reference answers
         params, secret, queries, mode = case
         batches = [np.array(queries, dtype=np.int64)]
         if params.q == 2 and params.n <= 63:
             batches.append(np.array([int("".join(map(str, y)), 2) for y in queries], dtype=np.uint64))
         expect = [reference_response(secret, y, params.epsilon, mode) for y in queries]
-        stop = next((i + 1 for i, r in enumerate(expect) if r.accepted), len(expect))
-        for batch in batches:
-            seen = []
-            o = Oracle(secret, params, mode, on_response=seen.append)
-            found = list(o.scan([batch]))
-            assert o.query_count == stop
-            assert seen == expect[:stop]
-            assert found == [(queries[i], expect[i]) for i in range(stop) if expect[i] != MatchResponse(False)]
+        for exact in (False, True) if mode.payload is not Payload.NONE else (False,):
+            loop_tap = []
+            loop = Oracle(secret, params, mode, on_response=loop_tap.append)
+            hit = _loop_scan(loop, queries, exact)
+            assert loop_tap == expect[: loop.query_count]
+            for batch in batches:
+                seen = []
+                o = Oracle(secret, params, mode, on_response=seen.append)
+                assert o.scan([batch], exact=exact) == hit
+                assert o.query_count == loop.query_count
+                assert seen == loop_tap
 
 
 class TestBufferSubmissions:
@@ -769,23 +773,21 @@ class TestBufferSubmissions:
         assert o.query_count == 3 * len(queries)
 
 
-def _loop_scan(oracle: Oracle, centers, exact: bool) -> None:
+def _loop_scan(oracle: Oracle, centers, exact: bool):
     """The per-query loop Oracle.scan replaces: query each center in order
-    up to the first acceptance (with exact, the first distance 0)."""
+    up to the first acceptance (with exact, the first distance 0), and
+    return the first accepted center with its response (with exact, the
+    first at the smallest distance), or None."""
+    hit = best = None
     for y in centers:
         resp = oracle.query(y)
-        if resp.accepted and (not exact or resp.distance == 0):
-            return
-
-
-def _nearer_hits(hits):
-    """The accepted hits strictly nearer than every accepted hit before
-    them: what an exact scan yields."""
-    kept = []
-    for y, r in hits:
-        if r.accepted and (not kept or r.distance < kept[-1][1].distance):
-            kept.append((y, r))
-    return kept
+        if resp.accepted:
+            d = resp.distance if resp.distance is not None else len(resp.error_positions or ())
+            if hit is None or d < best:
+                hit, best = (tuple(y), resp), d
+            if not exact or d == 0:
+                break
+    return hit
 
 
 def _first_cover(cover, x) -> int:
@@ -805,23 +807,20 @@ class TestScan:
         params = SpaceParams(q, n, eps)
         secrets = [sample_template(params, rng) for _ in range(12)]
         secrets += [(0,) * n, (q - 1,) * n]  # first candidate; the scan's very end
-        cases = [(LeakageMode(Scope.BELOW_ONLY, p), False) for p in Payload]
-        cases += [(LeakageMode(Scope.ALWAYS, Payload.POSITIONS), False)]
-        cases += [(LeakageMode(Scope.BELOW_ONLY, p), True) for p in (Payload.DISTANCE, Payload.POSITIONS_VALUES)]
+        cases = [(mode, False) for mode in MODES]
+        cases += [(mode, True) for mode in MODES if mode.payload is not Payload.NONE]
         for secret in secrets:
             for mode, exact in cases:
                 fast_tap, loop_tap = [], []
                 fast = Oracle(secret, params, mode, on_response=fast_tap.append)
                 loop = Oracle(secret, params, mode, on_response=loop_tap.append)
-                found = list(fast.scan(fixing_batches(params), stop_at_exact=exact))
-                _loop_scan(loop, fixing_centers(params), exact)
+                hit = _loop_scan(loop, fixing_centers(params), exact)
+                assert hit is not None and hit[1].accepted
+                assert fast.scan(fixing_batches(params), exact=exact) == hit
                 assert fast.query_count == loop.query_count  # the same stop index
                 assert fast_tap == loop_tap
-                centers = itertools.islice(fixing_centers(params), loop.query_count)
-                hits = [(y, r) for y, r in zip(centers, loop_tap) if r != MatchResponse(False)]
-                assert found == (_nearer_hits(hits) if exact else hits)
                 untapped = Oracle(secret, params, mode)
-                assert list(untapped.scan(fixing_batches(params), stop_at_exact=exact)) == found
+                assert untapped.scan(fixing_batches(params), exact=exact) == hit
                 assert untapped.query_count == loop.query_count
 
     @pytest.mark.parametrize("q,n,eps", [(2, 9, 2), (3, 5, 1)])
@@ -839,11 +838,9 @@ class TestScan:
                 fast = Oracle(secret, params, mode, on_response=fast_tap.append)
                 loop = Oracle(secret, params, mode, on_response=loop_tap.append)
                 found = covering.covering_search(fast, cover, exact=exact)
-                _loop_scan(loop, cover.centers, exact)
+                assert found == _loop_scan(loop, cover.centers, exact)
                 assert fast.query_count == loop.query_count
                 assert fast_tap == loop_tap
-                hits = [(y, r) for y, r in zip(cover.centers, loop_tap) if r.accepted]
-                assert found == (min(hits, key=lambda hit: hit[1].distance) if exact else hits[0])
 
     @pytest.mark.parametrize("packed", [False, True])
     def test_exact_tie_across_a_chunk_boundary(self, packed, monkeypatch):
@@ -862,23 +859,28 @@ class TestScan:
         expect = [reference_response(secret, c, params.epsilon, mode) for c in centers]
         for tap in ([], None):
             o = Oracle(secret, params, mode, on_response=None if tap is None else tap.append)
-            found = list(o.scan([rows[:7], rows[7:]], stop_at_exact=True))
-            assert found == [(centers[3], expect[3]), (centers[6], expect[6])]
+            assert o.scan([rows[:7], rows[7:]], exact=True) == (centers[6], expect[6])
             assert o.query_count == len(centers)
             assert tap is None or tap == expect
         cover = covering.Cover(params=params, centers=tuple(centers), certified=True)
         assert covering.covering_search(Oracle(secret, params, mode), cover, exact=True) == (centers[6], expect[6])
 
-    def test_exact_scan_builds_only_what_it_yields(self, rng, monkeypatch):
-        params = SpaceParams(2, 16, 3)
-        built = []
-        candidate = Oracle._candidate
-        monkeypatch.setattr(Oracle, "_candidate", lambda self, batch, i: built.append(i) or candidate(self, batch, i))
-        for secret in [sample_template(params, rng) for _ in range(8)] + [(1,) * params.n]:
-            built.clear()
-            o = Oracle(secret, params, below(Payload.DISTANCE))
-            found = list(o.scan(fixing_batches(params), stop_at_exact=True))
-            assert len(built) == len(found) <= params.epsilon + 1
+    @pytest.mark.parametrize("q,n,eps", [(2, 16, 3), (3, 9, 1)])
+    @pytest.mark.parametrize("mode", [below(Payload.DISTANCE), always(Payload.POSITIONS_VALUES)])
+    def test_untapped_scan_decodes_one_candidate_per_chunk(self, q, n, eps, mode, rng, monkeypatch):
+        # packed words and digit rows, both scopes: without a tap only a
+        # chunk's nearest accepted row is decoded and answered in full
+        params = SpaceParams(q, n, eps)
+        decoded = []
+        hit = Oracle._hit
+        monkeypatch.setattr(Oracle, "_hit", lambda self, batch, dist, i: decoded.append(i) or hit(self, batch, dist, i))
+        for secret in [sample_template(params, rng) for _ in range(8)] + [(q - 1,) * n]:
+            for exact in (False, True):
+                decoded.clear()
+                chunks = []
+                o = Oracle(secret, params, mode)
+                assert o.scan((chunks.append(b) or b for b in fixing_batches(params)), exact=exact)
+                assert 1 <= len(decoded) <= len(chunks)
 
     @pytest.mark.parametrize("payload", [Payload.POSITIONS, Payload.POSITIONS_VALUES])
     def test_dense_position_payloads(self, payload, rng):
@@ -894,12 +896,12 @@ class TestScan:
             rows.append(tuple(perturb(params, secret, rng.choice(params.n, k, replace=False), rng)))
         rows.append(secret)
         expect = [reference_response(secret, y, params.epsilon, mode) for y in rows]
-        seen = []
-        o = Oracle(secret, params, mode, on_response=seen.append)
-        found = list(o.scan([np.array(rows, dtype=np.int64)]))
-        assert o.query_count == len(rows) - 1
-        assert seen == expect[:-1]
-        assert found == list(zip(rows[:-1], expect[:-1]))
+        for exact, stop in ((False, len(rows) - 1), (True, len(rows))):
+            seen = []
+            o = Oracle(secret, params, mode, on_response=seen.append)
+            assert o.scan([np.array(rows, dtype=np.int64)], exact=exact) == (rows[stop - 1], expect[stop - 1])
+            assert o.query_count == stop
+            assert seen == expect[:stop]
 
     def test_kernel_follows_q_and_n(self):
         assert next(fixing_batches(SpaceParams(2, 63, 3))).dtype == np.uint64
@@ -909,6 +911,14 @@ class TestScan:
     def test_chunks_stay_small(self):
         batches = fixing_batches(SpaceParams(2, 40, 4))  # 2^36 candidates
         assert len(next(batches)) == 4096
+        assert len(next(fixing_batches(SpaceParams(2**40, 2, 1)))) <= 4096  # one coordinate, 2^40 values
+
+    def test_chunks_split_an_alphabet_larger_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(covering, "SCAN_CHUNK", 7)
+        params = SpaceParams(10, 3, 1)
+        chunks = list(fixing_batches(params))
+        assert all(len(chunk) <= 7 for chunk in chunks)
+        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(fixing_centers(params))
 
     def test_malformed_chunks_do_not_count(self):
         o = Oracle((0, 1, 2, 0), SpaceParams(3, 4, 1), below(Payload.DISTANCE))
@@ -920,12 +930,12 @@ class TestScan:
             [[0, 1, 2, 0]],  # not an array
         ):
             with pytest.raises(UsageError):
-                list(o.scan([bad]))
+                o.scan([bad])
         b = Oracle((0, 1, 1), SpaceParams(2, 3, 1), always(Payload.NONE))
         with pytest.raises(UsageError):
-            list(b.scan([np.array([8], dtype=np.uint64)]))  # a bit above n
+            b.scan([np.array([8], dtype=np.uint64)])  # a bit above n
         with pytest.raises(UsageError):
-            list(b.scan([np.array([0], dtype=np.uint64)], stop_at_exact=True))  # would leak distance 0
+            b.scan([np.array([0], dtype=np.uint64)], exact=True)  # would leak distance 0
         assert o.query_count == b.query_count == 0
 
 
