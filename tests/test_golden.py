@@ -159,6 +159,16 @@ AUDIT_CASES = {
         "--attack both_posvalues --q 16 --n 64 --epsilon 8",
         "39453b72fae83f50f5beaeb3d02468111651dd674a1279ec0e1b68e5e15ac236",
     ),
+    # about 240 wrong coordinates per posvalues response
+    "both_posvalues_q16_n256": (
+        "--attack both_posvalues --q 16 --n 256 --epsilon 8",
+        "398a1004b4a5f43ae2054f3c59c6936e2d99ef6c92174013c9b8761920197c8d",
+    ),
+    # q > 2 posvalues responses at distance at most 2, after a row scan
+    "below_posvalues_q5": (
+        "--attack below_posvalues --q 5 --n 6 --epsilon 2",
+        "23058a33a09f45dd730146b26025d9dbe8946bb1928200deca0524d9909d0db4",
+    ),
     # every genuine session's observation, single-error and multi-error,
     # uniform and rare-first
     "accumulation_uniform": (
@@ -189,6 +199,13 @@ COVER_CASES = {
     (2, 12, 3): "8f5e9dd1912e832a02db4ece8e954fad60271483523a2ac9668296eeb0e5eabc",
     (2, 14, 3): "1a8cdaf9e33ab91be6256cf5f9b4061e8f36c5aba24c5ecd0a3bab551a3756fa",
     (3, 10, 2): "af1aaa51b7ec0bf631f51906f52beac7fe4fd64a5d2c4c6ccba51ef2ce4d7409",
+}
+
+# (q, n, epsilon) -> digest of the exported coordinate-fixing cover: packed
+# words at q = 2, digit rows above
+FIXING_COVER_CASES = {
+    (2, 12, 3): "76d0b884ae09372927a7ac5a38106a6d0ba7da4a1f4c9200541651258f1d509b",
+    (3, 6, 2): "b69deb67d26b46fad34e985fd4ad151cf0717d89c009228f7313b4f0a24a5054",
 }
 
 
@@ -228,3 +245,12 @@ def test_greedy_cover_digest(space, tmp_path):
     argv = ["cover", "--q", str(q), "--n", str(n), "--epsilon", str(eps), "--out", str(out)]
     assert main(argv) == 0
     assert _sha256(out) == COVER_CASES[space]
+
+
+@pytest.mark.parametrize("space", sorted(FIXING_COVER_CASES), ids="q{0[0]}_n{0[1]}_eps{0[2]}".format)
+def test_fixing_cover_digest(space, tmp_path):
+    q, n, eps = space
+    out = tmp_path / "cover.txt"
+    argv = ["cover", "--method", "fixing", "--q", str(q), "--n", str(n), "--epsilon", str(eps), "--out", str(out)]
+    assert main(argv) == 0
+    assert _sha256(out) == FIXING_COVER_CASES[space]
