@@ -24,7 +24,7 @@ from .attacks import (
     fault_controlled_collect,
     resolve_error_value,
 )
-from .bounds import BoundReport, coupon_bracket, greedy_cover_bound, theoretical_bounds, worst_case_queries
+from .bounds import BoundReport, greedy_cover_bound, theoretical_bounds, worst_case_queries
 from .covering import (
     Cover,
     coordinate_fixing_cover,
@@ -62,6 +62,7 @@ from .space import (
     SpaceParams,
     Template,
     ball_volume,
+    coupon_bracket,
     hamming_distance,
     harmonic_number_exact,
     q_ary_entropy,

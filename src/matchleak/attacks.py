@@ -22,11 +22,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import coupon_bracket
 from .covering import covering_search, greedy_cover
 from .errors import CapacityError, InternalError, UsageError
 from .oracle import ClientModel, LeakageMode, MatchResponse, Oracle, SessionShape
-from .space import SpaceParams, Template, as_template
+from .space import SpaceParams, Template, as_template, coupon_bracket
 
 # the minimal-leak fallback for n <= 2*eps materializes the whole space
 _ELIMINATION_DIM_GUARD = 16
@@ -69,7 +68,8 @@ def _climb(oracle: Oracle, start: Template, cur: int, positions: Iterable[int]) 
 
     Each position starts at 0 and tries the values 1..q-1: a value that
     drops the distance is the secret's value, one that raises it proves 0
-    right, and an equal distance means both are wrong.  A response without
+    right, and an equal distance means both are wrong.  So one of the
+    values always settles the position.  A response without
     a distance (a rejected probe under below-threshold scope) counts as a
     raise.  At most q-1 queries per position.  Every probe resubmits one
     working buffer, a bytearray for q <= 256, changed in place.
@@ -88,8 +88,6 @@ def _climb(oracle: Oracle, start: Template, cur: int, positions: Iterable[int]) 
             if d > cur:
                 y[pos] = 0
                 break
-        else:
-            y[pos] = 0
     return tuple(y)
 
 

@@ -2,8 +2,8 @@
 
 Search-cost estimates for the accept-finding phase (naive pinned-coordinate
 enumeration, the greedy-cover size estimate, and the entropy approximation
-of the optimal-cover size), the per-mode worst-case query bound as the
-attack registry states it, and the coupon-collector bracket.
+of the optimal-cover size), and the per-mode worst-case query bound as the
+attack registry states it.
 
 Exact integer arithmetic is used wherever a quantity is exact (naive search,
 ball volume, the rational greedy-cover estimate); the entropy approximation
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .attacks import ATTACKS
 from .errors import UsageError
 from .oracle import LeakageMode
 from .space import SpaceParams, ball_volume, harmonic_number_exact, q_ary_entropy
@@ -49,8 +50,6 @@ def worst_case_queries(params: SpaceParams, mode: LeakageMode) -> int | None:
     check (the accept-bit-only attack needs q = 2, and the below-threshold
     ones need epsilon < n).
     """
-    from .attacks import ATTACKS  # deferred: attacks imports coupon_bracket from here
-
     for spec in ATTACKS.values():
         if spec.mode == mode and spec.counter == "queries":
             try:
@@ -92,14 +91,3 @@ def theoretical_bounds(params: SpaceParams, mode: LeakageMode) -> BoundReport:
         entropy_approx=entropy,
         worst_case_queries=worst_case_queries(params, mode),
     )
-
-
-def coupon_bracket(n_coupons: int, p_min: float) -> tuple[float, float]:
-    """Bracket on the expected sessions to collect every coupon when the
-    rarest one appears with probability p_min per round:
-    1/p_min <= E <= (ln n + 1)/p_min."""
-    if n_coupons < 1:
-        raise UsageError("need at least one coupon")
-    if not 0.0 < p_min <= 1.0:
-        raise UsageError("p_min must lie in (0, 1]")
-    return 1.0 / p_min, (math.log(n_coupons) + 1.0) / p_min

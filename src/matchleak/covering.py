@@ -104,21 +104,13 @@ class _BallIndex:
         return out
 
 
-def fixing_centers(params: SpaceParams) -> Iterator[Template]:
-    """The q^(n-eps) templates with the last epsilon coordinates pinned to 0,
-    lazily and in lexicographic order.
+def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
+    """The fixing centers: the q^(n-eps) templates with the last epsilon
+    coordinates pinned to 0, in lexicographic order, as Oracle.scan chunks
+    of at most SCAN_CHUNK candidates, so no q^(n-eps) array is built.
 
     Every point agrees with one of them on the free coordinates and differs
     from it on at most epsilon pinned ones, so together they cover Z_q^n.
-    """
-    tail = (0,) * params.epsilon
-    for head in itertools.product(range(params.q), repeat=params.n - params.epsilon):
-        yield head + tail
-
-
-def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
-    """fixing_centers as Oracle.scan chunks of at most SCAN_CHUNK candidates,
-    in the same order, so no q^(n-eps) array is built.
 
     A chunk varies the lowest free coordinates over a table built once: as
     packed uint64 words at q = 2 with n <= PACKED_MAX_N, as rows of digits
@@ -150,9 +142,14 @@ def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
 
 
 def coordinate_fixing_cover(params: SpaceParams) -> Cover:
-    """The fixing centers as a certified cover (see fixing_centers)."""
+    """The fixing centers as a certified cover (see fixing_batches)."""
     _guard(params.q ** (params.n - params.epsilon), GREEDY_POINT_GUARD, "coordinate-fixing cover")
-    return Cover(params=params, centers=tuple(fixing_centers(params)), certified=True)
+    centers = tuple(
+        template_from_index(params, c) if chunk.ndim == 1 else tuple(c)
+        for chunk in fixing_batches(params)
+        for c in chunk.tolist()
+    )
+    return Cover(params=params, centers=centers, certified=True)
 
 
 def greedy_cover(params: SpaceParams) -> Cover:

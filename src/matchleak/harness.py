@@ -33,11 +33,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, client_for
-from .bounds import coupon_bracket, worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
+from .bounds import worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
 from .oracle import ClientModel, Oracle, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
+from .space import coupon_bracket  # noqa: F401 -- wrapped by name in perfbench
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +72,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 FORMATS = ("csv", "jsonl")
 # validate_config refuses a passive experiment expected to need more sessions
 MAX_EXPECTED_SESSIONS = 2**32
+# validate_config refuses a larger alphabet: sample_template draws secrets
+# with rng.integers, whose int64 range ends there
+MAX_Q = 2**63
 # the settings only some attacks read; each ATTACKS row names those it reads
 _ATTACK_SETTINGS = tuple(
     f for f in fields(ExperimentConfig) if any(f.name in spec.reads for spec in ATTACKS.values())
@@ -85,6 +89,8 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams
         known = ", ".join(sorted(ATTACKS))
         raise UsageError(f"unknown attack {config.attack!r}; expected one of: {known}")
     params = SpaceParams(config.q, config.n, config.epsilon)
+    if params.q > MAX_Q:
+        raise UsageError(f"alphabet size q={params.q} is above the limit of {MAX_Q}")
     for setting in _ATTACK_SETTINGS:
         value = getattr(config, setting.name)
         if value != setting.default and setting.name not in spec.reads:

@@ -4,6 +4,9 @@ The oracle holds a sealed secret template and answers membership queries:
 accept iff the Hamming distance to the secret is at most epsilon.  Depending
 on the configured leakage mode it additionally reveals the distance, the
 erroneous coordinate positions, or positions plus signed error values.
+``_respond`` builds every query's response and ``_emit_observation`` every
+session's leak, save that ``watch`` applies the same formula to a block of
+binary single-error sessions at once.
 
 Two kinds of interaction are counted separately:
 
@@ -51,9 +54,6 @@ PACKED_MAX_N = 63
 # sessions in watch's first chunk; each further chunk doubles, up to the cap
 _WATCH_CHUNK = 64
 _WATCH_MAX_CHUNK = 1 << 16
-# for q <= 256, a positions-and-values payload with more wrong coordinates
-# than this is built from the numpy row, which is faster there
-_BYTES_POSVALUES_MAX_D = 128
 
 
 class Scope(Enum):
@@ -326,15 +326,14 @@ class Oracle:
         # bytes: the coordinates a submission gets wrong are the nonzero
         # bytes of the XOR, and at q = 2 their count is its popcount.  When
         # q is a power of two the check is one AND of the submission's int
-        # with _digit_mask, and other q delete the digits with translate.  Both
-        # position payloads are read off those XOR bytes, except
-        # positions-and-values past _BYTES_POSVALUES_MAX_D wrong
-        # coordinates.  The secret is also held as a numpy row (int16 from
-        # its bytes; above q = 256 int64, or object for digits past 63
-        # bits): the row minus a submission gives the other position
-        # payloads, scan compares candidates with it, and binary
-        # single-error sessions read their flips from it.  Packed scan
-        # chunks compare with the secret's word, made at the first of them.
+        # with _digit_mask, and other q delete the digits with translate.  The
+        # positions payload is read off those XOR bytes.  The secret is also
+        # held as a numpy row (int16 from its bytes; above q = 256 int64, or
+        # object for digits past 63 bits): the row minus a submission gives
+        # every other position payload, scan compares candidates with it,
+        # and binary single-error sessions read their flips from it.  Packed
+        # scan chunks compare with the secret's word, made at the first of
+        # them.
         q = params.q
         self._digits = bytes(range(q)) if q <= 256 else None
         self._mask = _digit_mask(q, params.n) if q <= 256 and q & (q - 1) == 0 else None
@@ -420,35 +419,29 @@ class Oracle:
         """The response to a counted submission y at distance d: one byte
         per coordinate for q <= 256, plain int digits above.
 
-        For q <= 256 the position payloads come from ``wrong``, y's bytes
-        XOR the secret's, nonzero exactly where y errs (built here when the
-        caller has not), through ``compress`` over the positions 1..n.  A
-        positions-and-values payload past _BYTES_POSVALUES_MAX_D wrong
-        coordinates, and every position payload above q = 256, comes from
-        the secret's numpy row minus y instead."""
+        A positions payload at q <= 256 comes from ``wrong``, y's bytes XOR
+        the secret's, nonzero exactly where y errs (built here when the
+        caller has not), through ``compress`` over the positions 1..n.
+        Every other position payload comes from the secret's numpy row
+        minus y."""
         accepted = d <= self.params.epsilon
         payload = self.mode.payload
         if payload is Payload.NONE or not (accepted or self.mode.scope is Scope.ALWAYS):
             return _ACCEPTED if accepted else _REJECTED
         if payload is Payload.DISTANCE:
             return _distance_response(accepted, d)
-        n = self.params.n
-        if self._digits and (payload is Payload.POSITIONS or d <= _BYTES_POSVALUES_MAX_D):
+        if self._digits and payload is Payload.POSITIONS:
+            n = self.params.n
             if wrong is None:
                 wrong = (int.from_bytes(y, "big") ^ self.__int).to_bytes(n, "big")
-            positions = compress(_positions(n), wrong)
-            if payload is Payload.POSITIONS:
-                return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
-            secret = self.__secret
-            values = {p: secret[p - 1] - y[p - 1] for p in positions}
-        else:
-            row = self.__row
-            diff = row - (np.frombuffer(y, dtype=np.uint8) if self._digits else np.array(y, dtype=row.dtype))
-            at = np.flatnonzero(diff)
-            positions = (at + 1).tolist()
-            if payload is Payload.POSITIONS:
-                return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
-            values = dict(zip(positions, diff[at].tolist()))
+            return MatchResponse(accepted=accepted, error_positions=frozenset(compress(_positions(n), wrong)))
+        row = self.__row
+        diff = row - (np.frombuffer(y, dtype=np.uint8) if self._digits else np.array(y, dtype=row.dtype))
+        at = np.flatnonzero(diff)
+        positions = (at + 1).tolist()
+        if payload is Payload.POSITIONS:
+            return MatchResponse(accepted=accepted, error_positions=frozenset(positions))
+        values = dict(zip(positions, diff[at].tolist()))
         return MatchResponse(
             accepted=accepted, distance=d, error_positions=frozenset(values), error_values=values
         )
@@ -550,11 +543,9 @@ class Oracle:
         # draw per position in draw order; for k <= epsilon, scalar draws are
         # faster than one vector draw.  At q = 2 the other symbol is the only
         # one, and rng.integers(1, 2) draws nothing, so the draws are skipped.
-        secret, q = self.__secret, self.params.q
+        q = self.params.q
         shifts = [1] * k if q == 2 else [int(rng.integers(1, q)) for _ in positions]
-        return self._emit_observation(
-            {p + 1: secret[p] - (secret[p] + s) % q for p, s in sorted(zip(positions, shifts))}
-        )
+        return self._emit_observation(sorted(zip(positions, shifts)))
 
     def watch(
         self,
@@ -594,7 +585,7 @@ class Oracle:
         if blocks:
             cdf = np.asarray(client._cdf)
             bits = self.__row
-            flips = bits - (bits + 1) % 2  # each coordinate's error value, as genuine_session builds it
+            flips = bits - (bits + 1) % 2  # each coordinate's error value, as _emit_observation builds it
         done, size = 0, _WATCH_CHUNK
         while unseen:
             if max_sessions is not None:
@@ -671,12 +662,16 @@ class Oracle:
             )
         if pos[0] < 1 or pos[-1] > params.n:
             raise UsageError("error positions must lie in [1, n]")
-        secret, q = self.__secret, params.q
-        return self._emit_observation({p: secret[p - 1] - (secret[p - 1] + 1) % q for p in pos})
+        return self._emit_observation((p - 1, 1) for p in pos)
 
-    def _emit_observation(self, errors: dict[int, int]) -> Observation:
+    def _emit_observation(self, shifts: Iterable[tuple[int, int]]) -> Observation:
+        """Count, tap and return one session given its (0-based coordinate,
+        shift) pairs: the secret's digit x there moves to (x + shift) mod q.
+        This is the one place a session's error value x - (x + shift) mod q
+        is built; the observation lists the pairs in the order given."""
+        secret, q = self.__secret, self.params.q
         self._session_count += 1
-        obs = Observation(errors=errors)
+        obs = Observation(errors={p + 1: secret[p] - (secret[p] + s) % q for p, s in shifts})
         if self._on_observation is not None:
             self._on_observation(obs)
         return obs

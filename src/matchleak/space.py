@@ -2,8 +2,8 @@
 
 Templates live in Z_q^n = {0, ..., q-1}^n and are represented as plain
 tuples of ints.  This module holds the metric, ball combinatorics,
-entropy/harmonic helpers, index encoding (lexicographic rank), and seeded
-sampling.  Everything here is pure given its inputs.
+entropy/harmonic helpers, the coupon-collector bracket, index encoding
+(lexicographic rank), and seeded sampling.  Everything here is pure given its inputs.
 """
 
 from __future__ import annotations
@@ -159,6 +159,17 @@ def harmonic_number_exact(n: int) -> Fraction:
         return p1 * q2 + p2 * q1, q1 * q2
 
     return Fraction(*split(1, n + 1))
+
+
+def coupon_bracket(n_coupons: int, p_min: float) -> tuple[float, float]:
+    """Bracket on the expected sessions to collect every coupon when the
+    rarest one appears with probability p_min per round:
+    1/p_min <= E <= (ln n + 1)/p_min."""
+    if n_coupons < 1:
+        raise UsageError("need at least one coupon")
+    if not 0.0 < p_min <= 1.0:
+        raise UsageError("p_min must lie in (0, 1]")
+    return 1.0 / p_min, (math.log(n_coupons) + 1.0) / p_min
 
 
 # --- lexicographic index encoding -----------------------------------------

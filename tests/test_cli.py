@@ -271,3 +271,62 @@ def test_negative_seed_exits_before_any_trial(argv, monkeypatch, capsys):
     assert main([*argv, "--seed", "-1"]) == 2
     assert ran == []
     assert "error: master seed must be >= 0 (got -1)" in capsys.readouterr().err
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# a comment line\nn=6  # a trailing comment\n\n   \nepsilon=2\n")
+    argv = ["attack", "--attack", "both_positions", "--q", "4"]
+    from_file = _parsed([*argv, "--config", str(cfg)], monkeypatch)
+    assert from_file == _parsed([*argv, "--n", "6", "--epsilon", "2"], monkeypatch)
+
+
+def test_config_line_without_equals_is_config_error(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: ran.append(a))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# header\nn 6\n")
+    assert main(["attack", "--attack", "both_positions", "--config", str(cfg)]) == 2
+    assert ran == []
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'n 6'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["attack", "--n", "6", "--epsilon", "2"], "no attack selected (use --attack or a config file)"),
+        (["attack", "--attack", "both_positions", "--n", "6", "--epsilon", "2", "--workers", "0"],
+         "workers must be >= 1"),
+        (["attack", "--attack", "below_positions", "--q", str(2**70), "--n", "2", "--epsilon", "1", "--trials", "1"],
+         f"alphabet size q={2**70} is above the limit of {2**63}"),
+    ],
+)
+def test_config_error_exits_before_any_trial(argv, message, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+    assert main(argv) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_largest_alphabet_runs(capsys):
+    # 2**63 is the largest alphabet rng.integers draws secrets from
+    validate_config(ExperimentConfig(2**63, 2, 1, attack="below_positions"))
+    assert main(["attack", "--attack", "both_posvalues", "--q", str(2**63), "--n", "3", "--epsilon", "1"]) == 0
+    assert "ok: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["greedy", "fixing"])
+def test_cover_exit_code_is_the_verification(method, monkeypatch, capsys):
+    # greedy builds 42 centers at (5, 5, 2), more than the 39.422 that the
+    # estimate q^n H(n) / |B| reads there; that estimate is not a bound
+    argv = ["cover", "--q", "5", "--n", "5", "--epsilon", "2", "--method", method]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "greedy_estimate: 39.422\nverified: 1\n" in out
+    assert ("centers: 42\n" in out) == (method == "greedy")
+    monkeypatch.setattr(cli, "verify_cover", lambda cover: False)
+    assert main(argv) == 1
+    assert "verified: 0\n" in capsys.readouterr().out

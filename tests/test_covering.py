@@ -229,6 +229,16 @@ class TestExport:
         with pytest.raises(UsageError):
             covering_search(oracle, loaded)
 
+    @pytest.mark.parametrize(
+        "center, problem",
+        [("0000", "has wrong length"), ("020", "has a digit outside the alphabet"), ("0-0", "has a digit outside")],
+    )
+    def test_bad_center_rejected(self, center, problem, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# q=2 n=3 epsilon=1 certified=1\n000\n{center}\n")
+        with pytest.raises(UsageError, match=f"center '{center}' {problem}"):
+            load_cover(path)
+
     def test_header_token_without_equals_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# q=2 n=3 epsilon certified=1\n000\n111\n")

@@ -289,6 +289,12 @@ class TestEmit:
         ]
         assert all(r.ms == 0 for r in back)  # canonical output hides timing
 
+    def test_csv_with_a_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("trial,seed,queries\n0,1,2\n")
+        with pytest.raises(UsageError, match=r"unexpected CSV header \['trial', 'seed', 'queries'\]"):
+            read_records(path, "csv")
+
     def test_jsonl_roundtrip_with_timing(self, tmp_path):
         records, _ = run_experiment(self.CFG)
         path = tmp_path / "r.jsonl"

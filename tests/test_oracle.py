@@ -30,7 +30,7 @@ from matchleak import (
 )
 from matchleak import covering
 from matchleak import oracle as oracle_module
-from matchleak.covering import fixing_batches, fixing_centers
+from matchleak.covering import fixing_batches
 
 from conftest import perturb
 
@@ -231,6 +231,13 @@ class TestGenuineSessions:
                 o.faulted_session(bad)
         assert o.session_count == 0
         assert set(o.faulted_session([np.int64(2), True]).errors) == {1, 2}
+
+    @pytest.mark.parametrize("payload", [Payload.NONE, Payload.DISTANCE, Payload.POSITIONS])
+    def test_faulted_session_needs_the_posvalues_payload(self, payload):
+        o = Oracle(SECRET7, P7, below(payload))
+        with pytest.raises(UsageError, match=r"faulted sessions require the positions\+values payload"):
+            o.faulted_session([1])
+        assert o.session_count == 0
 
     def test_client_model_rejects_non_finite_probabilities(self):
         for bad in (float("nan"), float("inf")):
@@ -762,8 +769,7 @@ class TestBufferSubmissions:
         mode = LeakageMode(scope, payload)
         secret = sample_template(params, rng)
         queries = [secret, (0,) * params.n, (15,) * params.n, sample_template(params, rng)]
-        cut = oracle_module._BYTES_POSVALUES_MAX_D  # the last distance built from bytes
-        for k in (1, 8, 9, cut, cut + 1, 500):
+        for k in (1, 8, 9, 128, 129, 500):
             queries.append(tuple(perturb(params, secret, rng.choice(params.n, k, replace=False), rng)))
         o = Oracle(secret, params, mode)
         for y in queries:
@@ -771,6 +777,13 @@ class TestBufferSubmissions:
             for form in (tuple, bytes, bytearray):
                 assert o.query(form(y)) == expect
         assert o.query_count == 3 * len(queries)
+
+
+def _pinned_centers(params: SpaceParams):
+    """The q^(n-eps) templates with the last epsilon coordinates 0, in
+    lexicographic order: what fixing_batches chunks."""
+    tail = (0,) * params.epsilon
+    return (head + tail for head in itertools.product(range(params.q), repeat=params.n - params.epsilon))
 
 
 def _loop_scan(oracle: Oracle, centers, exact: bool):
@@ -814,7 +827,7 @@ class TestScan:
                 fast_tap, loop_tap = [], []
                 fast = Oracle(secret, params, mode, on_response=fast_tap.append)
                 loop = Oracle(secret, params, mode, on_response=loop_tap.append)
-                hit = _loop_scan(loop, fixing_centers(params), exact)
+                hit = _loop_scan(loop, _pinned_centers(params), exact)
                 assert hit is not None and hit[1].accepted
                 assert fast.scan(fixing_batches(params), exact=exact) == hit
                 assert fast.query_count == loop.query_count  # the same stop index
@@ -885,14 +898,13 @@ class TestScan:
     @pytest.mark.parametrize("payload", [Payload.POSITIONS, Payload.POSITIONS_VALUES])
     def test_dense_position_payloads(self, payload, rng):
         # every candidate answered in full at n = 1024: far ones (about 960
-        # wrong coordinates), both sides of the byte-path distance cutoff,
-        # and last one coordinate off the secret, where the scan stops
+        # wrong coordinates), middling ones, and last one coordinate off the
+        # secret, where the scan stops
         params = SpaceParams(16, 1024, 8)
         mode = always(payload)
         secret = sample_template(params, rng)
-        cut = oracle_module._BYTES_POSVALUES_MAX_D
         rows = [sample_template(params, rng), (0,) * params.n, (15,) * params.n]
-        for k in (960, cut + 1, cut, 1):
+        for k in (960, 129, 128, 1):
             rows.append(tuple(perturb(params, secret, rng.choice(params.n, k, replace=False), rng)))
         rows.append(secret)
         expect = [reference_response(secret, y, params.epsilon, mode) for y in rows]
@@ -918,7 +930,7 @@ class TestScan:
         params = SpaceParams(10, 3, 1)
         chunks = list(fixing_batches(params))
         assert all(len(chunk) <= 7 for chunk in chunks)
-        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(fixing_centers(params))
+        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(_pinned_centers(params))
 
     def test_malformed_chunks_do_not_count(self):
         o = Oracle((0, 1, 2, 0), SpaceParams(3, 4, 1), below(Payload.DISTANCE))
