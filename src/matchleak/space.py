@@ -3,7 +3,8 @@
 Templates live in Z_q^n = {0, ..., q-1}^n and are represented as plain
 tuples of ints.  This module holds the metric, ball combinatorics,
 entropy/harmonic helpers, the coupon-collector bracket, index encoding
-(lexicographic rank), and seeded sampling.  Everything here is pure given its inputs.
+(lexicographic rank), and seeded sampling.  Everything here is pure given
+its inputs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matchleak"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
-_BODIES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+_BODIES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _tree(name: str) -> ast.Module:
