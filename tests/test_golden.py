@@ -151,6 +151,17 @@ AUDIT_CASES = {
         "--attack both_distance --q 4 --n 12 --epsilon 3",
         "bdd533406a5933760b045f9f4bb557450762b676f46dbfb49a5f9ddf1628ab05",
     ),
+    # the climb at perfbench's binary configuration, about 1,024 probes a
+    # trial, and at q = 257, where submissions are lists and the secret's
+    # row is int64
+    "both_distance_q2_n1024": (
+        "--attack both_distance --q 2 --n 1024 --epsilon 4",
+        "73b7766f6076d00c66630110b54de43cd1ee72c98e0fab92cfe360a0b3e1c9aa",
+    ),
+    "both_distance_q257": (
+        "--attack both_distance --q 257 --n 6 --epsilon 2",
+        "b801a0ae87e55bbb182cbee8afc5b87c710572bb46f52b846073e9b8eeb2a235",
+    ),
     "both_positions_q16": (
         "--attack both_positions --q 16 --n 64 --epsilon 8",
         "81c0d98e7c622be1d54038a390ae8b68ad6feb665ea9fb09ad85f6b88a26b9dd",
