@@ -1,8 +1,9 @@
 """Template-recovery attacks, one per leakage scenario.
 
-Active attacks drive the oracle through ``query`` only and report how many
-queries they spent; passive attacks consume genuine-session observations and
-report sessions instead.  Every routine fails fast with a UsageError when run
+Active attacks drive the oracle through ``query``, ``scan`` (by way of
+``covering.covering_search``) and ``climb``, and report how many queries
+they spent; passive attacks consume genuine-session observations and report
+sessions instead.  Every routine fails fast with a UsageError when run
 against a different leakage mode or parameters than its row in the attack
 registry (``ATTACKS``, at the end of this module) declares, and none of them
 ever touches the sealed secret directly (the harness verifies outcomes
@@ -62,35 +63,6 @@ class SearchStrategy(Enum):
     GREEDY_COVER = "greedy"
 
 
-def _climb(oracle: Oracle, start: Template, cur: int, positions: Iterable[int]) -> Template:
-    """Coordinate-wise climb on the leaked distance from start at distance
-    cur.
-
-    Each position starts at 0 and tries the values 1..q-1: a value that
-    drops the distance is the secret's value, one that raises it proves 0
-    right, and an equal distance means both are wrong.  So one of the
-    values always settles the position.  A response without
-    a distance (a rejected probe under below-threshold scope) counts as a
-    raise.  At most q-1 queries per position.  Every probe resubmits one
-    working buffer, a bytearray for q <= 256, changed in place.
-    """
-    y = bytearray(start) if oracle.params.q <= 256 else list(start)
-    for pos in positions:
-        if cur == 0:
-            break
-        for v in range(1, oracle.params.q):
-            y[pos] = v
-            d = oracle.query(y).distance
-            d = cur + 1 if d is None else d
-            if d < cur:
-                cur = d
-                break
-            if d > cur:
-                y[pos] = 0
-                break
-    return tuple(y)
-
-
 def _correct(y: Template, resp: MatchResponse) -> Template:
     """Apply a positions-and-values leak: x_i = y_i + delta_i where flagged."""
     z = list(y)
@@ -117,16 +89,17 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
     Scans all q^(n-eps) pinned-coordinate candidates and keeps the accepted
     one with the smallest leaked distance; that candidate matches the secret
     on every free coordinate (its errors are confined to the pinned block,
-    and any free-coordinate mismatch would add to the distance).  The
-    distance climb on the pinned block then finishes the job, rejected
-    probes counting as "worse".  Worst case q^(n-eps) + (q-1)*eps queries.
+    and any free-coordinate mismatch would add to the distance).  One
+    ``Oracle.climb`` over the pinned block, which the candidate holds at 0,
+    then finishes the job, rejected probes counting as "worse".  Worst case
+    q^(n-eps) + (q-1)*eps queries.
     """
     ATTACKS["below_distance"].require(oracle)
     params = oracle.params
     q0 = oracle.query_count
     best, resp = covering_search(oracle, exact=True)
     pinned = range(params.n - params.epsilon, params.n)
-    return _outcome(oracle, q0, _climb(oracle, best, resp.distance, pinned))
+    return _outcome(oracle, q0, oracle.climb(best, resp.distance, pinned))
 
 
 def _fix_from_positions(oracle: Oracle, y: Template, resp: MatchResponse) -> Template:
@@ -360,15 +333,17 @@ def attack_minimal_binary(
 def attack_both_distance(oracle: Oracle) -> AttackOutcome:
     """Hill climb when the distance leaks on every query.
 
-    Query the all-zeros baseline, then run the distance climb over every
-    coordinate.  Worst case n*(q-1) + 1 queries.
+    Query the all-zeros baseline, then climb every coordinate in one
+    ``Oracle.climb``, which spends s probes on a coordinate holding s > 0
+    and one on a 0, and stops once the distance reaches 0.
+    Worst case n*(q-1) + 1 queries.
     """
     ATTACKS["both_distance"].require(oracle)
     n = oracle.params.n
     q0 = oracle.query_count
     y = (0,) * n
     cur = oracle.query(y).distance
-    return _outcome(oracle, q0, _climb(oracle, y, cur, range(n)))
+    return _outcome(oracle, q0, oracle.climb(y, cur, range(n)))
 
 
 def attack_both_positions(oracle: Oracle) -> AttackOutcome:

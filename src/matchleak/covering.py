@@ -130,8 +130,10 @@ def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
         return
     span = q**low
     block = np.zeros((min(span, SCAN_CHUNK), n), dtype=np.min_scalar_type(q - 1))
-    place = q ** np.arange(low - 1, -1, -1)
-    block[:, high:free] = np.arange(len(block))[:, None] // place % q
+    # Python ints, since q itself may pass int64; a row index is below q
+    # when q > SCAN_CHUNK
+    place = np.array([q**k for k in range(low - 1, -1, -1)])
+    block[:, high:free] = np.arange(len(block))[:, None] // place % min(q, SCAN_CHUNK)
     for head in itertools.product(range(q), repeat=high):
         for start in range(0, span, len(block)):
             rows = block[: span - start].copy()

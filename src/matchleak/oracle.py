@@ -414,10 +414,11 @@ class Oracle:
         return resp
 
     def _respond(
-        self, y: bytes | bytearray | Template, d: int, wrong: bytes | None = None
+        self, y: bytes | bytearray | Template | None, d: int, wrong: bytes | None = None
     ) -> MatchResponse:
         """The response to a counted submission y at distance d: one byte
-        per coordinate for q <= 256, plain int digits above.
+        per coordinate for q <= 256, plain int digits above.  Only position
+        payloads read y, so a distance climb passes None.
 
         A positions payload at q <= 256 comes from ``wrong``, y's bytes XOR
         the secret's, nonzero exactly where y errs (built here when the
@@ -520,6 +521,116 @@ class Oracle:
         word is the template's index at q = 2."""
         y = template_from_index(self.params, int(batch[i])) if batch.ndim == 1 else tuple(batch[i].tolist())
         return y, self._respond(bytes(y) if self._digits else y, int(dist[i]))
+
+    def climb(self, start: Sequence[int], cur: int, positions: Iterable[int]) -> Template:
+        """Climb the leaked distance coordinate by coordinate from ``start``,
+        whose distance the caller read as ``cur``, and return where it ends.
+
+        The probes are those of this loop, each answered as ``query`` would
+        answer it.  For each 0-based position, in order: stop if cur is 0,
+        else set the position to 1, 2, ..., q-1 in turn until a probe's
+        distance d differs from cur.  A drop (d < cur) keeps the value and
+        sets cur = d; a raise (d > cur, or a rejected probe under below-only
+        scope, which carries no distance) resets the position to 0; a
+        position whose every value ties keeps q-1.  Each probe counts one
+        query and fires ``on_response`` once, in order.
+
+        When the positions are distinct, start is 0 at each of them, cur is
+        start's distance and, under below-only scope, cur <= epsilon, every
+        probe is set by the secret's digit s at its position: s = 0 costs
+        one raise, any other s costs s-1 ties and a drop.  Those probes are
+        then read off the secret's row at once, with exact int counts at any
+        q; without a tap no response is built.  Any other call submits the
+        loop's probes through ``query``.  Both give the same counts, taps
+        and result, so which one ran tells nothing of the secret.
+
+        A payload other than distance, a start ``query`` would reject, a cur
+        that is not an integer or a position outside [0, n) raises
+        UsageError before any probe counts.
+        """
+        params = self.params
+        if self.mode.payload is not Payload.DISTANCE:
+            raise UsageError("a distance climb needs the distance payload")
+        start = as_template(params, start)
+        try:
+            cur = operator.index(cur)
+        except TypeError:
+            raise UsageError(f"the climb's starting distance must be an integer, got {cur!r}") from None
+        at = self._climb_positions(positions)
+        row = self.__row
+        ys = np.frombuffer(bytes(start), dtype=np.uint8) if self._digits else np.array(start, dtype=row.dtype)
+        seen = np.zeros(params.n, dtype=bool)
+        seen[at] = True
+        if not (
+            (cur <= params.epsilon or self.mode.scope is Scope.ALWAYS)
+            and not ys[at].any()
+            and cur == np.count_nonzero(ys != row)
+            and np.count_nonzero(seen) == len(at)
+        ):
+            return self._climb_by_query(start, cur, at.tolist())
+        if cur == 0:
+            return start
+        s = row[at]
+        # every nonzero digit drops cur by one, and start's other errors lie
+        # off the positions, so the climb ends after the cur-th nonzero digit
+        # if there are that many
+        nonzero = np.flatnonzero(s)
+        if len(nonzero) == cur:
+            at, s = at[: nonzero[-1] + 1], s[: nonzero[-1] + 1]
+        tap = self._on_response
+        if tap is None:
+            probes = np.maximum(s, 1)
+            # an int16 row sums exactly in int64; wider digits sum as ints
+            self._query_count += int(probes.sum()) if row.dtype == np.int16 else sum(probes.tolist())
+        else:
+            for digit in s.tolist():
+                if digit:
+                    tie = self._respond(None, cur)
+                    for _ in range(digit - 1):
+                        self._query_count += 1
+                        tap(tie)
+                    cur -= 1
+                    d = cur
+                else:
+                    d = cur + 1
+                self._query_count += 1
+                tap(self._respond(None, d))
+        out = ys.copy()
+        out[at] = s
+        return tuple(out.tolist())
+
+    def _climb_positions(self, positions: Iterable[int]) -> np.ndarray:
+        """The climb's positions as an integer array, checked to lie in
+        [0, n)."""
+        n = self.params.n
+        if isinstance(positions, range):
+            at = np.arange(positions.start, positions.stop, positions.step)
+        else:
+            at = np.array(list(positions))
+            if not at.size:
+                at = at.astype(np.intp)
+        if at.ndim != 1 or at.dtype.kind not in "iu" or (at.size and (at.min() < 0 or at.max() >= n)):
+            raise UsageError(f"climb positions must be integers in [0, {n - 1}]")
+        return at
+
+    def _climb_by_query(self, start: Template, cur: int, positions: list[int]) -> Template:
+        """The climb's loop, one ``query`` per probe; it resubmits one
+        working buffer, a bytearray for q <= 256, changed in place."""
+        y = bytearray(start) if self._digits else list(start)
+        for pos in positions:
+            if cur == 0:
+                break
+            for v in range(1, self.params.q):
+                y[pos] = v
+                d = self.query(y).distance
+                d = cur + 1 if d is None else d
+                if d < cur:
+                    cur = d
+                    break
+                if d > cur:
+                    y[pos] = 0
+                    break
+        return tuple(y)
 
     # -- passive sessions ---------------------------------------------------
 

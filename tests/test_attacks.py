@@ -327,6 +327,18 @@ class TestBothDistance:
             assert out.recovered == secret
             assert out.queries_used <= n * (q - 1) + 1
 
+    @pytest.mark.parametrize("q", [2**63, 2**64])
+    def test_exact_counts_past_int64(self, q):
+        # 2**63 holds the secret's row as int64 and 2**64 as objects; the
+        # climb's probe count, about 3q, passes int64 at both
+        params = SpaceParams(q, 4, 1)
+        oracle = Oracle((q - 1, 0, q - 2, q // 2 + 1), params, LeakageMode(BOTH, Payload.DISTANCE))
+        out = attack_both_distance(oracle)
+        secret = oracle.audit_secret()
+        assert out.recovered == secret
+        assert out.queries_used == oracle.query_count == 1 + sum(max(1, s) for s in secret)
+        assert out.queries_used <= params.n * (q - 1) + 1
+
 
 class TestBothPositions:
     def test_quaternary_flag_sets(self):

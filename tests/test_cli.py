@@ -318,6 +318,14 @@ def test_largest_alphabet_runs(capsys):
     assert "ok: 1" in capsys.readouterr().out
 
 
+def test_distance_climb_over_a_large_alphabet_finishes(capsys):
+    # a climb that submitted its probes one at a time would try up to 2**32
+    # values per coordinate here
+    argv = ["attack", "--attack", "both_distance", "--q", str(2**32), "--n", "3", "--epsilon", "1", "--trials", "2"]
+    assert main(argv) == 0
+    assert "ok: 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("method", ["greedy", "fixing"])
 def test_cover_exit_code_is_the_verification(method, monkeypatch, capsys):
     # greedy builds 42 centers at (5, 5, 2), more than the 39.422 that the

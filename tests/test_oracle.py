@@ -932,6 +932,18 @@ class TestScan:
         assert all(len(chunk) <= 7 for chunk in chunks)
         assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(_pinned_centers(params))
 
+    def test_chunks_at_the_largest_alphabet(self):
+        # q = 2**63 passes int64, so the chunk table is built from ints: the
+        # first chunks are rows 0.. with the pinned coordinate 0
+        q, chunk = 2**63, covering.SCAN_CHUNK
+        params = SpaceParams(q, 2, 1)
+        batches = fixing_batches(params)
+        for lo in (0, chunk):
+            assert next(batches).tolist() == [[i, 0] for i in range(lo, lo + chunk)]
+        o = Oracle((chunk + 904, q - 1), params, below(Payload.POSITIONS))
+        assert covering.covering_search(o)[0] == (chunk + 904, 0)
+        assert o.query_count == chunk + 905
+
     def test_malformed_chunks_do_not_count(self):
         o = Oracle((0, 1, 2, 0), SpaceParams(3, 4, 1), below(Payload.DISTANCE))
         for bad in (
@@ -949,6 +961,95 @@ class TestScan:
         with pytest.raises(UsageError):
             b.scan([np.array([0], dtype=np.uint64)], exact=True)  # would leak distance 0
         assert o.query_count == b.query_count == 0
+
+
+def _loop_climb(params: SpaceParams, secret, mode: LeakageMode, start, cur: int, positions):
+    """The per-query distance climb Oracle.climb replaces, every probe
+    answered by reference_response: returns the end point and the answers
+    in order."""
+    y = list(start)
+    answers = []
+    for pos in positions:
+        if cur == 0:
+            break
+        for v in range(1, params.q):
+            y[pos] = v
+            resp = reference_response(secret, y, params.epsilon, mode)
+            answers.append(resp)
+            d = cur + 1 if resp.distance is None else resp.distance
+            if d < cur:
+                cur = d
+                break
+            if d > cur:
+                y[pos] = 0
+                break
+    return tuple(y), answers
+
+
+class TestClimb:
+    @pytest.mark.parametrize("q", [2, 3, 4, 16, 256, 257])
+    @pytest.mark.parametrize("scope", list(Scope))
+    def test_matches_per_query_loop(self, q, scope, rng, monkeypatch):
+        # starts that are and are not 0 on the climbed positions, right and
+        # wrong starting distances (wrong ones only at small q, where the
+        # loop may try every value), distinct, repeated and empty positions,
+        # tapped and untapped: both of climb's paths must run, and each must
+        # give the loop's result, count and answers
+        mode = LeakageMode(scope, Payload.DISTANCE)
+        by_query = []
+        loop = Oracle._climb_by_query
+        monkeypatch.setattr(Oracle, "_climb_by_query", lambda self, *a: by_query.append(1) or loop(self, *a))
+        fast = 0
+        for _ in range(40 if q <= 16 else 10):
+            n = int(rng.integers(1, 10))
+            params = SpaceParams(q, n, int(rng.integers(0, n + 1)))
+            secret = list(sample_template(params, rng))
+            for i in rng.choice(n, int(rng.integers(0, n + 1)), replace=False):
+                secret[i] = 0  # zero digits, so that raises arise
+            order = rng.permutation(n).tolist()
+            for positions in (range(n), order[: int(rng.integers(0, n + 1))], order + order[:2], []):
+                climbed = set(positions)
+                zero = tuple(0 if i in climbed else int(rng.integers(0, q)) for i in range(n))
+                for start in (zero, sample_template(params, rng)):
+                    d = sum(a != b for a, b in zip(secret, start))
+                    for cur in (d, d - 1, d + 1) if q <= 16 else (d,):
+                        expect, answers = _loop_climb(params, secret, mode, start, cur, positions)
+                        for tap in ([], None):
+                            o = Oracle(secret, params, mode, on_response=None if tap is None else tap.append)
+                            calls = len(by_query)
+                            assert o.climb(start, cur, positions) == expect
+                            assert o.query_count == len(answers)
+                            assert tap is None or tap == answers
+                            fast += len(by_query) == calls
+        assert fast and by_query
+
+    def test_malformed_calls_do_not_count(self):
+        params = SpaceParams(4, 5, 2)
+        seen = []
+        o = Oracle((0, 1, 2, 3, 0), params, always(Payload.DISTANCE), on_response=seen.append)
+        zero = (0,) * 5
+        for start, cur, positions in (
+            ((0, 0, 0, 0), 3, range(4)),  # wrong length
+            ((0, 0, 0, 0, 4), 3, range(5)),  # a digit outside the alphabet
+            ((0, 0, 0, 0, 0.5), 3, range(5)),  # not an integer
+            (zero, 3.0, range(5)),
+            (zero, None, range(5)),
+            (zero, 3, [0, 5]),  # a position outside [0, n)
+            (zero, 3, [-1]),
+            (zero, 3, range(-1, 2)),
+            (zero, 3, [0.0]),
+            (zero, 3, [True]),
+            (zero, 3, [[0, 1]]),
+        ):
+            with pytest.raises(UsageError):
+                o.climb(start, cur, positions)
+        assert o.query_count == 0 and seen == []
+        for mode in MODES:
+            if mode.payload is not Payload.DISTANCE:
+                other = Oracle((0, 1, 2, 3, 0), params, mode)
+                with pytest.raises(UsageError, match="distance payload"):
+                    other.climb(zero, 3, range(5))
+                assert other.query_count == 0
 
 
 class TestIntegerInput:

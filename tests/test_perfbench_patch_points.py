@@ -94,3 +94,25 @@ def test_every_accept_search_reaches_the_wrapped_search(attack, strategy, monkey
     out = spec.run(o, types.SimpleNamespace(strategy=strategy), rng)
     assert out.recovered == o.audit_secret()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("attack", ["below_distance", "both_distance"])
+def test_every_distance_climb_reaches_the_oracle_climb(attack, monkeypatch):
+    # a tracer that wraps Oracle.climb sees every climb only if each trial
+    # climbs through it, once
+    calls = []
+    climb = oracle.Oracle.climb
+
+    def wrapped(self, *args, **kwargs):
+        calls.append(1)
+        return climb(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.Oracle, "climb", wrapped)
+    spec = attacks.ATTACKS[attack]
+    params = space.SpaceParams(3, 9, 2)
+    rng = np.random.default_rng(7)
+    for trial in range(1, 6):
+        o = oracle.Oracle(space.sample_template(params, rng), params, spec.mode)
+        out = spec.run(o, types.SimpleNamespace(), rng)
+        assert out.recovered == o.audit_secret()
+        assert len(calls) == trial
