@@ -27,6 +27,12 @@ by the sessions used.  Every other client's chunk is one ``genuine_session``.
 Counts, taps and the generator's final state are those of the per-session
 loop.
 
+``climb`` answers the coordinate-wise distance climb.  From a start that is
+0 on the climbed positions and at the distance the caller read, every probe
+is set by the secret's digits there, and it reads them off the secret's row
+in one pass; any other call submits the probes through ``query``.  Counts,
+taps and result are those of the per-query loop either way.
+
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
 attack peeked.
@@ -559,13 +565,11 @@ class Oracle:
         at = self._climb_positions(positions)
         row = self.__row
         ys = np.frombuffer(bytes(start), dtype=np.uint8) if self._digits else np.array(start, dtype=row.dtype)
-        seen = np.zeros(params.n, dtype=bool)
-        seen[at] = True
         if not (
             (cur <= params.epsilon or self.mode.scope is Scope.ALWAYS)
-            and not ys[at].any()
             and cur == np.count_nonzero(ys != row)
-            and np.count_nonzero(seen) == len(at)
+            and not ys[at].any()
+            and (isinstance(positions, range) or len(np.unique(at)) == len(at))
         ):
             return self._climb_by_query(start, cur, at.tolist())
         if cur == 0:
@@ -579,9 +583,9 @@ class Oracle:
             at, s = at[: nonzero[-1] + 1], s[: nonzero[-1] + 1]
         tap = self._on_response
         if tap is None:
-            probes = np.maximum(s, 1)
-            # an int16 row sums exactly in int64; wider digits sum as ints
-            self._query_count += int(probes.sum()) if row.dtype == np.int16 else sum(probes.tolist())
+            # max(1, s) summed: an int16 row sums exactly in int64, wider
+            # digits sum as ints
+            self._query_count += (int(s.sum()) if self._digits else sum(s.tolist())) + len(s) - len(nonzero)
         else:
             for digit in s.tolist():
                 if digit:
@@ -605,13 +609,14 @@ class Oracle:
         n = self.params.n
         if isinstance(positions, range):
             at = np.arange(positions.start, positions.stop, positions.step)
+            # a range lies between its ends
+            ok = not positions or (0 <= positions[0] < n and 0 <= positions[-1] < n)
         else:
             at = np.array(list(positions))
-            if not at.size:
-                at = at.astype(np.intp)
-        if at.ndim != 1 or at.dtype.kind not in "iu" or (at.size and (at.min() < 0 or at.max() >= n)):
+            ok = at.ndim == 1 and (not at.size or (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < n))
+        if not ok:
             raise UsageError(f"climb positions must be integers in [0, {n - 1}]")
-        return at
+        return at.astype(np.intp, copy=False)
 
     def _climb_by_query(self, start: Template, cur: int, positions: list[int]) -> Template:
         """The climb's loop, one ``query`` per probe; it resubmits one

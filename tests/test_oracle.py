@@ -940,9 +940,9 @@ class TestScan:
         batches = fixing_batches(params)
         for lo in (0, chunk):
             assert next(batches).tolist() == [[i, 0] for i in range(lo, lo + chunk)]
-        o = Oracle((chunk + 904, q - 1), params, below(Payload.POSITIONS))
-        assert covering.covering_search(o)[0] == (chunk + 904, 0)
-        assert o.query_count == chunk + 905
+        o = Oracle((5000, q - 1), params, below(Payload.POSITIONS))  # in the second chunk
+        assert covering.covering_search(o)[0] == (5000, 0)
+        assert o.query_count == 5001
 
     def test_malformed_chunks_do_not_count(self):
         o = Oracle((0, 1, 2, 0), SpaceParams(3, 4, 1), below(Payload.DISTANCE))
@@ -1040,6 +1040,7 @@ class TestClimb:
             (zero, 3, [0.0]),
             (zero, 3, [True]),
             (zero, 3, [[0, 1]]),
+            (zero, 3, [[]]),
         ):
             with pytest.raises(UsageError):
                 o.climb(start, cur, positions)
