@@ -25,6 +25,7 @@ from .attacks import SearchStrategy
 from .bounds import greedy_cover_bound, theoretical_bounds
 from .covering import (
     check_exportable,
+    check_verifiable,
     coordinate_fixing_cover,
     greedy_cover,
     save_cover,
@@ -294,6 +295,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     out = _checked_out(args, "cover")
     if out:
         check_exportable(params)
+    check_verifiable(params)
     cover = greedy_cover(params) if greedy else coordinate_fixing_cover(params)
     verified = verify_cover(cover)
     print(f"method: {args.method}")

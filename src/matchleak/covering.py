@@ -184,13 +184,19 @@ def greedy_cover(params: SpaceParams) -> Cover:
     return Cover(params=params, centers=centers, certified=True)
 
 
+def check_verifiable(params: SpaceParams) -> None:
+    """Raise CapacityError unless verify_cover can check a cover of this
+    space."""
+    _guard(params.space_size(), GREEDY_POINT_GUARD, "cover verification")
+
+
 def verify_cover(cover: Cover) -> bool:
     """Exhaustively re-check that every point lies within epsilon of some
     center.  Independent of the construction bookkeeping.  A center that is
     not a template of the space raises UsageError."""
     params = cover.params
+    check_verifiable(params)
     size = params.space_size()
-    _guard(size, GREEDY_POINT_GUARD, "cover verification")
     index = _BallIndex(params)
     covered = np.zeros(size, dtype=bool)
     ids = np.array([template_index(params, as_template(params, c)) for c in cover.centers], dtype=np.int64)

@@ -33,6 +33,10 @@ is set by the secret's digits there, and it reads them off the secret's row
 in one pass; any other call submits the probes through ``query``.  Counts,
 taps and result are those of the per-query loop either way.
 
+``query`` answers one submission, checked by ``space.digit_bytes`` as
+``as_template`` checks it.  With the accept searches in ``scan`` and the
+climbs in ``climb``, it carries only the steps taken one query at a time.
+
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
 attack peeked.
@@ -53,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, template_from_index, template_index
+from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, digit_bytes, template_from_index, template_index
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
@@ -128,14 +132,6 @@ def _positions(n: int) -> tuple[int, ...]:
     """The 1-based positions 1..n, which ``compress`` filters into a
     position payload."""
     return tuple(range(1, n + 1))
-
-
-@cache
-def _digit_mask(q: int, n: int) -> int:
-    """For q a power of two up to 256: the int of n bytes, each holding the
-    bits no digit of Z_q sets, so that n one-byte digits are all in the
-    alphabet iff the int of their bytes shares no bit with it."""
-    return int.from_bytes(bytes([255 ^ (q - 1)]) * n, "big")
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,22 +323,18 @@ class Oracle:
         self.params = params
         self.mode = mode
         self.__secret = as_template(params, secret)
-        # For q <= 256 a submission is checked and converted in C, as one
-        # byte per coordinate, and the secret is held as the int of its
+        # For q <= 256 a submission is checked and copied by digit_bytes,
+        # one byte per coordinate, and the secret is held as the int of its
         # bytes: the coordinates a submission gets wrong are the nonzero
-        # bytes of the XOR, and at q = 2 their count is its popcount.  When
-        # q is a power of two the check is one AND of the submission's int
-        # with _digit_mask, and other q delete the digits with translate.  The
-        # positions payload is read off those XOR bytes.  The secret is also
-        # held as a numpy row (int16 from its bytes; above q = 256 int64, or
-        # object for digits past 63 bits): the row minus a submission gives
-        # every other position payload, scan compares candidates with it,
-        # and binary single-error sessions read their flips from it.  Packed
-        # scan chunks compare with the secret's word, made at the first of
-        # them.
+        # bytes of the XOR, and the positions payload is read off them.  The
+        # secret is also held as a numpy row (int16 from its bytes; above
+        # q = 256 int64, or object for digits past 63 bits): the row minus a
+        # submission gives every other position payload, scan compares
+        # candidates with it, and binary single-error sessions read their
+        # flips from it.  Packed scan chunks compare with the secret's word,
+        # made at the first of them.
         q = params.q
-        self._digits = bytes(range(q)) if q <= 256 else None
-        self._mask = _digit_mask(q, params.n) if q <= 256 and q & (q - 1) == 0 else None
+        self._digits = q <= 256
         self.__int = None
         self.__word = None
         if self._digits:
@@ -376,43 +368,23 @@ class Oracle:
     def query(self, y: Sequence[int]) -> MatchResponse:
         """Answer one submission.  Malformed submissions (wrong length, a
         coordinate that is not an integer or lies outside the alphabet) raise
-        UsageError and do not advance the query counter.
+        UsageError, with ``as_template``'s message, and do not advance the
+        query counter.
 
-        ``bytes`` and ``bytearray`` submissions hold one coordinate per
-        byte; for q <= 256 they are checked and answered as they are, so a
-        caller may resubmit one buffer it changes between queries.  Their
-        digits are read once, as the int of their bytes: for q a power of
-        two that int is checked against _digit_mask and XORed with the
-        secret's; other q check the bytes with translate first."""
+        For q <= 256 the submission is checked and copied by ``digit_bytes``,
+        so a caller may change a submitted buffer and submit it again, and
+        its int XOR the secret's is zero exactly at the right coordinates."""
         params = self.params
-        n = params.n
-        kind = type(y)
-        if kind not in BYTE_SEQUENCES:
+        if type(y) not in BYTE_SEQUENCES:
             y = list(y)  # element-wise: never an ndarray's or array's raw buffer
-        if len(y) != n:
-            raise UsageError(f"query has length {len(y)}, expected n={n}")
-        digits = wrong = None
-        if self._digits:
-            if kind is bytes or kind is bytearray:
-                digits = y
-            else:
-                try:
-                    digits = bytearray(y)  # faster than bytes() on a tuple
-                except (TypeError, ValueError):
-                    pass
-        if digits is not None:
-            v = int.from_bytes(digits, "big")
-            mask = self._mask
-            if (v & mask) if mask is not None else digits.translate(None, self._digits):
-                digits = None
+        digits = digit_bytes(params, y)
+        wrong = None
         if digits is None:
-            digits = as_template(params, y)  # q > 256, or UsageError naming the bad coordinate
+            digits = as_template(params, y)  # q > 256, or UsageError naming what is wrong
             d = sum(1 for a, c in zip(self.__secret, digits) if a != c)
-        elif params.q == 2:
-            d = (v ^ self.__int).bit_count()
         else:
-            wrong = (v ^ self.__int).to_bytes(n, "big")
-            d = n - wrong.count(0)
+            wrong = (int.from_bytes(digits, "big") ^ self.__int).to_bytes(params.n, "big")
+            d = params.n - wrong.count(0)
         self._query_count += 1
         resp = self._respond(digits, d, wrong)
         if self._on_response is not None:
@@ -620,8 +592,8 @@ class Oracle:
 
     def _climb_by_query(self, start: Template, cur: int, positions: list[int]) -> Template:
         """The climb's loop, one ``query`` per probe; it resubmits one
-        working buffer, a bytearray for q <= 256, changed in place."""
-        y = bytearray(start) if self._digits else list(start)
+        working list, changed in place."""
+        y = list(start)
         for pos in positions:
             if cur == 0:
                 break

@@ -60,6 +60,22 @@ BYTE_SEQUENCES = frozenset({tuple, list, bytes, bytearray})
 _ALL_BYTES = bytes(range(256))
 
 
+def digit_bytes(params: SpaceParams, coords: Sequence[int]) -> bytearray | None:
+    """The coordinates of a BYTE_SEQUENCES object as a fresh bytearray, one
+    byte each, or None unless q <= 256, the length is n and every
+    coordinate is a digit of Z_q: the one check of a submission's digits,
+    made in C."""
+    if params.q > 256:
+        return None
+    try:
+        raw = bytearray(coords)  # faster than bytes() on a tuple
+    except (TypeError, ValueError):
+        return None
+    if len(raw) != params.n or raw.translate(None, _ALL_BYTES[: params.q]):
+        return None
+    return raw
+
+
 def as_template(params: SpaceParams, coords: Sequence[int]) -> Template:
     """Validate a coordinate sequence against params and return it as a tuple.
 
@@ -67,19 +83,15 @@ def as_template(params: SpaceParams, coords: Sequence[int]) -> Template:
     ``__index__``: floats, Fractions; bools and numpy integers pass), or
     out-of-range values.  Anything but a tuple, list, bytes or bytearray is
     first read into a list, element-wise, so that an iterator is read once.
-    For q <= 256 the coordinates are then checked in C, as one byte each;
-    anything that check rejects is checked one coordinate at a time.
+    For q <= 256 the coordinates are then checked by ``digit_bytes``;
+    anything that check rejects is checked one coordinate at a time, so the
+    message names what is wrong.
     """
     if type(coords) not in BYTE_SEQUENCES:
         coords = list(coords)
-    if params.q <= 256:
-        try:
-            raw = bytearray(coords)  # faster than bytes() on a tuple
-        except (TypeError, ValueError):
-            pass
-        else:
-            if len(raw) == params.n and not raw.translate(None, _ALL_BYTES[: params.q]):
-                return tuple(raw)
+    raw = digit_bytes(params, coords)
+    if raw is not None:
+        return tuple(raw)
     try:
         t = tuple(map(operator.index, coords))
     except TypeError:

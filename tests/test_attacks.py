@@ -37,6 +37,7 @@ from matchleak import (
     resolve_error_value,
     sample_template,
 )
+from matchleak import harness
 from matchleak.attacks import client_for
 
 from conftest import ball_templates, unknown_positions
@@ -599,3 +600,63 @@ class TestIsolation:
         assert partial.known_count() == 2
         assert unknown_positions(partial) == (2, 4)
         assert partial.fill(1) == (1, 1, 0, 1)
+
+
+class TestQueryTraffic:
+    """At the configurations of perfbench's ``binary`` and ``qary``
+    workloads, ``Oracle.scan`` and ``Oracle.climb`` answer nearly every
+    query, and ``Oracle.query`` sees only the few counted here per trial.
+    A change that routes bulk traffic back through ``query`` fails here;
+    the per-query fast paths dropped while it saw this little traffic
+    should then be measured again."""
+
+    CASES = [
+        ("below_distance", 2, 20, 4, {}),
+        ("below_positions", 2, 20, 4, {}),
+        ("below_posvalues", 2, 20, 4, {}),
+        ("minimal", 2, 20, 4, {"strategy": "fixing"}),
+        ("both_distance", 2, 1024, 4, {}),
+        ("below_distance", 3, 8, 2, {}),
+        ("below_positions", 4, 7, 2, {}),
+        ("below_posvalues", 5, 6, 2, {}),
+        ("both_distance", 4, 256, 8, {}),
+        ("both_positions", 16, 1024, 8, {}),
+        ("both_posvalues", 16, 1024, 8, {}),
+    ]
+
+    @staticmethod
+    def allowed(attack: str, q: int, n: int, eps: int) -> range:
+        """The query calls one trial of the attack may make."""
+        return {
+            "below_distance": range(1),
+            "below_posvalues": range(1),
+            "below_positions": range(q),
+            "minimal": range(n + 2 * eps + 2),
+            "both_distance": range(1, 2),
+            "both_positions": range(q - 1, q),
+            "both_posvalues": range(1, 2),
+        }[attack]
+
+    @pytest.mark.parametrize("attack,q,n,eps,settings", CASES)
+    def test_query_sees_only_the_per_query_steps(self, attack, q, n, eps, settings, monkeypatch):
+        calls = []
+        query = Oracle.query
+
+        def counted(self, y):
+            calls.append(1)
+            return query(self, y)
+
+        def by_query(self, *args):
+            raise AssertionError("the distance climb ran query by query")
+
+        monkeypatch.setattr(Oracle, "query", counted)
+        monkeypatch.setattr(Oracle, "_climb_by_query", by_query)
+        config = ExperimentConfig(q=q, n=n, epsilon=eps, attack=attack, trials=4, master_seed=3, **settings)
+        params = harness.validate_config(config)
+        bound = harness.attack_bound(config, params)
+        for trial in range(config.trials):
+            del calls[:]
+            record = harness.run_trial(config, trial, params, bound)
+            assert record.exact
+            assert len(calls) in self.allowed(attack, q, n, eps)
+            assert len(calls) <= record.queries

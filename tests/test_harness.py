@@ -433,6 +433,20 @@ class TestCli:
         assert captured.out == ""
         assert "error: export supports q <= 36" in captured.err
 
+    @pytest.mark.parametrize("method", ["fixing", "greedy"])
+    def test_cover_verification_limit_fails_before_the_build(self, method, monkeypatch, capsys):
+        # 2^25 points exceed verify_cover's guard; the fixing cover alone
+        # would hold 2^18 centers
+        built = []
+        monkeypatch.setattr(cli, "greedy_cover", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "coordinate_fixing_cover", lambda *a: built.append(a))
+        argv = ["cover", "--q", "2", "--n", "25", "--epsilon", "7", "--method", method]
+        assert main(argv) == 2
+        assert built == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cover verification needs 33554432 points materialized (guard 16777216)" in captured.err
+
     def test_cover_export_at_the_alphabet_limit(self, tmp_path):
         out = tmp_path / "c.txt"
         assert main(["cover", "--q", "36", "--n", "1", "--epsilon", "0", "--out", str(out)]) == 0

@@ -31,6 +31,7 @@ from matchleak import (
 from matchleak import covering
 from matchleak import oracle as oracle_module
 from matchleak.covering import fixing_batches
+from matchleak.space import as_template
 
 from conftest import perturb
 
@@ -710,28 +711,41 @@ class TestBufferSubmissions:
             assert o.query_count == 0
 
     @pytest.mark.parametrize("n", [1, 8, 9, 1024])
-    @pytest.mark.parametrize("q", [2, 4, 128, 256, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4, 16, 128, 256, 257])
     def test_digits_outside_the_alphabet_do_not_count(self, q, n):
-        # a power-of-two q is checked with one mask over the submission's
-        # int, q = 3 with translate; a bad byte at either end of the int
-        # catches a mask misaligned there, and at q = 256 every byte is a digit
+        # query checks a submission with as_template's one byte check, so
+        # both raise the same message; a bad byte at either end of the
+        # submission catches a check misaligned there, and at q = 256 every
+        # byte is a digit
         params = SpaceParams(q, n, 1)
         secret = tuple(i % q for i in range(n))
         bads = [(0,) * (n - 1), (0,) * (n + 1)]
-        for byte in (q, 255) if q < 256 else ():
-            bads += [(byte,) + (0,) * (n - 1), (0,) * (n - 1) + (byte,)]
+        for c in {q, 255, -1, 0.5} - set(range(q)):
+            bads += [(c,) + (0,) * (n - 1), (0,) * (n - 1) + (c,)]
         top = ((q - 1,) * n, (q - 1,) + (0,) * (n - 1), (0,) * (n - 1) + (q - 1,))
+
+        def forms(t):
+            out = [tuple, list, lambda t: (c for c in t)]
+            if all(isinstance(c, int) and 0 <= c <= 255 for c in t):
+                out += [bytes, bytearray]
+            return out
+
         for payload in Payload:
             o = Oracle(secret, params, always(payload))
             for bad in bads:
-                for form in (tuple, list, bytes, bytearray):
-                    with pytest.raises(UsageError, match="outside" if len(bad) == n else "length"):
+                for form in forms(bad):
+                    with pytest.raises(UsageError) as expected:
+                        as_template(params, form(bad))
+                    with pytest.raises(UsageError, match="length" if len(bad) != n else "outside|integers") as raised:
                         o.query(form(bad))
+                    assert str(raised.value) == str(expected.value)
             assert o.query_count == 0
+            answered = 0
             for y in top:
-                for form in (tuple, list, bytes, bytearray):
+                for form in forms(y):
                     assert o.query(form(y)) == reference_response(secret, y, params.epsilon, always(payload))
-            assert o.query_count == 4 * len(top)
+                    answered += 1
+            assert o.query_count == answered
 
     @pytest.mark.parametrize("mode", MODES)
     def test_response_outlives_the_buffer(self, mode):
