@@ -45,7 +45,9 @@ from .harness import (
     run_experiment,
     validate_config,
 )
-from .oracle import LeakageMode, Payload, Scope, SessionShape, observation_to_json, response_to_json
+from .oracle import (
+    LeakageMode, MatchResponse, Observation, Payload, Scope, SessionShape, observation_to_json, response_to_json,
+)
 from .space import SpaceParams
 
 _BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -223,11 +225,9 @@ def _run_and_report(args: argparse.Namespace) -> int:
     if audit_path:
         check_writable(audit_path, "audit")
         with open(audit_path, "w") as sink:
-            records, summary = run_experiment(
-                config,
-                on_response=lambda r: sink.write(response_to_json(r) + "\n"),
-                on_observation=lambda o: sink.write(observation_to_json(o) + "\n"),
-            )
+            # the log holds each answer, not its submission
+            to_json = {MatchResponse: response_to_json, Observation: observation_to_json}
+            records, summary = run_experiment(config, tap=lambda _, a: sink.write(to_json[type(a)](a) + "\n"))
     else:
         records, summary = run_experiment(config)
     if out:

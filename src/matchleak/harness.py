@@ -21,6 +21,7 @@ import csv
 import errno
 import io
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -32,11 +33,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, client_for
+from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, _accept_search, client_for
 from .bounds import worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import ClientModel, Oracle, SessionShape
+from .oracle import ClientModel, Oracle, Payload, Scope, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
 from .space import coupon_bracket  # noqa: F401 -- wrapped by name in perfbench
 
@@ -72,6 +73,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 FORMATS = ("csv", "jsonl")
 # validate_config refuses a passive experiment expected to need more sessions
 MAX_EXPECTED_SESSIONS = 2**32
+# validate_config refuses an accept search of more queries in the worst case
+MAX_ACCEPT_SEARCH = 2**32
 # validate_config refuses a larger alphabet: sample_template draws secrets
 # with rng.integers, whose int64 range ends there
 MAX_Q = 2**63
@@ -108,6 +111,13 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams
     if config.alpha is not None:
         ClientModel.rare_first(params.n, config.alpha)  # raises for an alpha it cannot model
     _check_choice("session shape", config.session_shape, SessionShape)
+    if spec.counter == "queries" and (spec.mode.scope is Scope.BELOW_ONLY or spec.mode.payload is Payload.NONE):
+        searched = _accept_search(params, config)  # these attacks open with an accept search
+        if searched > MAX_ACCEPT_SEARCH:
+            raise UsageError(
+                f"attack {config.attack!r} opens with an accept search of up to 2^{math.log2(searched):g} "
+                f"queries per trial, above the limit of 2^{math.log2(MAX_ACCEPT_SEARCH):g}"
+            )
     if spec.bracket is not None:
         lo = spec.bracket(params, config)[0]  # a lower bound on the expected sessions
         if lo > MAX_EXPECTED_SESSIONS:
@@ -173,8 +183,7 @@ def run_trial(
     trial: int,
     params: SpaceParams,
     bound: float | int,
-    on_response: Callable | None = None,
-    on_observation: Callable | None = None,
+    tap: Callable | None = None,
 ) -> TrialRecord:
     """One seeded trial of a configuration ``validate_config`` accepted,
     with its space and ``attack_bound``."""
@@ -182,7 +191,7 @@ def run_trial(
     seed = trial_seed(config.master_seed, trial)
     rng = np.random.default_rng(seed)
     secret = sample_template(params, rng)
-    oracle = Oracle(secret, params, spec.mode, on_response=on_response, on_observation=on_observation)
+    oracle = Oracle(secret, params, spec.mode, tap=tap)
     t0 = time.perf_counter_ns()
     outcome = spec.run(oracle, config, rng)
     ms = (time.perf_counter_ns() - t0) // 1_000_000
@@ -209,17 +218,17 @@ def run_trial(
 
 def run_experiment(
     config: ExperimentConfig,
-    on_response: Callable | None = None,
-    on_observation: Callable | None = None,
+    tap: Callable | None = None,
 ) -> tuple[list[TrialRecord], dict]:
     """Run all trials and summarize.
 
     Records come back in trial order, and are identical for a fixed
     configuration no matter the worker count (see the module docstring).
-    Audit taps (on_response/on_observation) require a single worker.
+    An audit ``tap(submission, answer)``, as ``Oracle`` takes it, requires
+    a single worker.
     Nothing is written: emit writes the records.
     """
-    params = validate_config(config, taps=on_response is not None or on_observation is not None)
+    params = validate_config(config, taps=tap is not None)
     bound = attack_bound(config, params)
     w = min(config.workers, config.trials)
     fork = multiprocessing.get_context("fork")
@@ -233,8 +242,7 @@ def run_experiment(
             children.append((child, recv))
         records: list = [None] * config.trials
         records[::w] = [
-            run_trial(config, t, params, bound, on_response, on_observation)
-            for t in range(0, config.trials, w)
+            run_trial(config, t, params, bound, tap) for t in range(0, config.trials, w)
         ]
         # receive before joining: a child blocks until its records are read
         for k, (child, recv) in enumerate(children, 1):

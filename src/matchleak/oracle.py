@@ -6,7 +6,8 @@ on the configured leakage mode it additionally reveals the distance, the
 erroneous coordinate positions, or positions plus signed error values.
 ``_respond`` builds every query's response and ``_emit_observation`` every
 session's leak, save that ``watch`` applies the same formula to a block of
-binary single-error sessions at once.
+binary single-error sessions at once.  ``_charge`` is the one place that
+counts interactions and passes them to the tap.
 
 Two kinds of interaction are counted separately:
 
@@ -18,14 +19,13 @@ Two kinds of interaction are counted separately:
 vectorised chunks, counts exactly the queries it answers and returns the
 hit it stops on.  ``watch`` is its passive counterpart: it yields the leaks
 of genuine sessions, chunk by chunk, until every variable coordinate has
-erred, and is the one place that stop lives.  A
-binary single-error session consumes exactly one double of the generator
-(the shift to the other bit draws nothing), so such sessions come in chunks
-of at most 2^16, each one ``rng.random(m)``; the generator state is saved
-before each chunk and, when the stop falls inside one, restored and advanced
-by the sessions used.  Every other client's chunk is one ``genuine_session``.
-Counts, taps and the generator's final state are those of the per-session
-loop.
+erred, and is the one place that stop lives.  A binary single-error session
+consumes exactly one double of the generator (the shift to the other bit
+draws nothing), so such sessions come in chunks of at most 2^16, each one
+``rng.random(m)``; the generator state is saved before each chunk and, when
+the stop falls inside one, restored and advanced by the sessions used.
+Every other client's chunk is one ``genuine_session``.  Counts, taps and
+the generator's final state are those of the per-session loop.
 
 ``climb`` answers the coordinate-wise distance climb.  From a start that is
 0 on the climbed positions and at the distance the caller read, every probe
@@ -307,9 +307,12 @@ class Oracle:
     """Match oracle over a sealed secret with strict interaction accounting.
 
     Single-client: queries against one instance are meant to be serialized.
-    Responses and observations are immutable and freely shareable.  Optional
-    ``on_response`` / ``on_observation`` callbacks tap the emitted stream,
-    e.g. for JSONL audit logs.
+    Responses and observations are immutable and freely shareable.  An
+    optional ``tap(submission, answer)`` sees every interaction in order,
+    e.g. for JSONL audit logs: the checked template of a query (also of a
+    ``scan`` candidate or a ``climb`` probe), the sorted 1-based positions
+    of a ``faulted_session`` or None for a genuine session, with the
+    MatchResponse or Observation returned.
     """
 
     def __init__(
@@ -317,8 +320,7 @@ class Oracle:
         secret: Sequence[int],
         params: SpaceParams,
         mode: LeakageMode,
-        on_response: Callable[[MatchResponse], None] | None = None,
-        on_observation: Callable[[Observation], None] | None = None,
+        tap: Callable[[object, MatchResponse | Observation], None] | None = None,
     ) -> None:
         self.params = params
         self.mode = mode
@@ -346,8 +348,7 @@ class Oracle:
         self._query_count = 0
         self._session_count = 0
         self._audit_count = 0
-        self._on_response = on_response
-        self._on_observation = on_observation
+        self._tap = tap
 
     # -- counters ----------------------------------------------------------
 
@@ -362,6 +363,19 @@ class Oracle:
     @property
     def audit_count(self) -> int:
         return self._audit_count
+
+    def _charge(self, k: int, pairs: Callable[[], Iterable[tuple]], sessions: bool = False) -> None:
+        """Count k queries or, with ``sessions``, k sessions, then pass the
+        tap, if one is set, each of their (submission, answer) pairs in
+        order.  ``pairs()`` builds them only then, so an untapped oracle
+        builds none.  No other method moves a counter or calls the tap."""
+        if sessions:
+            self._session_count += k
+        else:
+            self._query_count += k
+        if self._tap is not None:
+            for submission, answer in pairs():
+                self._tap(submission, answer)
 
     # -- active queries ------------------------------------------------------
 
@@ -385,10 +399,8 @@ class Oracle:
         else:
             wrong = (int.from_bytes(digits, "big") ^ self.__int).to_bytes(params.n, "big")
             d = params.n - wrong.count(0)
-        self._query_count += 1
         resp = self._respond(digits, d, wrong)
-        if self._on_response is not None:
-            self._on_response(resp)
+        self._charge(1, lambda: ((tuple(digits), resp),))
         return resp
 
     def _respond(
@@ -440,31 +452,25 @@ class Oracle:
         ``exact``, the first one at distance 0 (for payloads that reveal the
         distance of an accepted query); without one the scan ends with the
         last candidate.  Chunks are drawn only up to the stop.  Every
-        answered candidate counts one query and fires ``on_response`` once,
-        in order, with the response ``query`` would return.  A malformed
-        chunk raises UsageError before any of its candidates counts.
+        answered candidate counts one query and reaches the tap, in order,
+        with the response ``query`` would return.  A malformed chunk raises
+        UsageError before any of its candidates counts.
 
         Returns (template, response) for the first accepted candidate or,
         with ``exact``, for the first one at the smallest accepted distance;
         None when no answered candidate is accepted.  Without a tap, at most
         one candidate per chunk is decoded and answered in full.
         """
-        payload = self.mode.payload
-        if exact and payload is Payload.NONE:
+        if exact and self.mode.payload is Payload.NONE:
             raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
-        bare = payload is Payload.NONE or self.mode.scope is Scope.BELOW_ONLY
         eps = self.params.epsilon
-        tap = self._on_response
         hit, nearest = None, eps + 1
         for batch in batches:
             dist = self._distances(batch)
             accepted = dist <= eps
             stops = np.flatnonzero(dist == 0 if exact else accepted)
             count = int(stops[0]) + 1 if len(stops) else len(dist)
-            self._query_count += count
-            if tap is not None:
-                for i, a in enumerate(accepted[:count].tolist()):
-                    tap(self._hit(batch, dist, i)[1] if a or not bare else _REJECTED)
+            self._charge(count, lambda: (self._hit(batch, dist, i) for i in range(count)))
             hits = np.flatnonzero(accepted[:count])
             if len(hits):
                 i = int(hits[np.argmin(dist[hits])])
@@ -511,14 +517,14 @@ class Oracle:
         sets cur = d; a raise (d > cur, or a rejected probe under below-only
         scope, which carries no distance) resets the position to 0; a
         position whose every value ties keeps q-1.  Each probe counts one
-        query and fires ``on_response`` once, in order.
+        query and reaches the tap once, in order.
 
         When the positions are distinct, start is 0 at each of them, cur is
         start's distance and, under below-only scope, cur <= epsilon, every
         probe is set by the secret's digit s at its position: s = 0 costs
         one raise, any other s costs s-1 ties and a drop.  Those probes are
         then read off the secret's row at once, with exact int counts at any
-        q; without a tap no response is built.  Any other call submits the
+        q; without a tap no probe is built.  Any other call submits the
         loop's probes through ``query``.  Both give the same counts, taps
         and result, so which one ran tells nothing of the secret.
 
@@ -553,27 +559,24 @@ class Oracle:
         nonzero = np.flatnonzero(s)
         if len(nonzero) == cur:
             at, s = at[: nonzero[-1] + 1], s[: nonzero[-1] + 1]
-        tap = self._on_response
-        if tap is None:
-            # max(1, s) summed: an int16 row sums exactly in int64, wider
-            # digits sum as ints
-            self._query_count += (int(s.sum()) if self._digits else sum(s.tolist())) + len(s) - len(nonzero)
-        else:
-            for digit in s.tolist():
-                if digit:
-                    tie = self._respond(None, cur)
-                    for _ in range(digit - 1):
-                        self._query_count += 1
-                        tap(tie)
-                    cur -= 1
-                    d = cur
-                else:
-                    d = cur + 1
-                self._query_count += 1
-                tap(self._respond(None, d))
+        # max(1, s) summed: an int16 row sums exactly in int64, wider digits as ints
+        probes = (int(s.sum()) if self._digits else sum(s.tolist())) + len(s) - len(nonzero)
+        self._charge(probes, lambda: self._climb_probes(start, cur, at, s))
         out = ys.copy()
         out[at] = s
         return tuple(out.tolist())
+
+    def _climb_probes(self, start: Template, cur: int, at: np.ndarray, s: np.ndarray) -> Iterator[tuple]:
+        """The fast climb's probes with their answers, in order, given the
+        secret's digits s at the positions: at a digit s > 0 the values
+        1..s-1 tie and s drops cur; at 0 the value 1 raises it."""
+        y = list(start)
+        for p, digit in zip(at.tolist(), s.tolist()):
+            for v in range(1, max(digit, 1) + 1):
+                y[p] = v
+                yield tuple(y), self._respond(None, cur if v < digit else cur - 1 if digit else cur + 1)
+            y[p] = digit
+            cur -= bool(digit)
 
     def _climb_positions(self, positions: Iterable[int]) -> np.ndarray:
         """The climb's positions as an integer array, checked to lie in
@@ -645,13 +648,13 @@ class Oracle:
         one at a time, up to and including the first one after which every
         variable coordinate has erred.
 
-        Every answered session counts one session and fires
-        ``on_observation`` once, in order, with the observation
-        ``genuine_session`` would return, and the generator is left where
-        that loop would leave it.  With ``max_sessions`` set, CapacityError
-        is raised once that many sessions, all counted and tapped, leave a
-        variable coordinate unseen.  What ``genuine_session`` rejects raises
-        UsageError, at the call.
+        Every answered session counts one session and reaches the tap once,
+        in order, with the observation ``genuine_session`` would return, and
+        the generator is left where that loop would leave it.  With
+        ``max_sessions`` set, CapacityError is raised once that many
+        sessions, all counted and tapped, leave a variable coordinate
+        unseen.  What ``genuine_session`` rejects raises UsageError, at the
+        call.
 
         Yields, chunk by chunk, the distinct (1-based position, error value
         x_i - y_i) pairs that the chunk's sessions leaked.  Binary
@@ -710,11 +713,9 @@ class Oracle:
             gen.state = state
             rng.random(stop)
             pos = pos[:stop]
-        self._session_count += len(pos)
-        tap = self._on_observation
-        if tap is not None:
-            for p, v in zip((pos + 1).tolist(), flips[pos].tolist()):
-                tap(Observation(errors={p: v}))
+        self._charge(len(pos), lambda: (
+            (None, Observation(errors={p: v})) for p, v in zip((pos + 1).tolist(), flips[pos].tolist())
+        ), sessions=True)
         seen = np.flatnonzero(first < len(pos))
         return dict(zip((seen + 1).tolist(), flips[seen].tolist())), len(pos)
 
@@ -750,18 +751,16 @@ class Oracle:
             )
         if pos[0] < 1 or pos[-1] > params.n:
             raise UsageError("error positions must lie in [1, n]")
-        return self._emit_observation((p - 1, 1) for p in pos)
+        return self._emit_observation(((p - 1, 1) for p in pos), pos)
 
-    def _emit_observation(self, shifts: Iterable[tuple[int, int]]) -> Observation:
-        """Count, tap and return one session given its (0-based coordinate,
-        shift) pairs: the secret's digit x there moves to (x + shift) mod q.
-        This is the one place a session's error value x - (x + shift) mod q
-        is built; the observation lists the pairs in the order given."""
+    def _emit_observation(self, shifts: Iterable[tuple[int, int]], submission: object = None) -> Observation:
+        """Count, tap with ``submission`` and return one session given its
+        (0-based coordinate, shift) pairs, in that order: the secret's digit
+        x there moves to (x + shift) mod q.  This is the one place a
+        session's error value x - (x + shift) mod q is built."""
         secret, q = self.__secret, self.params.q
-        self._session_count += 1
         obs = Observation(errors={p + 1: secret[p] - (secret[p] + s) % q for p, s in shifts})
-        if self._on_observation is not None:
-            self._on_observation(obs)
+        self._charge(1, lambda: ((submission, obs),), sessions=True)
         return obs
 
     # -- verification seal ----------------------------------------------------

@@ -92,6 +92,12 @@ def perturb(
     return y
 
 
+def answers_to(seen: list):
+    """An oracle tap that appends each answer to seen, without its
+    submission."""
+    return lambda submission, answer: seen.append(answer)
+
+
 def unknown_positions(partial: PartialTemplate) -> tuple[int, ...]:
     """1-based positions of a partial template still unknown."""
     return tuple(i + 1 for i, c in enumerate(partial.coords) if c is None)

@@ -38,9 +38,9 @@ from matchleak import (
     sample_template,
 )
 from matchleak import harness
-from matchleak.attacks import client_for
+from matchleak.attacks import ATTACKS, client_for
 
-from conftest import ball_templates, unknown_positions
+from conftest import answers_to, ball_templates, unknown_positions
 
 BELOW = Scope.BELOW_ONLY
 BOTH = Scope.ALWAYS
@@ -420,8 +420,8 @@ class TestBothPositionsSetSweep:
         secrets += [(0,) * n, (q - 1,) * n, tuple(i % q for i in range(n))]
         for secret in secrets:
             fast_tap, loop_tap = [], []
-            out = attack_both_positions(Oracle(secret, params, mode, on_response=fast_tap.append))
-            expect, used = loop_both_positions(Oracle(secret, params, mode, on_response=loop_tap.append))
+            out = attack_both_positions(Oracle(secret, params, mode, tap=answers_to(fast_tap)))
+            expect, used = loop_both_positions(Oracle(secret, params, mode, tap=answers_to(loop_tap)))
             assert (out.recovered, out.queries_used) == (expect, used)
             assert out.recovered == secret
             assert fast_tap == loop_tap
@@ -660,3 +660,121 @@ class TestQueryTraffic:
             assert record.exact
             assert len(calls) in self.allowed(attack, q, n, eps)
             assert len(calls) <= record.queries
+
+
+QUERY_ATTACKS = [spec.id for spec in ATTACKS.values() if spec.counter == "queries"]
+
+
+def _tapped(secret, params, mode):
+    """An oracle whose tap keeps every (submission, answer) pair, and the
+    list it keeps them in."""
+    pairs = []
+    return Oracle(secret, params, mode, tap=lambda y, answer: pairs.append((y, answer))), pairs
+
+
+def _replay(secret, params, mode, pairs):
+    """Submit every tapped template again through query on a fresh oracle
+    over the same secret: each must get the answer that was tapped."""
+    fresh = Oracle(secret, params, mode)
+    for y, answer in pairs:
+        assert type(y) is tuple
+        assert fresh.query(y) == answer
+    assert fresh.query_count == len(pairs)
+
+
+class TestTappedTrafficReplays:
+    """Every pair the tap sees on a fast path (packed and row scans, greedy
+    cover scans, the distance climb read off the secret's row) replays to
+    the same answer through the per-query path."""
+
+    CASES = [
+        (attack, q, strategy)
+        for attack in QUERY_ATTACKS
+        for q in (2, 3)
+        for strategy in (("fixing", "greedy") if attack == "minimal" else ("fixing",))
+        if q == 2 or not ATTACKS[attack].binary
+    ]
+
+    @pytest.mark.parametrize("attack,q,strategy", CASES)
+    def test_attack_pairs_replay_through_query(self, attack, q, strategy, rng, monkeypatch):
+        # q = 2 scans packed words, q = 3 digit rows; the attacks' climbs
+        # all take the fast path.  An accept search opens its attack, and
+        # taps the candidates it answers in the order committed.
+        def by_query(self, *args):
+            raise AssertionError("the distance climb ran query by query")
+
+        scanned = []
+        scan = Oracle.scan
+
+        def counted_scan(self, *args, **kwargs):
+            q0 = self.query_count
+            hit = scan(self, *args, **kwargs)
+            scanned.append(self.query_count - q0)
+            return hit
+
+        monkeypatch.setattr(Oracle, "_climb_by_query", by_query)
+        monkeypatch.setattr(Oracle, "scan", counted_scan)
+        spec = ATTACKS[attack]
+        params = SpaceParams(2, 9, 2) if q == 2 else SpaceParams(3, 6, 2)
+        n, eps = params.n, params.epsilon
+        config = ExperimentConfig(q, n, eps, attack=attack, strategy=strategy)
+        if strategy == "greedy":
+            centers = list(greedy_cover(params).centers)
+        else:
+            centers = [head + (0,) * eps for head in itertools.product(range(q), repeat=n - eps)]
+        for secret in [sample_template(params, rng) for _ in range(6)] + [(0,) * n, (q - 1,) * n]:
+            scanned.clear()
+            o, pairs = _tapped(secret, params, spec.mode)
+            out = spec.run(o, config, rng)
+            assert out.recovered == secret
+            assert len(pairs) == o.query_count == out.queries_used > 0
+            _replay(secret, params, spec.mode, pairs)
+            k = sum(scanned)
+            assert [y for y, _ in pairs[:k]] == centers[:k]
+
+    @pytest.mark.parametrize("q", [2, 3, 257])
+    @pytest.mark.parametrize("scope", list(Scope))
+    def test_climb_pairs_replay_through_query(self, q, scope, rng, monkeypatch):
+        # starts that are 0 on the climbed positions at their true distance
+        # take the fast path unless below-only scope rejects them; other
+        # starts take _climb_by_query
+        by_query = []
+        loop = Oracle._climb_by_query
+        monkeypatch.setattr(Oracle, "_climb_by_query", lambda self, *a: by_query.append(1) or loop(self, *a))
+        mode = LeakageMode(scope, Payload.DISTANCE)
+        fast = 0
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            params = SpaceParams(q, n, int(rng.integers(0, n + 1)))
+            secret = sample_template(params, rng)
+            positions = rng.permutation(n).tolist()
+            for start in ((0,) * n, sample_template(params, rng)):
+                o, pairs = _tapped(secret, params, mode)
+                calls = len(by_query)
+                o.climb(start, hamming_distance(start, secret), positions)
+                fast += len(by_query) == calls
+                assert len(pairs) == o.query_count
+                _replay(secret, params, mode, pairs)
+        assert fast and by_query
+
+    def test_faulted_session_pairs_replay_through_faulted_session(self, rng):
+        params = SpaceParams(2, 16, 3)
+        mode = ATTACKS["fault_control"].mode
+        for secret in [sample_template(params, rng) for _ in range(5)] + [(0,) * 16]:
+            o, pairs = _tapped(secret, params, mode)
+            fault_controlled_collect(o)
+            assert len(pairs) == o.session_count
+            fresh = Oracle(secret, params, mode)
+            for positions, obs in pairs:
+                assert positions == sorted(positions)
+                assert fresh.faulted_session(positions) == obs
+            assert fresh.session_count == len(pairs)
+
+    @pytest.mark.parametrize("shape", list(SessionShape))
+    def test_genuine_sessions_are_tapped_without_a_submission(self, shape, rng):
+        params = SpaceParams(2, 16, 3)
+        o, pairs = _tapped(sample_template(params, rng), params, ATTACKS["accumulation"].mode)
+        out = accumulation_collect(o, ClientModel.uniform(16, shape), rng)
+        assert len(pairs) == o.session_count == out.sessions_used
+        assert all(y is None and isinstance(obs, Observation) for y, obs in pairs)
+        assert collect_observations(params, (obs.errors.items() for _, obs in pairs)) == out.recovered

@@ -173,7 +173,7 @@ def test_audit_file_survives_a_config_error(flags, message, tmp_path, capsys):
 def test_taps_need_one_worker():
     cfg = ExperimentConfig(4, 5, 2, attack="both_positions", trials=3, workers=2)
     with pytest.raises(UsageError, match="audit taps require workers = 1"):
-        harness.run_experiment(cfg, on_response=print)
+        harness.run_experiment(cfg, tap=print)
     with pytest.raises(UsageError, match="audit taps require workers = 1"):
         validate_config(cfg, taps=True)
     validate_config(cfg)
@@ -313,9 +313,46 @@ def test_config_error_exits_before_any_trial(argv, message, monkeypatch, capsys)
 
 def test_largest_alphabet_runs(capsys):
     # 2**63 is the largest alphabet rng.integers draws secrets from
-    validate_config(ExperimentConfig(2**63, 2, 1, attack="below_positions"))
+    validate_config(ExperimentConfig(2**63, 2, 1, attack="both_posvalues"))
     assert main(["attack", "--attack", "both_posvalues", "--q", str(2**63), "--n", "3", "--epsilon", "1"]) == 0
     assert "ok: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "attack, q, n, epsilon",
+    [
+        ("below_positions", 2**40, 2, 1),
+        ("below_distance", 3, 30, 9),  # 3^21, about 2^33.3 candidates
+        ("below_posvalues", 2, 34, 1),
+        ("minimal", 2, 60, 1),
+    ],
+)
+def test_a_hopeless_accept_scan_is_refused(attack, q, n, epsilon):
+    with pytest.raises(UsageError, match=rf"attack {attack!r} opens with an accept search of up to 2\^"):
+        validate_config(ExperimentConfig(q, n, epsilon, attack=attack))
+
+
+def test_the_accept_scan_limit_is_inclusive():
+    validate_config(ExperimentConfig(2, 33, 1, attack="below_posvalues"))  # 2^32 candidates
+    validate_config(ExperimentConfig(2**32, 2, 1, attack="below_positions"))
+    with pytest.raises(UsageError, match=r"above the limit of 2\^32"):
+        validate_config(ExperimentConfig(2**32 + 1, 2, 1, attack="below_positions"))
+
+
+def test_only_the_attacks_that_open_with_an_accept_search_are_refused():
+    # the fixing scan of (2, 60, 1) has 2^59 candidates
+    refused = set()
+    for attack in ATTACKS:
+        try:
+            validate_config(ExperimentConfig(2, 60, 1, attack=attack))
+        except UsageError:
+            refused.add(attack)
+    assert refused == {"below_distance", "below_positions", "below_posvalues", "minimal"}
+
+
+def test_the_bounds_report_takes_any_accept_search(capsys):
+    assert main(["bounds", "--q", "2", "--n", "60", "--epsilon", "1", "--scope", "both", "--payload", "none"]) == 0
+    assert "worst_case_queries:" in capsys.readouterr().out
 
 
 def test_distance_climb_over_a_large_alphabet_finishes(capsys):

@@ -33,7 +33,7 @@ from matchleak import oracle as oracle_module
 from matchleak.covering import fixing_batches
 from matchleak.space import as_template
 
-from conftest import perturb
+from conftest import answers_to, perturb
 
 P7 = SpaceParams(2, 7, 3)
 SECRET7 = (0, 0, 1, 1, 0, 1, 0)
@@ -395,7 +395,7 @@ class TestWatch:
         sides = []
         for _ in range(2):
             taps = []
-            sides.append((Oracle(secret, params, self.MODE, on_observation=taps.append), taps, self._start(seed)))
+            sides.append((Oracle(secret, params, self.MODE, tap=answers_to(taps)), taps, self._start(seed)))
         return params, sides
 
     @staticmethod
@@ -574,7 +574,7 @@ class TestSerialization:
 
     def test_response_tap(self):
         seen = []
-        o = Oracle(SECRET7, P7, below(Payload.DISTANCE), on_response=seen.append)
+        o = Oracle(SECRET7, P7, below(Payload.DISTANCE), tap=answers_to(seen))
         o.query(SECRET7)
         o.query((1,) * 7)
         assert len(seen) == 2 and seen[0].distance == 0
@@ -634,7 +634,7 @@ class TestQueryKernels:
         params, secret, queries, mode = case
         forms = (tuple, list, bytes, bytearray) if params.q <= 256 else (tuple, list)
         seen = []
-        o = Oracle(secret, params, mode, on_response=seen.append)
+        o = Oracle(secret, params, mode, tap=answers_to(seen))
         for k, y in enumerate(queries, 1):
             expect = reference_response(secret, y, params.epsilon, mode)
             for form in forms:
@@ -657,7 +657,7 @@ class TestQueryKernels:
         for mode in MODES:
             expect = [reference_response(secret, y, params.epsilon, mode) for y in queries]
             seen = []
-            o = Oracle(secret, params, mode, on_response=seen.append)
+            o = Oracle(secret, params, mode, tap=answers_to(seen))
             for y, answer in zip(queries, expect):
                 for form in forms:
                     assert o.query(form(y)) == answer
@@ -671,7 +671,7 @@ class TestQueryKernels:
         secret = (q - 1, 0, q // 2, 5, q - 2, 1)
         queries = [secret, (0,) * 6, (q - 1,) * 6, (q - 1, 1, q // 2, 5, 0, 1), (0, 0, q // 2 + 1, 5, q - 2, 1)]
         seen = []
-        o = Oracle(secret, params, mode, on_response=seen.append)
+        o = Oracle(secret, params, mode, tap=answers_to(seen))
         for y in queries:
             assert o.query(y) == reference_response(secret, y, params.epsilon, mode)
         assert seen == [reference_response(secret, y, params.epsilon, mode) for y in queries]
@@ -688,12 +688,12 @@ class TestQueryKernels:
         expect = [reference_response(secret, y, params.epsilon, mode) for y in queries]
         for exact in (False, True) if mode.payload is not Payload.NONE else (False,):
             loop_tap = []
-            loop = Oracle(secret, params, mode, on_response=loop_tap.append)
+            loop = Oracle(secret, params, mode, tap=answers_to(loop_tap))
             hit = _loop_scan(loop, queries, exact)
             assert loop_tap == expect[: loop.query_count]
             for batch in batches:
                 seen = []
-                o = Oracle(secret, params, mode, on_response=seen.append)
+                o = Oracle(secret, params, mode, tap=answers_to(seen))
                 assert o.scan([batch], exact=exact) == hit
                 assert o.query_count == loop.query_count
                 assert seen == loop_tap
@@ -839,8 +839,8 @@ class TestScan:
         for secret in secrets:
             for mode, exact in cases:
                 fast_tap, loop_tap = [], []
-                fast = Oracle(secret, params, mode, on_response=fast_tap.append)
-                loop = Oracle(secret, params, mode, on_response=loop_tap.append)
+                fast = Oracle(secret, params, mode, tap=answers_to(fast_tap))
+                loop = Oracle(secret, params, mode, tap=answers_to(loop_tap))
                 hit = _loop_scan(loop, _pinned_centers(params), exact)
                 assert hit is not None and hit[1].accepted
                 assert fast.scan(fixing_batches(params), exact=exact) == hit
@@ -862,8 +862,8 @@ class TestScan:
         for secret in secrets:
             for mode, exact in [(always(Payload.NONE), False), (below(Payload.DISTANCE), True)]:
                 fast_tap, loop_tap = [], []
-                fast = Oracle(secret, params, mode, on_response=fast_tap.append)
-                loop = Oracle(secret, params, mode, on_response=loop_tap.append)
+                fast = Oracle(secret, params, mode, tap=answers_to(fast_tap))
+                loop = Oracle(secret, params, mode, tap=answers_to(loop_tap))
                 found = covering.covering_search(fast, cover, exact=exact)
                 assert found == _loop_scan(loop, cover.centers, exact)
                 assert fast.query_count == loop.query_count
@@ -885,7 +885,7 @@ class TestScan:
         mode = below(Payload.DISTANCE)
         expect = [reference_response(secret, c, params.epsilon, mode) for c in centers]
         for tap in ([], None):
-            o = Oracle(secret, params, mode, on_response=None if tap is None else tap.append)
+            o = Oracle(secret, params, mode, tap=None if tap is None else answers_to(tap))
             assert o.scan([rows[:7], rows[7:]], exact=True) == (centers[6], expect[6])
             assert o.query_count == len(centers)
             assert tap is None or tap == expect
@@ -924,7 +924,7 @@ class TestScan:
         expect = [reference_response(secret, y, params.epsilon, mode) for y in rows]
         for exact, stop in ((False, len(rows) - 1), (True, len(rows))):
             seen = []
-            o = Oracle(secret, params, mode, on_response=seen.append)
+            o = Oracle(secret, params, mode, tap=answers_to(seen))
             assert o.scan([np.array(rows, dtype=np.int64)], exact=exact) == (rows[stop - 1], expect[stop - 1])
             assert o.query_count == stop
             assert seen == expect[:stop]
@@ -1029,7 +1029,7 @@ class TestClimb:
                     for cur in (d, d - 1, d + 1) if q <= 16 else (d,):
                         expect, answers = _loop_climb(params, secret, mode, start, cur, positions)
                         for tap in ([], None):
-                            o = Oracle(secret, params, mode, on_response=None if tap is None else tap.append)
+                            o = Oracle(secret, params, mode, tap=None if tap is None else answers_to(tap))
                             calls = len(by_query)
                             assert o.climb(start, cur, positions) == expect
                             assert o.query_count == len(answers)
@@ -1040,7 +1040,7 @@ class TestClimb:
     def test_malformed_calls_do_not_count(self):
         params = SpaceParams(4, 5, 2)
         seen = []
-        o = Oracle((0, 1, 2, 3, 0), params, always(Payload.DISTANCE), on_response=seen.append)
+        o = Oracle((0, 1, 2, 3, 0), params, always(Payload.DISTANCE), tap=answers_to(seen))
         zero = (0,) * 5
         for start, cur, positions in (
             ((0, 0, 0, 0), 3, range(4)),  # wrong length

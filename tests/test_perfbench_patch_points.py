@@ -4,7 +4,8 @@ Installing its Capture and Tracer against this tree fails here, with an
 AttributeError, when a refactor drops or renames a name they wrap, instead
 of in a traced benchmark run.  So does a refactor that answers sessions
 past the oracle methods the Tracer wraps, or finds an attack's accepted
-point past the accept search it wraps.
+point past the accept search it wraps, or counts an interaction past
+``Oracle._charge``, the one name a tracer needs to see them all.
 """
 
 import types
@@ -116,3 +117,33 @@ def test_every_distance_climb_reaches_the_oracle_climb(attack, monkeypatch):
         out = spec.run(o, types.SimpleNamespace(), rng)
         assert out.recovered == o.audit_secret()
         assert len(calls) == trial
+
+
+@pytest.mark.parametrize(
+    "attack,shape", [(attack, "single") for attack in attacks.ATTACKS] + [("accumulation", "multi")]
+)
+@pytest.mark.parametrize("tapped", [False, True])
+def test_every_interaction_passes_the_hook(attack, shape, tapped, monkeypatch):
+    # Oracle._charge is the one place the counters move: a tracer that
+    # wraps it sees the traffic of scan, watch and climb too
+    charged = {"queries": 0, "sessions": 0}
+    charge = oracle.Oracle._charge
+
+    def wrapped(self, k, pairs, sessions=False):
+        charged["sessions" if sessions else "queries"] += k
+        return charge(self, k, pairs, sessions)
+
+    monkeypatch.setattr(oracle.Oracle, "_charge", wrapped)
+    spec = attacks.ATTACKS[attack]
+    q = 2 if spec.binary else 3
+    params = space.SpaceParams(q, 9, 2)
+    config = harness.ExperimentConfig(q, 9, 2, attack=attack, session_shape=shape)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        tap = (lambda submission, answer: None) if tapped else None
+        o = oracle.Oracle(space.sample_template(params, rng), params, spec.mode, tap=tap)
+        before = dict(charged)
+        out = spec.run(o, config, rng)
+        assert charged["queries"] - before["queries"] == o.query_count == out.queries_used
+        assert charged["sessions"] - before["sessions"] == o.session_count == out.sessions_used
+        assert o.query_count + o.session_count > 0
