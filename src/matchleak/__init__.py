@@ -41,7 +41,6 @@ from .harness import (
     TrialRecord,
     bench_table,
     emit,
-    read_records,
     run_experiment,
 )
 from .oracle import (

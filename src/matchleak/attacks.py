@@ -1,13 +1,14 @@
 """Template-recovery attacks, one per leakage scenario.
 
 Active attacks drive the oracle through ``query``, ``scan`` (by way of
-``covering.covering_search``) and ``climb``, and report how many queries
-they spent; passive attacks consume genuine-session observations and report
-sessions instead.  Every routine fails fast with a UsageError when run
-against a different leakage mode or parameters than its row in the attack
-registry (``ATTACKS``, at the end of this module) declares, and none of them
-ever touches the sealed secret directly (the harness verifies outcomes
-post-hoc through the audit seal).  The registry is also the one place that
+``covering.covering_search``) and ``climb``; passive attacks consume
+genuine-session observations.  Each returns what it found and reads no
+counter: what a trial spent is the oracle's ``query_count`` and
+``session_count``, which the harness reads.  Every routine fails fast with
+a UsageError when run against a different leakage mode or parameters than
+its row in the attack registry (``ATTACKS``, at the end of this module)
+declares, and none of them ever touches the sealed secret directly (the
+harness verifies outcomes post-hoc through the audit seal).  The registry is also the one place that
 states each attack's worst-case bound, with s = q^(n-eps) for the
 pinned-coordinate accept search.
 """
@@ -50,11 +51,13 @@ class PartialTemplate:
 
 @dataclass(frozen=True, slots=True)
 class AttackOutcome:
+    """What an attack found, with the claims the harness checks against the
+    secret: an exact recovery, and a recovery (or ``ball_guess``) inside the
+    acceptance ball."""
+
     recovered: Template | PartialTemplate
-    queries_used: int
-    exact_recovery: bool
-    within_ball: bool
-    sessions_used: int = 0
+    exact_recovery: bool = True
+    within_ball: bool = True
     ball_guess: Template | None = None
 
 
@@ -69,15 +72,6 @@ def _correct(y: Template, resp: MatchResponse) -> Template:
     for pos, delta in resp.error_values.items():
         z[pos - 1] += delta
     return tuple(z)
-
-
-def _outcome(oracle: Oracle, q0: int, recovered: Template) -> AttackOutcome:
-    return AttackOutcome(
-        recovered=recovered,
-        queries_used=oracle.query_count - q0,
-        exact_recovery=True,
-        within_ball=True,
-    )
 
 
 # --- below-threshold scenarios ------------------------------------------------
@@ -96,10 +90,9 @@ def attack_below_distance(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["below_distance"].require(oracle)
     params = oracle.params
-    q0 = oracle.query_count
     best, resp = covering_search(oracle, exact=True)
     pinned = range(params.n - params.epsilon, params.n)
-    return _outcome(oracle, q0, oracle.climb(best, resp.distance, pinned))
+    return AttackOutcome(oracle.climb(best, resp.distance, pinned))
 
 
 def _fix_from_positions(oracle: Oracle, y: Template, resp: MatchResponse) -> Template:
@@ -149,9 +142,8 @@ def attack_below_positions(oracle: Oracle) -> AttackOutcome:
     binary alphabet, where flagged means complemented).
     """
     ATTACKS["below_positions"].require(oracle)
-    q0 = oracle.query_count
     y, resp = covering_search(oracle)
-    return _outcome(oracle, q0, _fix_from_positions(oracle, y, resp))
+    return AttackOutcome(_fix_from_positions(oracle, y, resp))
 
 
 def attack_below_positions_values(oracle: Oracle) -> AttackOutcome:
@@ -163,9 +155,8 @@ def attack_below_positions_values(oracle: Oracle) -> AttackOutcome:
     one more for an optional confirmation; none is issued).
     """
     ATTACKS["below_posvalues"].require(oracle)
-    q0 = oracle.query_count
     y, resp = covering_search(oracle)
-    return _outcome(oracle, q0, _correct(y, resp))
+    return AttackOutcome(_correct(y, resp))
 
 
 # --- minimal leakage (accept bit only, binary alphabet) -----------------------
@@ -321,10 +312,9 @@ def attack_minimal_binary(
     center search, within n + 2*eps + 1 further queries.
     """
     ATTACKS["minimal"].require(oracle)
-    q0 = oracle.query_count
     greedy = SearchStrategy(strategy) is SearchStrategy.GREEDY_COVER
     y0, _ = covering_search(oracle, greedy_cover(oracle.params) if greedy else None)
-    return _outcome(oracle, q0, center_search_binary(oracle, y0))
+    return AttackOutcome(center_search_binary(oracle, y0))
 
 
 # --- leaks on both sides of the threshold --------------------------------------
@@ -340,10 +330,9 @@ def attack_both_distance(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["both_distance"].require(oracle)
     n = oracle.params.n
-    q0 = oracle.query_count
     y = (0,) * n
     cur = oracle.query(y).distance
-    return _outcome(oracle, q0, oracle.climb(y, cur, range(n)))
+    return AttackOutcome(oracle.climb(y, cur, range(n)))
 
 
 def attack_both_positions(oracle: Oracle) -> AttackOutcome:
@@ -357,22 +346,20 @@ def attack_both_positions(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["both_positions"].require(oracle)
     params = oracle.params
-    q0 = oracle.query_count
     x = [params.q - 1] * params.n
     every = frozenset(range(1, params.n + 1))
     for c in range(params.q - 1):
         for pos in every - oracle.query((c,) * params.n).error_positions:
             x[pos - 1] = c
-    return _outcome(oracle, q0, tuple(x))
+    return AttackOutcome(tuple(x))
 
 
 def attack_both_positions_values(oracle: Oracle) -> AttackOutcome:
     """Single-query recovery when positions and values leak on every query:
     any submission comes back with its own full correction."""
     ATTACKS["both_posvalues"].require(oracle)
-    q0 = oracle.query_count
     y = (0,) * oracle.params.n
-    return _outcome(oracle, q0, _correct(y, oracle.query(y)))
+    return AttackOutcome(_correct(y, oracle.query(y)))
 
 
 # --- passive attacks -----------------------------------------------------------
@@ -414,12 +401,7 @@ def collect_observations(
     return PartialTemplate(tuple(known.get(i + 1) for i in range(params.n)))
 
 
-def accumulation_collect(
-    oracle: Oracle,
-    client: ClientModel,
-    rng: np.random.Generator,
-    max_sessions: int | None = None,
-) -> AttackOutcome:
+def accumulation_collect(oracle: Oracle, client: ClientModel, rng: np.random.Generator) -> AttackOutcome:
     """Passive accumulation: watch genuine sessions until every variable
     coordinate of the client has been observed at least once.
 
@@ -430,16 +412,13 @@ def accumulation_collect(
     """
     ATTACKS["accumulation"].require(oracle)
     params = oracle.params
-    s0 = oracle.session_count
-    partial = collect_observations(params, oracle.watch(client, rng, max_sessions))
+    partial = collect_observations(params, oracle.watch(client, rng))
     unknown = params.n - partial.known_count()
     within = unknown <= params.epsilon
     return AttackOutcome(
         recovered=partial,
-        queries_used=0,
         exact_recovery=unknown == 0,
         within_ball=within,
-        sessions_used=oracle.session_count - s0,
         ball_guess=partial.fill(0) if within else None,
     )
 
@@ -452,18 +431,11 @@ def fault_controlled_collect(oracle: Oracle) -> AttackOutcome:
     """
     ATTACKS["fault_control"].require(oracle)
     n, eps = oracle.params.n, oracle.params.epsilon
-    s0 = oracle.session_count
     chunks = (range(lo, min(lo + eps, n + 1)) for lo in range(1, n + 1, eps))
     partial = collect_observations(oracle.params, (oracle.faulted_session(c).errors.items() for c in chunks))
     if None in partial.coords:
         raise InternalError("fault-controlled sessions left coordinates unknown")
-    return AttackOutcome(
-        recovered=partial.coords,
-        queries_used=0,
-        exact_recovery=True,
-        within_ball=True,
-        sessions_used=oracle.session_count - s0,
-    )
+    return AttackOutcome(partial.coords)
 
 
 # --- attack registry -------------------------------------------------------------

@@ -34,6 +34,7 @@ from .space import (
     ball_volume,
     template_from_index,
     template_index,
+    unpack_words,
 )
 
 GREEDY_POINT_GUARD = 1 << 24
@@ -147,9 +148,9 @@ def coordinate_fixing_cover(params: SpaceParams) -> Cover:
     """The fixing centers as a certified cover (see fixing_batches)."""
     _guard(params.q ** (params.n - params.epsilon), GREEDY_POINT_GUARD, "coordinate-fixing cover")
     centers = tuple(
-        template_from_index(params, c) if chunk.ndim == 1 else tuple(c)
+        tuple(row)
         for chunk in fixing_batches(params)
-        for c in chunk.tolist()
+        for row in (chunk if chunk.ndim == 2 else unpack_words(params.n, chunk)).tolist()
     )
     return Cover(params=params, centers=centers, certified=True)
 

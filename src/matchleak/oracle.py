@@ -56,8 +56,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, UsageError
-from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, digit_bytes, template_from_index, template_index
+from .errors import UsageError
+from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, digit_bytes, template_index, unpack_words
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
@@ -470,12 +470,12 @@ class Oracle:
             accepted = dist <= eps
             stops = np.flatnonzero(dist == 0 if exact else accepted)
             count = int(stops[0]) + 1 if len(stops) else len(dist)
-            self._charge(count, lambda: (self._hit(batch, dist, i) for i in range(count)))
+            self._charge(count, lambda: self._answers(batch[:count], dist))
             hits = np.flatnonzero(accepted[:count])
             if len(hits):
                 i = int(hits[np.argmin(dist[hits])])
                 if dist[i] < nearest:
-                    hit, nearest = self._hit(batch, dist, i), int(dist[i])
+                    hit, nearest = next(self._answers(batch[i : i + 1], dist[i : i + 1])), int(dist[i])
             if len(stops):
                 break
         return hit
@@ -500,11 +500,14 @@ class Oracle:
             raise UsageError(f"scan candidate has a coordinate outside [0, {params.q - 1}]")
         return np.count_nonzero(batch != self.__row, axis=1)
 
-    def _hit(self, batch: np.ndarray, dist: np.ndarray, i: int) -> tuple[Template, MatchResponse]:
-        """Row i of a scan chunk as a template, with its response; a packed
-        word is the template's index at q = 2."""
-        y = template_from_index(self.params, int(batch[i])) if batch.ndim == 1 else tuple(batch[i].tolist())
-        return y, self._respond(bytes(y) if self._digits else y, int(dist[i]))
+    def _answers(self, batch: np.ndarray, dist: np.ndarray) -> Iterator[tuple[Template, MatchResponse]]:
+        """Each candidate of a scan chunk as a template, with its response
+        at the distance ``dist`` gives it, in order; packed words are
+        decoded in one step."""
+        rows = batch if batch.ndim == 2 else unpack_words(self.params.n, batch)
+        for row, d in zip(rows.tolist(), dist.tolist()):
+            y = tuple(row)
+            yield y, self._respond(bytes(y) if self._digits else y, d)
 
     def climb(self, start: Sequence[int], cur: int, positions: Iterable[int]) -> Template:
         """Climb the leaked distance coordinate by coordinate from ``start``,
@@ -638,23 +641,15 @@ class Oracle:
         shifts = [1] * k if q == 2 else [int(rng.integers(1, q)) for _ in positions]
         return self._emit_observation(sorted(zip(positions, shifts)))
 
-    def watch(
-        self,
-        client: ClientModel,
-        rng: np.random.Generator,
-        max_sessions: int | None = None,
-    ) -> Iterator[Iterable[tuple[int, int]]]:
+    def watch(self, client: ClientModel, rng: np.random.Generator) -> Iterator[Iterable[tuple[int, int]]]:
         """Answer genuine sessions, as ``genuine_session`` would answer them
         one at a time, up to and including the first one after which every
         variable coordinate has erred.
 
         Every answered session counts one session and reaches the tap once,
         in order, with the observation ``genuine_session`` would return, and
-        the generator is left where that loop would leave it.  With
-        ``max_sessions`` set, CapacityError is raised once that many
-        sessions, all counted and tapped, leave a variable coordinate
-        unseen.  What ``genuine_session`` rejects raises UsageError, at the
-        call.
+        the generator is left where that loop would leave it.  What
+        ``genuine_session`` rejects raises UsageError, at the call.
 
         Yields, chunk by chunk, the distinct (1-based position, error value
         x_i - y_i) pairs that the chunk's sessions leaked.  Binary
@@ -665,11 +660,9 @@ class Oracle:
         reaches it, and only one chunk is held at a time.
         """
         self._check_client(client)
-        return self._watch(client, rng, max_sessions)
+        return self._watch(client, rng)
 
-    def _watch(
-        self, client: ClientModel, rng: np.random.Generator, max_sessions: int | None
-    ) -> Iterator[Iterable[tuple[int, int]]]:
+    def _watch(self, client: ClientModel, rng: np.random.Generator) -> Iterator[Iterable[tuple[int, int]]]:
         """watch's chunks, after its checks at the call."""
         unseen = set(client.variable_positions())
         blocks = client.shape is SessionShape.SINGLE_ERROR and self.params.q == 2
@@ -677,28 +670,22 @@ class Oracle:
             cdf = np.asarray(client._cdf)
             bits = self.__row
             flips = bits - (bits + 1) % 2  # each coordinate's error value, as _emit_observation builds it
-        done, size = 0, _WATCH_CHUNK
+        size = _WATCH_CHUNK
         while unseen:
-            if max_sessions is not None:
-                if done >= max_sessions:
-                    raise CapacityError(f"collection incomplete after {done} sessions")
-                size = min(size, max_sessions - done)
             if blocks:
-                errors, used = self._session_block(cdf, flips, rng, size, unseen)
+                errors = self._session_block(cdf, flips, rng, size, unseen)
                 size = min(2 * size, _WATCH_MAX_CHUNK)
             else:
-                errors, used = self.genuine_session(client, rng).errors, 1
+                errors = self.genuine_session(client, rng).errors
             unseen.difference_update(errors)
-            done += used
             yield errors.items()
 
     def _session_block(
         self, cdf: np.ndarray, flips: np.ndarray, rng: np.random.Generator, size: int, unseen: set[int]
-    ) -> tuple[dict[int, int], int]:
+    ) -> dict[int, int]:
         """Answer up to ``size`` binary single-error sessions, stopping after
         the first one that leaves no position of ``unseen`` unseen.  Returns
-        the first error value of each position they leaked and the sessions
-        answered."""
+        the first error value of each position they leaked."""
         # one double per session (see the module docstring): a block is one
         # vector draw, redrawn from its start up to the stop if the stop
         # falls inside it
@@ -717,7 +704,7 @@ class Oracle:
             (None, Observation(errors={p: v})) for p, v in zip((pos + 1).tolist(), flips[pos].tolist())
         ), sessions=True)
         seen = np.flatnonzero(first < len(pos))
-        return dict(zip((seen + 1).tolist(), flips[seen].tolist())), len(pos)
+        return dict(zip((seen + 1).tolist(), flips[seen].tolist()))
 
     def _check_client(self, client: ClientModel) -> None:
         """Raise UsageError unless this oracle can answer the client's
@@ -778,6 +765,9 @@ class Oracle:
 #   {"accepted": 0|1, "distance": int?, "positions": [int]?, "values": {"i": int}?}
 # Optional fields are omitted when absent; positions are sorted ascending.
 
+# json.dumps(doc, separators=(",", ":")) without building an encoder per call
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def response_to_json(resp: MatchResponse) -> str:
     doc: dict = {"accepted": int(resp.accepted)}
@@ -787,7 +777,7 @@ def response_to_json(resp: MatchResponse) -> str:
         doc["positions"] = sorted(resp.error_positions)
     if resp.error_values is not None:
         doc["values"] = {str(k): v for k, v in sorted(resp.error_values.items())}
-    return json.dumps(doc, separators=(",", ":"))
+    return _encode(doc)
 
 
 def response_from_json(line: str) -> MatchResponse:
@@ -804,7 +794,7 @@ def response_from_json(line: str) -> MatchResponse:
 
 def observation_to_json(obs: Observation) -> str:
     doc = {"accepted": 1, "values": {str(k): v for k, v in sorted(obs.errors.items())}}
-    return json.dumps(doc, separators=(",", ":"))
+    return _encode(doc)
 
 
 def observation_from_json(line: str) -> Observation:

@@ -209,6 +209,13 @@ def template_from_index(params: SpaceParams, idx: int) -> Template:
     return tuple(coords)
 
 
+def unpack_words(n: int, words: np.ndarray) -> np.ndarray:
+    """Packed q = 2 words, as ``Oracle.scan`` takes them, as rows of n bits
+    in one step: row i is template_from_index of words[i] at q = 2."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
 # --- seeded sampling --------------------------------------------------------
 
 

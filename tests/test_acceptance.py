@@ -79,7 +79,7 @@ def test_criterion_01_single_query_recovery():
         secret = sample_template(params, rng)
         oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS_VALUES))
         out = attack_both_positions_values(oracle)
-        if out.queries_used != 1 or out.recovered != secret:
+        if oracle.query_count != 1 or out.recovered != secret:
             failures += 1
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed < 1.0
@@ -98,7 +98,7 @@ def test_criterion_02_constant_sweep():
         secret = sample_template(params, rng)
         oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS))
         out = attack_both_positions(oracle)
-        if out.recovered != secret or out.queries_used > params.q - 1:
+        if out.recovered != secret or oracle.query_count > params.q - 1:
             failures += 1
 
     params = SpaceParams(4, 5, 1)
@@ -110,8 +110,9 @@ def test_criterion_02_constant_sweep():
         and probe.query((1,) * 5).error_positions == frozenset({1, 3, 4, 5})
         and probe.query((2,) * 5).error_positions == frozenset({1, 2, 3})
     )
-    out = attack_both_positions(Oracle(secret, params, mode))
-    instance_ok = flags_ok and out.recovered == secret and out.queries_used == 3
+    oracle = Oracle(secret, params, mode)
+    out = attack_both_positions(oracle)
+    instance_ok = flags_ok and out.recovered == secret and oracle.query_count == 3
     elapsed = time.time() - t0
     ok = failures == 0 and instance_ok and elapsed < 1.0
     report(
@@ -131,7 +132,7 @@ def test_criterion_03_distance_hill_climb():
         secret = sample_template(params, rng)
         oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.DISTANCE))
         out = attack_both_distance(oracle)
-        if out.recovered != secret or out.queries_used > params.n * (params.q - 1) + 1:
+        if out.recovered != secret or oracle.query_count > params.n * (params.q - 1) + 1:
             failures += 1
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed < 5.0
@@ -158,7 +159,7 @@ def test_criterion_04_minimal_leak_exhaustive():
                 out = attack_minimal_binary(oracle)
                 if out.recovered != secret:
                     exact_failures += 1
-                if out.queries_used > attack_budget:
+                if oracle.query_count > attack_budget:
                     attack_violations[(n, eps)] = attack_violations.get((n, eps), 0) + 1
                 walker = Oracle(secret, params, mode)
                 for start in ball_templates(params, secret):
@@ -212,7 +213,7 @@ def test_criterion_05_below_threshold_trio():
             ]:
                 oracle = Oracle(secret, params, LeakageMode(BELOW, payload))
                 out = attack(oracle)
-                if out.recovered != secret or out.queries_used > budgets[name]:
+                if out.recovered != secret or oracle.query_count > budgets[name]:
                     violations.append((q, n, eps, name))
     elapsed = time.time() - t0
     ok = not violations and elapsed < 120
@@ -300,7 +301,8 @@ def test_criterion_08_accumulation():
     for trial in range(2000):
         rng = np.random.default_rng((108, trial))
         oracle = Oracle(sample_template(params, rng), params, mode)
-        sessions.append(accumulation_collect(oracle, client, rng).sessions_used)
+        accumulation_collect(oracle, client, rng)
+        sessions.append(oracle.session_count)
     mean_uniform = statistics.mean(sessions)
     expected = 20 * float(harmonic_number_exact(20))
     uniform_ok = abs(mean_uniform - expected) / expected < 0.05
@@ -316,7 +318,8 @@ def test_criterion_08_accumulation():
         for trial in range(2000):
             rng = np.random.default_rng((109, int(alpha * 10), trial))
             oracle = Oracle(sample_template(params16, rng), params16, mode)
-            vals.append(accumulation_collect(oracle, client, rng).sessions_used)
+            accumulation_collect(oracle, client, rng)
+            vals.append(oracle.session_count)
         mean = statistics.mean(vals)
         bracket_detail.append(f"alpha={alpha}: {mean:.1f} in [{lo:.1f},{hi:.1f}]")
         if not lo <= mean <= hi:
@@ -328,9 +331,8 @@ def test_criterion_08_accumulation():
         for trial in range(800):
             rng = np.random.default_rng((110, tag, trial))
             oracle = Oracle(sample_template(params16, rng), params16, mode)
-            vals.append(
-                accumulation_collect(oracle, ClientModel.uniform(16, shape), rng).sessions_used
-            )
+            accumulation_collect(oracle, ClientModel.uniform(16, shape), rng)
+            vals.append(oracle.session_count)
         return statistics.mean(vals), statistics.stdev(vals) / math.sqrt(len(vals))
     m_single, se_single = mean_se(SessionShape.SINGLE_ERROR, 0)
     m_multi, se_multi = mean_se(SessionShape.MULTI_ERROR, 1)
@@ -360,8 +362,9 @@ def test_criterion_09_fault_controlled():
     for n, eps in pairs:
         params = SpaceParams(2, n, eps)
         secret = sample_template(params, rng)
-        out = fault_controlled_collect(Oracle(secret, params, mode))
-        if out.sessions_used != math.ceil(n / eps) or out.recovered != secret:
+        oracle = Oracle(secret, params, mode)
+        out = fault_controlled_collect(oracle)
+        if oracle.session_count != math.ceil(n / eps) or out.recovered != secret:
             failures += 1
     ok = failures == 0
     report("9 fault-controlled", ok, f"{len(pairs)} (n, eps) pairs, {failures} failures")

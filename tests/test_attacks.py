@@ -124,7 +124,7 @@ class TestBelowDistance:
         oracle = make((0,) * 8, 2, 8, 2, BELOW, Payload.DISTANCE)
         out = attack_below_distance(oracle)
         assert out.recovered == (0,) * 8
-        assert out.queries_used <= 1 + 1 * 2
+        assert oracle.query_count <= 1 + 1 * 2
 
     def test_random_binary_trials(self, rng):
         params = SpaceParams(2, 8, 2)
@@ -134,8 +134,7 @@ class TestBelowDistance:
             oracle = Oracle(secret, params, LeakageMode(BELOW, Payload.DISTANCE))
             out = attack_below_distance(oracle)
             assert out.recovered == secret
-            assert out.queries_used == oracle.query_count
-            worst = max(worst, out.queries_used)
+            worst = max(worst, oracle.query_count)
         assert worst <= 2**6 + 2 + 2
 
     @pytest.mark.parametrize("q,n,eps", [(3, 6, 2), (4, 5, 2), (2, 9, 3)])
@@ -146,7 +145,7 @@ class TestBelowDistance:
             oracle = Oracle(secret, params, LeakageMode(BELOW, Payload.DISTANCE))
             out = attack_below_distance(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= q ** (n - eps) + (q - 1) * eps
+            assert oracle.query_count <= q ** (n - eps) + (q - 1) * eps
 
     def test_prefix_error_instance(self):
         # errors outside the pinned block: the first accepted scan point is
@@ -165,7 +164,7 @@ class TestBelowPositions:
         oracle = make(secret, 4, 5, 4, BELOW, Payload.POSITIONS)
         out = attack_below_positions(oracle)
         assert out.recovered == secret
-        assert out.queries_used - 1 <= 3
+        assert oracle.query_count - 1 <= 3
 
     def test_binary_needs_no_sweep(self, rng):
         params = SpaceParams(2, 9, 3)
@@ -175,7 +174,7 @@ class TestBelowPositions:
             scan_budget = 2**6
             out = attack_below_positions(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= scan_budget  # complement is query-free
+            assert oracle.query_count <= scan_budget  # complement is query-free
 
     def test_ternary_trials(self, rng):
         params = SpaceParams(3, 9, 3)
@@ -184,7 +183,7 @@ class TestBelowPositions:
             oracle = Oracle(secret, params, LeakageMode(BELOW, Payload.POSITIONS))
             out = attack_below_positions(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= 3**6 + 2
+            assert oracle.query_count <= 3**6 + 2
 
 
 class TestBelowPositionsValues:
@@ -195,13 +194,13 @@ class TestBelowPositionsValues:
             oracle = Oracle(secret, params, LeakageMode(BELOW, Payload.POSITIONS_VALUES))
             out = attack_below_positions_values(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= 4**4 + 1
+            assert oracle.query_count <= 4**4 + 1
 
     def test_secret_equal_to_scan_point(self):
         oracle = make((0, 0, 0, 0, 0, 0), 4, 6, 2, BELOW, Payload.POSITIONS_VALUES)
         out = attack_below_positions_values(oracle)
         assert out.recovered == (0,) * 6
-        assert out.queries_used == 1
+        assert oracle.query_count == 1
 
     def test_binary_routes_through_position_logic(self, rng):
         params = SpaceParams(2, 10, 3)
@@ -210,7 +209,7 @@ class TestBelowPositionsValues:
             oracle = Oracle(secret, params, LeakageMode(BELOW, Payload.POSITIONS_VALUES))
             out = attack_below_positions_values(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= 2**7 + 1
+            assert oracle.query_count <= 2**7 + 1
 
 
 class TestCenterSearch:
@@ -278,7 +277,7 @@ class TestMinimalBinary:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.NONE))
             out = attack_minimal_binary(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= 2**8 + 10 + 5
+            assert oracle.query_count <= 2**8 + 10 + 5
 
     def test_zero_threshold_degenerates_to_pure_search(self):
         params = SpaceParams(2, 6, 0)
@@ -287,7 +286,7 @@ class TestMinimalBinary:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.NONE))
             out = attack_minimal_binary(oracle)
             assert out.recovered == secret
-            worst = max(worst, out.queries_used)
+            worst = max(worst, oracle.query_count)
         assert worst <= 2**6 + 1  # scan plus the start re-check
 
     def test_greedy_cover_strategy(self, rng):
@@ -299,7 +298,7 @@ class TestMinimalBinary:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.NONE))
             out = attack_minimal_binary(oracle, SearchStrategy.GREEDY_COVER)
             assert out.recovered == secret
-            assert out.queries_used <= cover_size + 8 + 2 + 1
+            assert oracle.query_count <= cover_size + 8 + 2 + 1
 
 
 class TestBothDistance:
@@ -307,14 +306,14 @@ class TestBothDistance:
         oracle = make((0,) * 9, 2, 9, 2, BOTH, Payload.DISTANCE)
         out = attack_both_distance(oracle)
         assert out.recovered == (0,) * 9
-        assert out.queries_used == 1
+        assert oracle.query_count == 1
 
     def test_quaternary_example(self):
         secret = (0, 1, 3, 2, 2)
         oracle = make(secret, 4, 5, 1, BOTH, Payload.DISTANCE)
         out = attack_both_distance(oracle)
         assert out.recovered == secret
-        assert out.queries_used <= 5 * 3 + 1
+        assert oracle.query_count <= 5 * 3 + 1
 
     def test_property_run(self, rng):
         for _ in range(150):
@@ -326,7 +325,7 @@ class TestBothDistance:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.DISTANCE))
             out = attack_both_distance(oracle)
             assert out.recovered == secret
-            assert out.queries_used <= n * (q - 1) + 1
+            assert oracle.query_count <= n * (q - 1) + 1
 
     @pytest.mark.parametrize("q", [2**63, 2**64])
     def test_exact_counts_past_int64(self, q):
@@ -337,8 +336,8 @@ class TestBothDistance:
         out = attack_both_distance(oracle)
         secret = oracle.audit_secret()
         assert out.recovered == secret
-        assert out.queries_used == oracle.query_count == 1 + sum(max(1, s) for s in secret)
-        assert out.queries_used <= params.n * (q - 1) + 1
+        assert oracle.query_count == 1 + sum(max(1, s) for s in secret)
+        assert oracle.query_count <= params.n * (q - 1) + 1
 
 
 class TestBothPositions:
@@ -355,7 +354,7 @@ class TestBothPositions:
         oracle = Oracle(secret, params, mode)
         out = attack_both_positions(oracle)
         assert out.recovered == secret
-        assert out.queries_used == 3
+        assert oracle.query_count == 3
 
     def test_binary_single_query(self, rng):
         params = SpaceParams(2, 16, 4)
@@ -364,7 +363,7 @@ class TestBothPositions:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS))
             out = attack_both_positions(oracle)
             assert out.recovered == secret
-            assert out.queries_used == 1
+            assert oracle.query_count == 1
 
     def test_six_symbol_alphabet(self, rng):
         params = SpaceParams(6, 40, 5)
@@ -373,7 +372,7 @@ class TestBothPositions:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS))
             out = attack_both_positions(oracle)
             assert out.recovered == secret
-            assert out.queries_used == 5
+            assert oracle.query_count == 5
 
     def test_exhaustive_tiny(self):
         for q, n in [(2, 6), (3, 4)]:
@@ -382,7 +381,7 @@ class TestBothPositions:
                 oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS))
                 out = attack_both_positions(oracle)
                 assert out.recovered == secret
-                assert out.queries_used <= q - 1
+                assert oracle.query_count <= q - 1
 
     def test_exhaustive_binary_grid(self):
         # every binary secret across the small-parameter grid
@@ -393,7 +392,7 @@ class TestBothPositions:
                     oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS))
                     out = attack_both_positions(oracle)
                     assert out.recovered == secret
-                    assert out.queries_used == 1
+                    assert oracle.query_count == 1
 
 
 def loop_both_positions(oracle: Oracle) -> tuple[tuple[int, ...], int]:
@@ -420,9 +419,10 @@ class TestBothPositionsSetSweep:
         secrets += [(0,) * n, (q - 1,) * n, tuple(i % q for i in range(n))]
         for secret in secrets:
             fast_tap, loop_tap = [], []
-            out = attack_both_positions(Oracle(secret, params, mode, tap=answers_to(fast_tap)))
+            oracle = Oracle(secret, params, mode, tap=answers_to(fast_tap))
+            out = attack_both_positions(oracle)
             expect, used = loop_both_positions(Oracle(secret, params, mode, tap=answers_to(loop_tap)))
-            assert (out.recovered, out.queries_used) == (expect, used)
+            assert (out.recovered, oracle.query_count) == (expect, used)
             assert out.recovered == secret
             assert fast_tap == loop_tap
 
@@ -437,7 +437,7 @@ class TestBothPositionsValues:
             oracle = Oracle(secret, params, LeakageMode(BOTH, Payload.POSITIONS_VALUES))
             out = attack_both_positions_values(oracle)
             assert out.recovered == secret
-            assert out.queries_used == 1
+            assert oracle.query_count == 1
 
     def test_quaternary_value_leak(self):
         secret = (0, 1, 3, 2, 2)
@@ -451,7 +451,7 @@ class TestBothPositionsValues:
     def test_zero_secret(self):
         oracle = make((0,) * 5, 4, 5, 2, BOTH, Payload.POSITIONS_VALUES)
         out = attack_both_positions_values(oracle)
-        assert out.recovered == (0,) * 5 and out.queries_used == 1
+        assert out.recovered == (0,) * 5 and oracle.query_count == 1
 
 
 class TestValueResolution:
@@ -495,8 +495,8 @@ class TestAccumulation:
         out = accumulation_collect(oracle, ClientModel.uniform(12), rng)
         assert out.exact_recovery and out.within_ball
         assert out.recovered.fill() == secret
-        assert out.queries_used == 0
-        assert out.sessions_used == oracle.session_count
+        assert oracle.query_count == 0
+        assert oracle.session_count > 0
 
     def test_requires_binary_and_mode(self, rng):
         params = SpaceParams(4, 6, 2)
@@ -518,12 +518,6 @@ class TestAccumulation:
         assert out.within_ball  # 2 unknowns <= eps: authentication still broken
         assert hamming_distance(out.ball_guess, secret) <= 3
 
-    def test_session_cap(self, rng):
-        params = SpaceParams(2, 16, 2)
-        oracle = Oracle(random_secret(params, rng), params, self.MODE)
-        with pytest.raises(CapacityError):
-            accumulation_collect(oracle, ClientModel.uniform(16), rng, max_sessions=3)
-
     def test_client_built_once_per_setting(self):
         params = SpaceParams(2, 16, 3)
         cfg = ExperimentConfig(2, 16, 3, attack="accumulation", alpha=1.5)
@@ -539,7 +533,8 @@ class TestAccumulation:
         totals = []
         for _ in range(400):
             oracle = Oracle(random_secret(params, rng), params, self.MODE)
-            totals.append(accumulation_collect(oracle, ClientModel.uniform(10), rng).sessions_used)
+            accumulation_collect(oracle, ClientModel.uniform(10), rng)
+            totals.append(oracle.session_count)
         mean = sum(totals) / len(totals)
         assert mean == pytest.approx(10 * float(harmonic_number_exact(10)), rel=0.10)
 
@@ -550,20 +545,23 @@ class TestFaultControlled:
     def test_seven_over_three(self, rng):
         params = SpaceParams(2, 7, 3)
         secret = random_secret(params, rng)
-        out = fault_controlled_collect(Oracle(secret, params, self.MODE))
-        assert out.sessions_used == 3 and out.recovered == secret
+        oracle = Oracle(secret, params, self.MODE)
+        out = fault_controlled_collect(oracle)
+        assert oracle.session_count == 3 and out.recovered == secret
 
     def test_threshold_equals_dimension(self, rng):
         params = SpaceParams(2, 9, 9)
         secret = random_secret(params, rng)
-        out = fault_controlled_collect(Oracle(secret, params, self.MODE))
-        assert out.sessions_used == 1 and out.recovered == secret
+        oracle = Oracle(secret, params, self.MODE)
+        out = fault_controlled_collect(oracle)
+        assert oracle.session_count == 1 and out.recovered == secret
 
     def test_twelve_over_four(self, rng):
         params = SpaceParams(2, 12, 4)
         secret = random_secret(params, rng)
-        out = fault_controlled_collect(Oracle(secret, params, self.MODE))
-        assert out.sessions_used == 3 and out.exact_recovery
+        oracle = Oracle(secret, params, self.MODE)
+        out = fault_controlled_collect(oracle)
+        assert oracle.session_count == 3 and out.exact_recovery
 
     def test_requires_posvalues_below(self):
         oracle = make((0,) * 6, 2, 6, 2, BOTH, Payload.POSITIONS_VALUES)
@@ -591,7 +589,6 @@ class TestIsolation:
             oracle = Oracle(secret, params, LeakageMode(scope, payload))
             out = attack(oracle)
             assert oracle.audit_count == 0
-            assert out.queries_used == oracle.query_count
             if isinstance(out.recovered, tuple):
                 assert out.recovered == oracle.audit_secret()
 
@@ -727,7 +724,7 @@ class TestTappedTrafficReplays:
             o, pairs = _tapped(secret, params, spec.mode)
             out = spec.run(o, config, rng)
             assert out.recovered == secret
-            assert len(pairs) == o.query_count == out.queries_used > 0
+            assert len(pairs) == o.query_count > 0
             _replay(secret, params, spec.mode, pairs)
             k = sum(scanned)
             assert [y for y, _ in pairs[:k]] == centers[:k]
@@ -775,6 +772,6 @@ class TestTappedTrafficReplays:
         params = SpaceParams(2, 16, 3)
         o, pairs = _tapped(sample_template(params, rng), params, ATTACKS["accumulation"].mode)
         out = accumulation_collect(o, ClientModel.uniform(16, shape), rng)
-        assert len(pairs) == o.session_count == out.sessions_used
+        assert len(pairs) == o.session_count > 0
         assert all(y is None and isinstance(obs, Observation) for y, obs in pairs)
         assert collect_observations(params, (obs.errors.items() for _, obs in pairs)) == out.recovered

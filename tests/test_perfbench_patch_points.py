@@ -61,10 +61,10 @@ def test_every_session_reaches_the_wrapped_methods(attack, monkeypatch):
     mode = oracle.LeakageMode.parse("below", "posvalues")
     o = oracle.Oracle(space.sample_template(params, rng), params, mode)
     if attack == "fault_control":
-        out = attacks.fault_controlled_collect(o)
+        attacks.fault_controlled_collect(o)
     else:
-        out = attacks.accumulation_collect(o, oracle.ClientModel.uniform(16, oracle.SessionShape.MULTI_ERROR), rng)
-    assert len(calls) == o.session_count == out.sessions_used > 0
+        attacks.accumulation_collect(o, oracle.ClientModel.uniform(16, oracle.SessionShape.MULTI_ERROR), rng)
+    assert len(calls) == o.session_count > 0
 
 
 @pytest.mark.parametrize(
@@ -125,7 +125,8 @@ def test_every_distance_climb_reaches_the_oracle_climb(attack, monkeypatch):
 @pytest.mark.parametrize("tapped", [False, True])
 def test_every_interaction_passes_the_hook(attack, shape, tapped, monkeypatch):
     # Oracle._charge is the one place the counters move: a tracer that
-    # wraps it sees the traffic of scan, watch and climb too
+    # wraps it sees the traffic of scan, watch and climb too, and each
+    # trial's record holds what the hook counted
     charged = {"queries": 0, "sessions": 0}
     charge = oracle.Oracle._charge
 
@@ -136,14 +137,13 @@ def test_every_interaction_passes_the_hook(attack, shape, tapped, monkeypatch):
     monkeypatch.setattr(oracle.Oracle, "_charge", wrapped)
     spec = attacks.ATTACKS[attack]
     q = 2 if spec.binary else 3
-    params = space.SpaceParams(q, 9, 2)
     config = harness.ExperimentConfig(q, 9, 2, attack=attack, session_shape=shape)
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        tap = (lambda submission, answer: None) if tapped else None
-        o = oracle.Oracle(space.sample_template(params, rng), params, spec.mode, tap=tap)
+    params = harness.validate_config(config)
+    bound = harness.attack_bound(config, params)
+    tap = (lambda submission, answer: None) if tapped else None
+    for trial in range(3):
         before = dict(charged)
-        out = spec.run(o, config, rng)
-        assert charged["queries"] - before["queries"] == o.query_count == out.queries_used
-        assert charged["sessions"] - before["sessions"] == o.session_count == out.sessions_used
-        assert o.query_count + o.session_count > 0
+        record = harness.run_trial(config, trial, params, bound, tap)
+        assert charged["queries"] - before["queries"] == record.queries
+        assert charged["sessions"] - before["sessions"] == record.sessions
+        assert record.queries + record.sessions > 0 and record.exact

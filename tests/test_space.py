@@ -15,7 +15,7 @@ from matchleak import (
     q_ary_entropy,
     sample_template,
 )
-from matchleak.space import as_template, template_from_index, template_index
+from matchleak.space import as_template, template_from_index, template_index, unpack_words
 
 from conftest import ball_templates, brute_ball_count, enumerate_templates, sample_at_distance
 
@@ -266,6 +266,16 @@ class TestIndexing:
             seen.append(t)
         assert seen == sorted(seen)
         assert len(seen) == 81
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 63])
+    def test_unpacked_words_are_their_templates(self, n, rng):
+        # the vectorised decoder against the divmod loop, ends included
+        params = SpaceParams(2, n, 0)
+        words = [0, (1 << n) - 1, *rng.integers(0, 1 << n, size=50, dtype=np.uint64).tolist()]
+        rows = unpack_words(n, np.array(words, dtype=np.uint64))
+        assert rows.dtype == np.uint8 and rows.shape == (len(words), n)
+        assert [tuple(r) for r in rows.tolist()] == [template_from_index(params, w) for w in words]
+        assert unpack_words(n, np.array([], dtype=np.uint64)).shape == (0, n)
 
     def test_ball_enumeration_matches_distance_filter(self):
         params = SpaceParams(3, 4, 2)

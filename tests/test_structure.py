@@ -1,7 +1,8 @@
 """The package's structure, read from its source with ``ast``: every import
 sits at module level, the module-level imports among the package's modules
-form no cycle, and only the oracle's constructor and its one hook touch the
-interaction counters and the tap."""
+form no cycle, only the oracle's constructor and its one hook touch the
+interaction counters and the tap, and only the harness's trial runner reads
+the counters outside the oracle."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,10 @@ _BODIES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _COUNTERS = {"_query_count", "_session_count"}
 _TAP = "_tap"
 _ACCOUNTING = {"Oracle.__init__", "Oracle._charge"}
+# the counters' public names, and the one function outside oracle.py that
+# reads them: what a trial spent has one ledger, the oracle's
+_COUNTS = {"query_count", "session_count"}
+_LEDGER_READER = ("harness", "run_trial")
 
 
 def _tree(name: str) -> ast.Module:
@@ -59,19 +64,30 @@ def _package_imports(tree: ast.AST, modules=MODULES) -> set[str]:
     return found
 
 
-def _accounting_sites(tree: ast.AST, scope: tuple[str, ...] = ()) -> list[tuple[str, int]]:
+def _attribute_sites(tree: ast.AST, match, scope: tuple[str, ...] = ()) -> list[tuple[str, int]]:
     """(qualified name of the enclosing function or class, line) of every
-    assignment to an interaction counter or the tap attribute, and of every
-    other use of the tap, which covers a call through a local name."""
+    attribute node that ``match`` accepts."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope + (node.name,) if isinstance(node, _BODIES) else scope
-        if isinstance(node, ast.Attribute) and (
-            node.attr == _TAP or (node.attr in _COUNTERS and not isinstance(node.ctx, ast.Load))
-        ):
+        if isinstance(node, ast.Attribute) and match(node):
             found.append((".".join(scope), node.lineno))
-        found += _accounting_sites(node, inner)
+        found += _attribute_sites(node, match, inner)
     return found
+
+
+def _accounting_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """The sites of every assignment to an interaction counter or the tap
+    attribute, and of every other use of the tap, which covers a call
+    through a local name."""
+    return _attribute_sites(
+        tree, lambda node: node.attr == _TAP or (node.attr in _COUNTERS and not isinstance(node.ctx, ast.Load))
+    )
+
+
+def _count_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """The sites of every use of ``query_count`` or ``session_count``."""
+    return _attribute_sites(tree, lambda node: node.attr in _COUNTS)
 
 
 def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
@@ -131,6 +147,15 @@ def test_the_checks_find_what_they_look_for():
     assert _accounting_sites(ast.parse(source)) == [
         ("Oracle.__init__", 3), ("Oracle.scan", 7), ("Oracle.scan", 8), ("reset", 11), ("reset", 11),
     ]
+    source = (
+        "def attack(oracle):\n"
+        "    q0 = oracle.query_count\n"
+        "    return oracle.session_count - q0\n"
+        "class Trial:\n"
+        "    def run(self, o):\n"
+        "        spent = o.query_count\n"
+    )
+    assert _count_reads(ast.parse(source)) == [("attack", 2), ("attack", 3), ("Trial.run", 6)]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -157,3 +182,18 @@ def test_only_the_hook_counts_and_taps():
         if not (name == "oracle" and where in _ACCOUNTING)
     ]
     assert stray == [], "counters or tap touched outside Oracle.__init__ and Oracle._charge: " + ", ".join(stray)
+
+
+def test_only_the_trial_runner_reads_the_counters():
+    # an attack returns what it found; what it spent is read off the
+    # oracle once, where run_trial writes the record
+    module, function = _LEDGER_READER
+    reads = {name: _count_reads(_tree(name)) for name in MODULES if name != "oracle"}
+    assert {where for where, _ in reads[module]} == {function}  # the parse sees the reader
+    stray = [
+        f"{name}.py:{line} in {where or 'module level'}"
+        for name, sites in reads.items()
+        for where, line in sites
+        if (name, where) != _LEDGER_READER
+    ]
+    assert stray == [], "oracle counters read outside harness.run_trial: " + ", ".join(stray)
