@@ -374,7 +374,7 @@ class TestSessionSampler:
 
 
 class TestWatch:
-    """watch against a genuine_session loop with its own stop and cap, the
+    """watch against a genuine_session loop with its own stop, the
     per-session path it replaces."""
 
     MODE = below(Payload.POSITIONS_VALUES)
@@ -443,6 +443,31 @@ class TestWatch:
             assert taps == ref_taps
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             assert o.query_count == 0
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("shape", list(SessionShape))
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CLIENTS))
+    def test_session_cap(self, q, shape, name):
+        # a caller caps the sessions by leaving the iteration: only the
+        # chunks it reached are drawn, counted and tapped, as that many
+        # genuine_session calls would be
+        client = ClientModel(SAMPLER_CLIENTS[name].error_probs, shape)
+        for seed in range(30):
+            params, ((o, _, rng), _) = self._pair(client, seed, q)
+            _, counts = self._drain(o, client, rng)
+            for reached in sorted({0, 1, len(counts) - 1}):
+                params, ((o, taps, rng), (ref, ref_taps, ref_rng)) = self._pair(client, seed, q)
+                chunks = o.watch(client, rng)
+                pairs = set()
+                for chunk in itertools.islice(chunks, reached):
+                    pairs.update(chunk)
+                chunks.close()
+                cap = counts[reached - 1] if reached else 0
+                sessions = [ref.genuine_session(client, ref_rng).errors for _ in range(cap)]
+                assert pairs == {pair for errors in sessions for pair in errors.items()}
+                assert o.session_count == ref.session_count == cap
+                assert taps == ref_taps
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     # accumulation is a binary attack
     @pytest.mark.parametrize("shape", list(SessionShape))
