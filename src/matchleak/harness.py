@@ -37,7 +37,7 @@ from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, _a
 from .bounds import worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import ClientModel, Oracle, Payload, Scope, SessionShape
+from .oracle import Oracle, Payload, Scope, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
 from .space import coupon_bracket  # noqa: F401 -- wrapped by name in perfbench
 
@@ -107,8 +107,6 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams
     if taps and config.workers > 1:
         raise UsageError("audit taps require workers = 1")
     _check_choice("strategy", config.strategy, SearchStrategy)
-    if config.alpha is not None:
-        ClientModel.rare_first(params.n, config.alpha)  # raises for an alpha it cannot model
     _check_choice("session shape", config.session_shape, SessionShape)
     if spec.counter == "queries" and (spec.mode.scope is Scope.BELOW_ONLY or spec.mode.payload is Payload.NONE):
         searched = _accept_search(params, config)  # these attacks open with an accept search

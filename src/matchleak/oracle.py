@@ -27,11 +27,13 @@ the stop falls inside one, restored and advanced by the sessions used.
 Every other client's chunk is one ``genuine_session``.  Counts, taps and
 the generator's final state are those of the per-session loop.
 
-``climb`` answers the coordinate-wise distance climb.  From a start that is
-0 on the climbed positions and at the distance the caller read, every probe
-is set by the secret's digits there, and it reads them off the secret's row
-in one pass; any other call submits the probes through ``query``.  Counts,
-taps and result are those of the per-query loop either way.
+``climb`` answers the coordinate-wise distance climb over a range of
+positions, and ``_climb_loop`` is the one definition of its probes.  From a
+start that is 0 on the climbed positions and at the distance the caller
+read, every probe is set by the secret's digits there, so the count and end
+are read off the secret's row in one pass; any other call runs the loop.
+Either way the tap gets the loop's probes, and counts, taps and result are
+those of the loop.
 
 ``query`` answers one submission, checked by ``space.digit_bytes`` as
 ``as_template`` checks it.  With the accept searches in ``scan`` and the
@@ -509,31 +511,32 @@ class Oracle:
             y = tuple(row)
             yield y, self._respond(bytes(y) if self._digits else y, d)
 
-    def climb(self, start: Sequence[int], cur: int, positions: Iterable[int]) -> Template:
+    def climb(self, start: Sequence[int], cur: int, positions: range) -> Template:
         """Climb the leaked distance coordinate by coordinate from ``start``,
-        whose distance the caller read as ``cur``, and return where it ends.
+        whose distance the caller read as ``cur``, over the 0-based
+        ``positions`` in range order, and return where it ends.
 
-        The probes are those of this loop, each answered as ``query`` would
-        answer it.  For each 0-based position, in order: stop if cur is 0,
-        else set the position to 1, 2, ..., q-1 in turn until a probe's
-        distance d differs from cur.  A drop (d < cur) keeps the value and
-        sets cur = d; a raise (d > cur, or a rejected probe under below-only
+        ``_climb_loop`` defines the probes, each answered as ``query`` would
+        answer it: for each position, stop if cur is 0, else set the
+        position to 1, 2, ..., q-1 in turn until a probe's distance d
+        differs from cur.  A drop (d < cur) keeps the value and sets
+        cur = d; a raise (d > cur, or a rejected probe under below-only
         scope, which carries no distance) resets the position to 0; a
         position whose every value ties keeps q-1.  Each probe counts one
         query and reaches the tap once, in order.
 
-        When the positions are distinct, start is 0 at each of them, cur is
-        start's distance and, under below-only scope, cur <= epsilon, every
-        probe is set by the secret's digit s at its position: s = 0 costs
-        one raise, any other s costs s-1 ties and a drop.  Those probes are
-        then read off the secret's row at once, with exact int counts at any
-        q; without a tap no probe is built.  Any other call submits the
-        loop's probes through ``query``.  Both give the same counts, taps
-        and result, so which one ran tells nothing of the secret.
+        When start is 0 at each position, cur is start's distance and,
+        under below-only scope, cur <= epsilon, every probe is set by the
+        secret's digit s at its position: s = 0 costs one raise, any other
+        s costs s-1 ties and a drop.  The count and result are then read
+        off the secret's row at once, with exact int counts at any q, and
+        without a tap no probe is built.  Any other call runs the loop.
+        Both give the same counts, taps and result, so which one ran tells
+        nothing of the secret.
 
         A payload other than distance, a start ``query`` would reject, a cur
-        that is not an integer or a position outside [0, n) raises
-        UsageError before any probe counts.
+        that is not an integer, or positions that are not a range within
+        [0, n) raise UsageError before any probe counts.
         """
         params = self.params
         if self.mode.payload is not Payload.DISTANCE:
@@ -550,9 +553,8 @@ class Oracle:
             (cur <= params.epsilon or self.mode.scope is Scope.ALWAYS)
             and cur == np.count_nonzero(ys != row)
             and not ys[at].any()
-            and (isinstance(positions, range) or len(np.unique(at)) == len(at))
         ):
-            return self._climb_by_query(start, cur, at.tolist())
+            return self._climb_stepwise(start, cur, positions)
         if cur == 0:
             return start
         s = row[at]
@@ -564,56 +566,53 @@ class Oracle:
             at, s = at[: nonzero[-1] + 1], s[: nonzero[-1] + 1]
         # max(1, s) summed: an int16 row sums exactly in int64, wider digits as ints
         probes = (int(s.sum()) if self._digits else sum(s.tolist())) + len(s) - len(nonzero)
-        self._charge(probes, lambda: self._climb_probes(start, cur, at, s))
+        self._charge(probes, lambda: self._climb_loop(list(start), cur, positions))
         out = ys.copy()
         out[at] = s
         return tuple(out.tolist())
 
-    def _climb_probes(self, start: Template, cur: int, at: np.ndarray, s: np.ndarray) -> Iterator[tuple]:
-        """The fast climb's probes with their answers, in order, given the
-        secret's digits s at the positions: at a digit s > 0 the values
-        1..s-1 tie and s drops cur; at 0 the value 1 raises it."""
-        y = list(start)
-        for p, digit in zip(at.tolist(), s.tolist()):
-            for v in range(1, max(digit, 1) + 1):
-                y[p] = v
-                yield tuple(y), self._respond(None, cur if v < digit else cur - 1 if digit else cur + 1)
-            y[p] = digit
-            cur -= bool(digit)
-
-    def _climb_positions(self, positions: Iterable[int]) -> np.ndarray:
-        """The climb's positions as an integer array, checked to lie in
-        [0, n)."""
+    def _climb_positions(self, positions: range) -> np.ndarray:
+        """The climb's positions as an index array, checked to be a range
+        whose ends lie in [0, n); a range lies between its ends."""
         n = self.params.n
-        if isinstance(positions, range):
-            at = np.arange(positions.start, positions.stop, positions.step)
-            # a range lies between its ends
-            ok = not positions or (0 <= positions[0] < n and 0 <= positions[-1] < n)
-        else:
-            at = np.array(list(positions))
-            ok = at.ndim == 1 and (not at.size or (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < n))
-        if not ok:
-            raise UsageError(f"climb positions must be integers in [0, {n - 1}]")
-        return at.astype(np.intp, copy=False)
+        if not isinstance(positions, range):
+            raise UsageError(f"climb positions must be a range, got {type(positions).__name__}")
+        if positions and not (0 <= positions[0] < n and 0 <= positions[-1] < n):
+            raise UsageError(f"climb positions must lie in [0, {n - 1}]")
+        return np.arange(positions.start, positions.stop, positions.step, dtype=np.intp)
 
-    def _climb_by_query(self, start: Template, cur: int, positions: list[int]) -> Template:
-        """The climb's loop, one ``query`` per probe; it resubmits one
-        working list, changed in place."""
+    def _climb_stepwise(self, start: Template, cur: int, positions: range) -> Template:
+        """The climb by its loop, probe by probe: one pass counts the probes
+        and finds the end, and the tap, if set, gets them from a second."""
         y = list(start)
-        for pos in positions:
+        probes = sum(1 for _ in self._climb_loop(y, cur, positions))
+        self._charge(probes, lambda: self._climb_loop(list(start), cur, positions))
+        return tuple(y)
+
+    def _climb_loop(self, y: list[int], cur: int, positions: range) -> Iterator[tuple[Template, MatchResponse]]:
+        """Yield the climb's probes from y, whose distance the caller read
+        as cur, each with the answer ``query`` would give it, and leave y
+        where the climb ends.  The distance d of y carries over from one
+        probe to the next, corrected at the one coordinate a probe changes."""
+        secret = self.__secret
+        d = sum(map(operator.ne, secret, y))
+        for p in positions:
             if cur == 0:
                 break
+            s = secret[p]
+            off = d - (y[p] != s)  # y's distance off position p
             for v in range(1, self.params.q):
-                y[pos] = v
-                d = self.query(y).distance
-                d = cur + 1 if d is None else d
-                if d < cur:
-                    cur = d
+                y[p] = v
+                d = off + (v != s)
+                answer = self._respond(None, d)
+                yield tuple(y), answer
+                if answer.distance is None or answer.distance > cur:
+                    y[p] = 0
+                    d = off + (s != 0)
                     break
-                if d > cur:
-                    y[pos] = 0
+                if answer.distance < cur:
+                    cur = answer.distance
                     break
-        return tuple(y)
 
     # -- passive sessions ---------------------------------------------------
 

@@ -12,8 +12,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 import pytest
 
-from matchleak import PartialTemplate, SpaceParams, UsageError
-from matchleak.space import Template, as_template
+from matchleak.attacks import PartialTemplate
+from matchleak.errors import UsageError
+from matchleak.space import SpaceParams, Template, as_template
 
 
 def brute_ball_count(params: SpaceParams, center: tuple[int, ...]) -> int:

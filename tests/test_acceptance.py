@@ -20,14 +20,7 @@ import time
 
 import numpy as np
 
-from matchleak import (
-    ClientModel,
-    LeakageMode,
-    Oracle,
-    Payload,
-    Scope,
-    SessionShape,
-    SpaceParams,
+from matchleak.attacks import (
     accumulation_collect,
     attack_below_distance,
     attack_below_positions,
@@ -36,20 +29,21 @@ from matchleak import (
     attack_both_positions,
     attack_both_positions_values,
     attack_minimal_binary,
-    ball_volume,
     center_search_binary,
-    coordinate_fixing_cover,
-    coupon_bracket,
-    exact_min_cover_size,
     fault_controlled_collect,
-    greedy_cover,
-    greedy_cover_bound,
+)
+from matchleak.bounds import greedy_cover_bound
+from matchleak.covering import coordinate_fixing_cover, exact_min_cover_size, greedy_cover, verify_cover
+from matchleak.harness import bench_table, emit_bench
+from matchleak.oracle import ClientModel, LeakageMode, Oracle, Payload, Scope, SessionShape
+from matchleak.space import (
+    SpaceParams,
+    ball_volume,
+    coupon_bracket,
     harmonic_number_exact,
     q_ary_entropy,
     sample_template,
-    verify_cover,
 )
-from matchleak.harness import bench_table, emit_bench
 from conftest import ball_templates
 
 from conftest import weight_histogram

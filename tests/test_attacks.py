@@ -3,21 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from matchleak import (
-    CapacityError,
-    ClientModel,
-    ExperimentConfig,
-    InternalError,
-    LeakageMode,
-    Observation,
-    Oracle,
+from matchleak import harness
+from matchleak.attacks import (
+    ATTACKS,
     PartialTemplate,
-    Payload,
-    Scope,
     SearchStrategy,
-    SessionShape,
-    SpaceParams,
-    UsageError,
     accumulation_collect,
     attack_below_distance,
     attack_below_positions,
@@ -27,18 +17,17 @@ from matchleak import (
     attack_both_positions_values,
     attack_minimal_binary,
     center_search_binary,
+    client_for,
     collect_observations,
-    covering_search,
     fault_controlled_collect,
-    greedy_cover,
-    greedy_cover_bound,
-    hamming_distance,
-    harmonic_number_exact,
     resolve_error_value,
-    sample_template,
 )
-from matchleak import harness
-from matchleak.attacks import ATTACKS, client_for
+from matchleak.bounds import greedy_cover_bound
+from matchleak.covering import covering_search, greedy_cover
+from matchleak.errors import CapacityError, InternalError, UsageError
+from matchleak.harness import ExperimentConfig
+from matchleak.oracle import ClientModel, LeakageMode, Observation, Oracle, Payload, Scope, SessionShape
+from matchleak.space import SpaceParams, hamming_distance, harmonic_number_exact, sample_template
 
 from conftest import answers_to, ball_templates, unknown_positions
 
@@ -643,11 +632,11 @@ class TestQueryTraffic:
             calls.append(1)
             return query(self, y)
 
-        def by_query(self, *args):
-            raise AssertionError("the distance climb ran query by query")
+        def stepwise(self, *args):
+            raise AssertionError("the distance climb ran probe by probe")
 
         monkeypatch.setattr(Oracle, "query", counted)
-        monkeypatch.setattr(Oracle, "_climb_by_query", by_query)
+        monkeypatch.setattr(Oracle, "_climb_stepwise", stepwise)
         config = ExperimentConfig(q=q, n=n, epsilon=eps, attack=attack, trials=4, master_seed=3, **settings)
         params = harness.validate_config(config)
         bound = harness.attack_bound(config, params)
@@ -697,8 +686,8 @@ class TestTappedTrafficReplays:
         # q = 2 scans packed words, q = 3 digit rows; the attacks' climbs
         # all take the fast path.  An accept search opens its attack, and
         # taps the candidates it answers in the order committed.
-        def by_query(self, *args):
-            raise AssertionError("the distance climb ran query by query")
+        def stepwise(self, *args):
+            raise AssertionError("the distance climb ran probe by probe")
 
         scanned = []
         scan = Oracle.scan
@@ -709,7 +698,7 @@ class TestTappedTrafficReplays:
             scanned.append(self.query_count - q0)
             return hit
 
-        monkeypatch.setattr(Oracle, "_climb_by_query", by_query)
+        monkeypatch.setattr(Oracle, "_climb_stepwise", stepwise)
         monkeypatch.setattr(Oracle, "scan", counted_scan)
         spec = ATTACKS[attack]
         params = SpaceParams(2, 9, 2) if q == 2 else SpaceParams(3, 6, 2)
@@ -734,25 +723,25 @@ class TestTappedTrafficReplays:
     def test_climb_pairs_replay_through_query(self, q, scope, rng, monkeypatch):
         # starts that are 0 on the climbed positions at their true distance
         # take the fast path unless below-only scope rejects them; other
-        # starts take _climb_by_query
-        by_query = []
-        loop = Oracle._climb_by_query
-        monkeypatch.setattr(Oracle, "_climb_by_query", lambda self, *a: by_query.append(1) or loop(self, *a))
+        # starts take _climb_stepwise; forward, reversed and stride-2 ranges
+        stepwise = []
+        loop = Oracle._climb_stepwise
+        monkeypatch.setattr(Oracle, "_climb_stepwise", lambda self, *a: stepwise.append(1) or loop(self, *a))
         mode = LeakageMode(scope, Payload.DISTANCE)
         fast = 0
         for _ in range(20):
             n = int(rng.integers(1, 8))
             params = SpaceParams(q, n, int(rng.integers(0, n + 1)))
             secret = sample_template(params, rng)
-            positions = rng.permutation(n).tolist()
-            for start in ((0,) * n, sample_template(params, rng)):
-                o, pairs = _tapped(secret, params, mode)
-                calls = len(by_query)
-                o.climb(start, hamming_distance(start, secret), positions)
-                fast += len(by_query) == calls
-                assert len(pairs) == o.query_count
-                _replay(secret, params, mode, pairs)
-        assert fast and by_query
+            for positions in (range(n), range(n - 1, -1, -1), range(1, n, 2)):
+                for start in ((0,) * n, sample_template(params, rng)):
+                    o, pairs = _tapped(secret, params, mode)
+                    calls = len(stepwise)
+                    o.climb(start, hamming_distance(start, secret), positions)
+                    fast += len(stepwise) == calls
+                    assert len(pairs) == o.query_count
+                    _replay(secret, params, mode, pairs)
+        assert fast and stepwise
 
     def test_faulted_session_pairs_replay_through_faulted_session(self, rng):
         params = SpaceParams(2, 16, 3)

@@ -6,10 +6,11 @@ from dataclasses import MISSING, fields, replace
 
 import pytest
 
-from matchleak import ExperimentConfig, UsageError, cli, harness
+from matchleak import cli, harness
 from matchleak.attacks import ATTACKS
 from matchleak.cli import main
-from matchleak.harness import validate_config
+from matchleak.errors import UsageError
+from matchleak.harness import ExperimentConfig, validate_config
 
 COMMANDS = ("attack", "accumulate", "bench", "bounds", "cover")
 # the subcommands whose options describe an experiment

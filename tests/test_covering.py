@@ -4,29 +4,28 @@ import math
 import numpy as np
 import pytest
 
-from matchleak import (
-    CapacityError,
+from matchleak.bounds import greedy_cover_bound
+from matchleak.covering import (
     Cover,
-    LeakageMode,
-    Oracle,
-    Payload,
-    Scope,
-    SpaceParams,
-    UsageError,
-    ball_volume,
+    _BallIndex,
     coordinate_fixing_cover,
     covering_search,
     exact_min_cover_size,
     greedy_cover,
-    greedy_cover_bound,
-    hamming_distance,
     load_cover,
-    sample_template,
     save_cover,
     verify_cover,
 )
-from matchleak.covering import _BallIndex
-from matchleak.space import template_from_index, template_index
+from matchleak.errors import CapacityError, UsageError
+from matchleak.oracle import LeakageMode, Oracle, Payload, Scope
+from matchleak.space import (
+    SpaceParams,
+    ball_volume,
+    hamming_distance,
+    sample_template,
+    template_from_index,
+    template_index,
+)
 
 from conftest import ball_templates
 

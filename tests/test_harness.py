@@ -9,33 +9,23 @@ from fractions import Fraction
 
 import pytest
 
-from matchleak import (
-    ExperimentConfig,
-    LeakageMode,
-    Payload,
-    Scope,
-    SpaceParams,
-    UsageError,
-    ball_volume,
-    coupon_bracket,
-    emit,
-    harmonic_number_exact,
-    q_ary_entropy,
-    run_experiment,
-    theoretical_bounds,
-    worst_case_queries,
-)
 from matchleak import attacks, cli, harness
-from matchleak.errors import CapacityError, InternalError
+from matchleak.bounds import theoretical_bounds, worst_case_queries
 from matchleak.cli import main
+from matchleak.errors import CapacityError, InternalError, UsageError
 from matchleak.harness import (
     BENCH_SCENARIOS,
+    ExperimentConfig,
     attack_bound,
     bench_table,
+    emit,
     emit_bench,
     format_bench,
+    run_experiment,
     validate_config,
 )
+from matchleak.oracle import LeakageMode, Payload, Scope
+from matchleak.space import SpaceParams, ball_volume, coupon_bracket, harmonic_number_exact, q_ary_entropy
 
 
 class TestBoundReport:

@@ -7,30 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchleak import (
+from matchleak import covering
+from matchleak import oracle as oracle_module
+from matchleak.attacks import PartialTemplate, accumulation_collect, resolve_error_value
+from matchleak.covering import fixing_batches
+from matchleak.errors import UsageError
+from matchleak.oracle import (
     ClientModel,
     LeakageMode,
     MatchResponse,
     Observation,
     Oracle,
-    PartialTemplate,
     Payload,
     Scope,
     SessionShape,
-    SpaceParams,
-    UsageError,
-    accumulation_collect,
     observation_from_json,
     observation_to_json,
-    resolve_error_value,
     response_from_json,
     response_to_json,
-    sample_template,
 )
-from matchleak import covering
-from matchleak import oracle as oracle_module
-from matchleak.covering import fixing_batches
-from matchleak.space import as_template
+from matchleak.space import SpaceParams, as_template, sample_template
 
 from conftest import answers_to, perturb
 
@@ -989,13 +985,13 @@ class TestClimb:
     def test_matches_per_query_loop(self, q, scope, rng, monkeypatch):
         # starts that are and are not 0 on the climbed positions, right and
         # wrong starting distances (wrong ones only at small q, where the
-        # loop may try every value), distinct, repeated and empty positions,
-        # tapped and untapped: both of climb's paths must run, and each must
-        # give the loop's result, count and answers
+        # loop may try every value), forward, prefix, reversed, stride-2 and
+        # empty ranges, tapped and untapped: both of climb's paths must run,
+        # and each must give the per-query loop's result, count and answers
         mode = LeakageMode(scope, Payload.DISTANCE)
-        by_query = []
-        loop = Oracle._climb_by_query
-        monkeypatch.setattr(Oracle, "_climb_by_query", lambda self, *a: by_query.append(1) or loop(self, *a))
+        stepwise = []
+        loop = Oracle._climb_stepwise
+        monkeypatch.setattr(Oracle, "_climb_stepwise", lambda self, *a: stepwise.append(1) or loop(self, *a))
         fast = 0
         for _ in range(40 if q <= 16 else 10):
             n = int(rng.integers(1, 10))
@@ -1003,8 +999,8 @@ class TestClimb:
             secret = list(sample_template(params, rng))
             for i in rng.choice(n, int(rng.integers(0, n + 1)), replace=False):
                 secret[i] = 0  # zero digits, so that raises arise
-            order = rng.permutation(n).tolist()
-            for positions in (range(n), order[: int(rng.integers(0, n + 1))], order + order[:2], []):
+            prefix = range(int(rng.integers(0, n + 1)))
+            for positions in (range(n), prefix, range(n - 1, -1, -1), range(0, n, 2), range(0)):
                 climbed = set(positions)
                 zero = tuple(0 if i in climbed else int(rng.integers(0, q)) for i in range(n))
                 for start in (zero, sample_template(params, rng)):
@@ -1013,12 +1009,12 @@ class TestClimb:
                         expect, answers = _loop_climb(params, secret, mode, start, cur, positions)
                         for tap in ([], None):
                             o = Oracle(secret, params, mode, tap=None if tap is None else answers_to(tap))
-                            calls = len(by_query)
+                            calls = len(stepwise)
                             assert o.climb(start, cur, positions) == expect
                             assert o.query_count == len(answers)
                             assert tap is None or tap == answers
-                            fast += len(by_query) == calls
-        assert fast and by_query
+                            fast += len(stepwise) == calls
+        assert fast and stepwise
 
     def test_malformed_calls_do_not_count(self):
         params = SpaceParams(4, 5, 2)
@@ -1031,13 +1027,12 @@ class TestClimb:
             ((0, 0, 0, 0, 0.5), 3, range(5)),  # not an integer
             (zero, 3.0, range(5)),
             (zero, None, range(5)),
-            (zero, 3, [0, 5]),  # a position outside [0, n)
-            (zero, 3, [-1]),
+            (zero, 3, range(5, 7)),  # a position outside [0, n)
             (zero, 3, range(-1, 2)),
-            (zero, 3, [0.0]),
-            (zero, 3, [True]),
-            (zero, 3, [[0, 1]]),
-            (zero, 3, [[]]),
+            (zero, 3, range(4, -2, -1)),
+            (zero, 3, range(0, 7, 3)),
+            (zero, 3, [0, 1]),  # positions that are not a range
+            (zero, 3, (0, 1)),
         ):
             with pytest.raises(UsageError):
                 o.climb(start, cur, positions)

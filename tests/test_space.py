@@ -6,16 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matchleak import (
+from matchleak.errors import UsageError
+from matchleak.space import (
     SpaceParams,
-    UsageError,
+    as_template,
     ball_volume,
     hamming_distance,
     harmonic_number_exact,
     q_ary_entropy,
     sample_template,
+    template_from_index,
+    template_index,
+    unpack_words,
 )
-from matchleak.space import as_template, template_from_index, template_index, unpack_words
 
 from conftest import ball_templates, brute_ball_count, enumerate_templates, sample_at_distance
 

@@ -1,8 +1,9 @@
 """The package's structure, read from its source with ``ast``: every import
 sits at module level, the module-level imports among the package's modules
 form no cycle, only the oracle's constructor and its one hook touch the
-interaction counters and the tap, and only the harness's trial runner reads
-the counters outside the oracle."""
+interaction counters and the tap, only the harness's trial runner reads
+the counters outside the oracle, and no oracle method submits through
+``query``."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,14 @@ def _count_reads(tree: ast.AST) -> list[tuple[str, int]]:
     return _attribute_sites(tree, lambda node: node.attr in _COUNTS)
 
 
+def _self_uses(tree: ast.AST, attr: str) -> list[tuple[str, int]]:
+    """The sites of every use of ``self.<attr>``, a call or not, which
+    covers a call through a local name."""
+    return _attribute_sites(
+        tree, lambda node: node.attr == attr and isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
+
+
 def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One cycle of the graph as a path that ends where it starts, or None."""
     state: dict[str, str] = {}
@@ -156,6 +165,15 @@ def test_the_checks_find_what_they_look_for():
         "        spent = o.query_count\n"
     )
     assert _count_reads(ast.parse(source)) == [("attack", 2), ("attack", 3), ("Trial.run", 6)]
+    source = (
+        "class Oracle:\n"
+        "    def query(self, y):\n"
+        "        return self._respond(y)\n"
+        "    def climb(self, y):\n"
+        "        ask = self.query\n"
+        "        return ask(y), self.query(y), other.query(y)\n"
+    )
+    assert _self_uses(ast.parse(source), "query") == [("Oracle.climb", 5), ("Oracle.climb", 6)]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -165,7 +183,7 @@ def test_every_import_is_at_module_level(name):
 
 def test_no_import_cycle_within_the_package():
     graph = {name: _package_imports(_tree(name)) - {name} for name in MODULES}
-    assert graph["__init__"] >= {"attacks", "bounds", "oracle", "space"}  # the parse sees the imports
+    assert graph["harness"] >= {"attacks", "bounds", "oracle", "space"}  # the parse sees the imports
     cycle = _cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
@@ -197,3 +215,12 @@ def test_only_the_trial_runner_reads_the_counters():
         if (name, where) != _LEDGER_READER
     ]
     assert stray == [], "oracle counters read outside harness.run_trial: " + ", ".join(stray)
+
+
+def test_no_oracle_method_submits_through_query():
+    # the bulk paths (scan, climb) answer through _respond and count in one
+    # _charge; query carries only the attacks' one-at-a-time steps
+    tree = _tree("oracle")
+    assert {"Oracle.query", "Oracle._answers"} <= {where for where, _ in _self_uses(tree, "_respond")}
+    stray = [f"oracle.py:{line} in {where}" for where, line in _self_uses(tree, "query") if where.startswith("Oracle.")]
+    assert stray == [], "Oracle methods that submit through query: " + ", ".join(stray)
