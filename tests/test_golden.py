@@ -219,6 +219,35 @@ FIXING_COVER_CASES = {
     (3, 6, 2): "b69deb67d26b46fad34e985fd4ad151cf0717d89c009228f7313b4f0a24a5054",
 }
 
+# (q, n, epsilon, scope, payload) -> digest of the `bounds --out` report.  A
+# payload of none leaks only the accept bit, so both scopes give one report
+BOUNDS_CASES = {
+    (2, 12, 3, "below", "none"): "99e9a77e16ce85a80fc997008e3531e45eca754c0425eecd724ba6e398b5b492",
+    (2, 12, 3, "below", "distance"): "ed1be4883ebad6b654695f71a59b7716fad78fd5a2f00482060cc078273edfe6",
+    (2, 12, 3, "below", "positions"): "60bd6bba76bbee5a492af40feed112cc3a5402520a7425275ded40d79d924e21",
+    (2, 12, 3, "below", "posvalues"): "453f82f3fe5c1fb7079092f7e607ab4d7dd309325c82ccfccfb637372c2ef963",
+    (2, 12, 3, "both", "none"): "99e9a77e16ce85a80fc997008e3531e45eca754c0425eecd724ba6e398b5b492",
+    (2, 12, 3, "both", "distance"): "b8d0612d6dd9a568dbced748ab928d3f231a4b73ae0775d084fb068efaf8f58d",
+    (2, 12, 3, "both", "positions"): "36245262f6bed52c9fcc73314c0f0bdf4f2e794baece7f5b39a619853ad58106",
+    (2, 12, 3, "both", "posvalues"): "cd7b13aab1e34ca92779fd465ff6e6d4772900f99b70a3ddeaaab1e54550f4b4",
+    (3, 8, 2, "below", "none"): "a8a60a36308f7779ef3cd1666805023dd824b83379ca96b53daba35769771914",
+    (3, 8, 2, "below", "distance"): "52816be70d68bb5a4c16fd47b418abf8ccca93e5bc64edfe74736adca06e5db4",
+    (3, 8, 2, "below", "positions"): "e7a822adc38eae83e4f93d1ef814fa4b053783fd4bf65d6279c29e076cd3ed32",
+    (3, 8, 2, "below", "posvalues"): "119b75fa098f2f0734af84f53f2e3f67717968caf02bdee08e40823c607afac0",
+    (3, 8, 2, "both", "none"): "a8a60a36308f7779ef3cd1666805023dd824b83379ca96b53daba35769771914",
+    (3, 8, 2, "both", "distance"): "c1915218ed1edb0aeff43d3b6493b27ce28e64630a514c3f025f5dc178a91f6b",
+    (3, 8, 2, "both", "positions"): "83755acc68551796905d7d0e2d99e700e815b8fe71158f78609844cbf52d5c86",
+    (3, 8, 2, "both", "posvalues"): "b38225402e356fe6a4519ad8531bcece9ad7fc9da091bd3812b19c14d59d337d",
+    (2, 60, 1, "below", "none"): "562fbcdfab27b031ed95e91e57604e61c7d6760feb18be5d043c3753f6a4e278",
+    (2, 60, 1, "below", "distance"): "d0bce7e16a6c03dcb341146edab36ec136b13148d3f72c10fb5a33ea5e663867",
+    (2, 60, 1, "below", "positions"): "440181dafb3db5a35ddd64122ff93203dbe17a7c366cef0b61244c1e62b83b0c",
+    (2, 60, 1, "below", "posvalues"): "a69f79f622ed27ed1075485ae5f13c7e67b3eaeee64a5fe6dc8a73718cd89e8b",
+    (2, 60, 1, "both", "none"): "562fbcdfab27b031ed95e91e57604e61c7d6760feb18be5d043c3753f6a4e278",
+    (2, 60, 1, "both", "distance"): "8cf5e7fa922a075bcf931331c5aa10266b3198d08626bb320e46a0c79f37c9b2",
+    (2, 60, 1, "both", "positions"): "1bb672357b788dcfd0595c04ff82b5c7a45f7c0c35e8aad082b582717fe15b78",
+    (2, 60, 1, "both", "posvalues"): "a402dfbaa3e3cb9e535a0cac13794e3093f439381d57138e36605793c4630587",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -265,3 +294,12 @@ def test_fixing_cover_digest(space, tmp_path):
     argv = ["cover", "--method", "fixing", "--q", str(q), "--n", str(n), "--epsilon", str(eps), "--out", str(out)]
     assert main(argv) == 0
     assert _sha256(out) == FIXING_COVER_CASES[space]
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_CASES), ids="q{0[0]}_n{0[1]}_eps{0[2]}_{0[3]}_{0[4]}".format)
+def test_bounds_report_digest(case, tmp_path):
+    q, n, eps, scope, payload = case
+    out = tmp_path / "bounds.json"
+    argv = ["bounds", "--q", str(q), "--n", str(n), "--epsilon", str(eps), "--scope", scope, "--payload", payload]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _sha256(out) == BOUNDS_CASES[case]
