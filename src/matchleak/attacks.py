@@ -8,9 +8,9 @@ counter: what a trial spent is the oracle's ``query_count`` and
 a UsageError when run against a different leakage mode or parameters than
 its row in the attack registry (``ATTACKS``, at the end of this module)
 declares, and none of them ever touches the sealed secret directly (the
-harness verifies outcomes post-hoc through the audit seal).  The registry is also the one place that
-states each attack's worst-case bound, with s = q^(n-eps) for the
-pinned-coordinate accept search.
+harness verifies outcomes post-hoc through the audit seal).  The registry
+is also the one place that states each attack's worst-case bound: a finish,
+after the accept search's worst case (``accept_search``) if it opens with one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .covering import covering_search, greedy_cover
+from .covering import Cover, covering_search, greedy_cover
 from .errors import CapacityError, InternalError, UsageError
 from .oracle import ClientModel, LeakageMode, MatchResponse, Oracle, SessionShape
 from .space import SpaceParams, Template, as_template, coupon_bracket
@@ -312,8 +312,7 @@ def attack_minimal_binary(
     center search, within n + 2*eps + 1 further queries.
     """
     ATTACKS["minimal"].require(oracle)
-    greedy = SearchStrategy(strategy) is SearchStrategy.GREEDY_COVER
-    y0, _ = covering_search(oracle, greedy_cover(oracle.params) if greedy else None)
+    y0, _ = covering_search(oracle, accept_cover(oracle.params, SearchStrategy(strategy)))
     return AttackOutcome(center_search_binary(oracle, y0))
 
 
@@ -465,17 +464,18 @@ def accumulation_bracket(params: SpaceParams, config: Any) -> tuple[float, float
     return coupon_bracket(coupons, hi_p)[0], coupon_bracket(coupons, lo_p)[1]
 
 
+def accept_cover(params: SpaceParams, strategy: SearchStrategy) -> Cover | None:
+    """The cover an accept search scans: a greedy cover, built on every
+    call, or None for the pinned-coordinate centers (``fixing_batches``)."""
+    return greedy_cover(params) if strategy is SearchStrategy.GREEDY_COVER else None
+
+
 @lru_cache(maxsize=32)
-def _greedy_cover_size(params: SpaceParams) -> int:
-    return len(greedy_cover(params))
-
-
-def _accept_search(params: SpaceParams, config: Any = None) -> int:
-    """Worst-case queries of the accept search: the configured greedy
-    cover's size, or q^(n-eps) for the pinned-coordinate scan."""
-    if config is not None and config.strategy == SearchStrategy.GREEDY_COVER.value:
-        return _greedy_cover_size(params)
-    return params.q ** (params.n - params.epsilon)
+def accept_search(params: SpaceParams, strategy: SearchStrategy) -> int:
+    """Worst-case queries of the accept search: its cover's size, or
+    q^(n-eps) for the pinned-coordinate centers."""
+    cover = accept_cover(params, strategy)
+    return params.q ** (params.n - params.epsilon) if cover is None else len(cover)
 
 
 @dataclass(frozen=True, slots=True)
@@ -490,29 +490,37 @@ class AttackSpec:
 
     * ``run(oracle, config, rng)`` runs one trial.  It is a lambda so that
       the attack function is looked up in this module when the trial runs.
-    * ``bound(params, config)`` is what each trial's ``counter`` ("queries"
-      or "sessions") is checked against; config None means the default
-      strategy.
+    * ``finish(params, config)`` bounds what a trial spends after its accept
+      search, which it opens with if ``search`` is set; ``bound`` adds both.
     * With ``bracket`` set the per-trial count is random: the bound is
       informational, and the summary checks the mean against
       ``bracket(params, config)``.
     * Rows with a ``bench`` label form the bench table, in registry order.
     * ``reads`` names the ExperimentConfig settings, beyond the space, mode
-      and run settings every attack takes, that ``run`` or ``bound`` reads;
-      the harness rejects any other such setting away from its default.
+      and run settings every attack takes, that ``run`` or ``finish`` reads,
+      and ``strategy`` on a row whose search follows it; the harness
+      rejects any other such setting away from its default.
     """
 
     id: str
     mode: LeakageMode
     run: Callable[[Oracle, Any, np.random.Generator], AttackOutcome]
-    bound: Callable[[SpaceParams, Any], float | int]
+    finish: Callable[[SpaceParams, Any], float | int]
+    search: bool = False
     counter: str = "queries"
     binary: bool = False
     eps_below_n: bool = False
-    eps_positive: bool = False
     bracket: Callable[[SpaceParams, Any], tuple[float, float]] | None = None
     bench: str | None = None
     reads: tuple[str, ...] = ()
+
+    def bound(self, params: SpaceParams, config: Any = None) -> float | int:
+        """What each trial's ``counter`` is checked against: the finish, plus
+        a ``search`` row's accept search (config None: the fixing one)."""
+        if not self.search:
+            return self.finish(params, config)
+        strategy = SearchStrategy.COORDINATE_FIXING if config is None else SearchStrategy(config.strategy)
+        return accept_search(params, strategy) + self.finish(params, config)
 
     def require(self, oracle: Oracle) -> None:
         """Fail fast, before any interaction, unless the oracle leaks this
@@ -529,8 +537,8 @@ class AttackSpec:
             raise UsageError(
                 f"attack {self.id!r} needs epsilon < n (got epsilon={params.epsilon}, n={params.n})"
             )
-        if self.eps_positive and params.epsilon < 1:
-            raise UsageError(f"attack {self.id!r} needs epsilon >= 1")
+        if self.counter == "sessions" and params.epsilon < 1:
+            raise UsageError(f"attack {self.id!r} needs epsilon >= 1: each session errs in 1..epsilon coordinates")
 
 
 ATTACKS: dict[str, AttackSpec] = {
@@ -538,40 +546,40 @@ ATTACKS: dict[str, AttackSpec] = {
     for spec in (
         AttackSpec("below_distance", LeakageMode.parse("below", "distance"),
                    run=lambda o, c, rng: attack_below_distance(o),
-                   bound=lambda p, c: _accept_search(p) + (p.q - 1) * p.epsilon,
-                   eps_below_n=True, bench="below/distance"),
+                   finish=lambda p, c: (p.q - 1) * p.epsilon,
+                   search=True, eps_below_n=True, bench="below/distance"),
         AttackSpec("below_positions", LeakageMode.parse("below", "positions"),
                    run=lambda o, c, rng: attack_below_positions(o),
-                   bound=lambda p, c: _accept_search(p) + p.q - 1,
-                   eps_below_n=True, bench="below/positions"),
+                   finish=lambda p, c: p.q - 1,
+                   search=True, eps_below_n=True, bench="below/positions"),
         AttackSpec("below_posvalues", LeakageMode.parse("below", "posvalues"),
                    run=lambda o, c, rng: attack_below_positions_values(o),
-                   bound=lambda p, c: _accept_search(p) + 1,
-                   eps_below_n=True, bench="below/posvalues"),
+                   finish=lambda p, c: 1,
+                   search=True, eps_below_n=True, bench="below/posvalues"),
         AttackSpec("accumulation", LeakageMode.parse("below", "posvalues"),
                    run=lambda o, c, rng: accumulation_collect(o, client_for(c, o.params), rng),
-                   bound=lambda p, c: accumulation_bracket(p, c)[1], bracket=accumulation_bracket,
-                   counter="sessions", binary=True, eps_positive=True, bench="below/posvalues accumulation",
+                   finish=lambda p, c: accumulation_bracket(p, c)[1], bracket=accumulation_bracket,
+                   counter="sessions", binary=True, bench="below/posvalues accumulation",
                    reads=("alpha", "session_shape")),
         AttackSpec("minimal", LeakageMode.parse("both", "none"),
                    run=lambda o, c, rng: attack_minimal_binary(o, SearchStrategy(c.strategy)),
-                   bound=lambda p, c: _accept_search(p, c) + p.n + 2 * p.epsilon + 1,
-                   binary=True, eps_below_n=True, bench="both/minimal", reads=("strategy",)),
+                   finish=lambda p, c: p.n + 2 * p.epsilon + 1,
+                   search=True, binary=True, eps_below_n=True, bench="both/minimal", reads=("strategy",)),
         AttackSpec("both_distance", LeakageMode.parse("both", "distance"),
                    run=lambda o, c, rng: attack_both_distance(o),
-                   bound=lambda p, c: p.n * (p.q - 1) + 1,
+                   finish=lambda p, c: p.n * (p.q - 1) + 1,
                    bench="both/distance"),
         AttackSpec("both_positions", LeakageMode.parse("both", "positions"),
                    run=lambda o, c, rng: attack_both_positions(o),
-                   bound=lambda p, c: p.q - 1,
+                   finish=lambda p, c: p.q - 1,
                    bench="both/positions"),
         AttackSpec("both_posvalues", LeakageMode.parse("both", "posvalues"),
                    run=lambda o, c, rng: attack_both_positions_values(o),
-                   bound=lambda p, c: 1,
+                   finish=lambda p, c: 1,
                    bench="both/posvalues"),
         AttackSpec("fault_control", LeakageMode.parse("below", "posvalues"),
                    run=lambda o, c, rng: fault_controlled_collect(o),
-                   bound=lambda p, c: math.ceil(p.n / p.epsilon),
-                   counter="sessions", binary=True, eps_positive=True),
+                   finish=lambda p, c: math.ceil(p.n / p.epsilon),
+                   counter="sessions", binary=True),
     )
 }

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .attacks import ATTACKS
+from .attacks import ATTACKS, SearchStrategy, accept_search
 from .errors import UsageError
 from .oracle import LeakageMode
 from .space import SpaceParams, ball_volume, harmonic_number_exact, q_ary_entropy
@@ -56,7 +56,7 @@ def worst_case_queries(params: SpaceParams, mode: LeakageMode) -> int | None:
                 spec.check(params)
             except UsageError:
                 return None
-            return spec.bound(params, None)
+            return spec.bound(params)
     return None
 
 
@@ -86,7 +86,7 @@ def theoretical_bounds(params: SpaceParams, mode: LeakageMode) -> BoundReport:
         params=params,
         mode=mode,
         ball_volume=ball_volume(params),
-        naive_search=q ** (n - eps),
+        naive_search=accept_search(params, SearchStrategy.COORDINATE_FIXING),
         greedy_cover_bound=greedy_cover_bound(params),
         entropy_approx=entropy,
         worst_case_queries=worst_case_queries(params, mode),

@@ -33,11 +33,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, _accept_search, client_for
+from .attacks import ATTACKS, AttackOutcome, PartialTemplate, SearchStrategy, accept_search
 from .bounds import worst_case_queries  # noqa: F401 -- wrapped by name in perfbench
 from .covering import greedy_cover  # noqa: F401 -- wrapped by name in perfbench
 from .errors import InternalError, UsageError
-from .oracle import Oracle, Payload, Scope, SessionShape
+from .oracle import Oracle, SessionShape
 from .space import SpaceParams, hamming_distance, sample_template
 from .space import coupon_bracket  # noqa: F401 -- wrapped by name in perfbench
 
@@ -108,13 +108,11 @@ def validate_config(config: ExperimentConfig, taps: bool = False) -> SpaceParams
         raise UsageError("audit taps require workers = 1")
     _check_choice("strategy", config.strategy, SearchStrategy)
     _check_choice("session shape", config.session_shape, SessionShape)
-    if spec.counter == "queries" and (spec.mode.scope is Scope.BELOW_ONLY or spec.mode.payload is Payload.NONE):
-        searched = _accept_search(params, config)  # these attacks open with an accept search
-        if searched > MAX_ACCEPT_SEARCH:
-            raise UsageError(
-                f"attack {config.attack!r} opens with an accept search of up to 2^{math.log2(searched):g} "
-                f"queries per trial, above the limit of 2^{math.log2(MAX_ACCEPT_SEARCH):g}"
-            )
+    if spec.search and (searched := accept_search(params, SearchStrategy(config.strategy))) > MAX_ACCEPT_SEARCH:
+        raise UsageError(
+            f"attack {config.attack!r} opens with an accept search of up to 2^{math.log2(searched):g} "
+            f"queries per trial, above the limit of 2^{math.log2(MAX_ACCEPT_SEARCH):g}"
+        )
     if spec.bracket is not None:
         lo = spec.bracket(params, config)[0]  # a lower bound on the expected sessions
         if lo > MAX_EXPECTED_SESSIONS:
@@ -134,11 +132,9 @@ def _check_choice(what: str, value: str, enum: type[Enum]) -> None:
 
 
 def attack_bound(config: ExperimentConfig, params: SpaceParams) -> float | int:
-    """Per-trial bound checked by the harness, from the attack's registry row:
-    worst-case queries for active attacks, sessions for passive ones.  For
-    accumulation it is the upper end of the expected-session bracket; the
-    meaningful check there is the summary-level mean, so per-trial bound_ok
-    is informational only."""
+    """Per-trial bound checked by the harness: ``AttackSpec.bound`` of the
+    attack's registry row, informational on a bracket row, whose summary
+    checks the mean instead."""
     return ATTACKS[config.attack].bound(params, config)
 
 
@@ -299,16 +295,11 @@ def summarize(config: ExperimentConfig, params: SpaceParams, records: list[Trial
     spec = ATTACKS[config.attack]
     if spec.bracket is not None:
         lo, hi = spec.bracket(params, config)
-        mean = summary["sessions_mean"]
         summary["bracket_lo"] = lo
         summary["bracket_hi"] = hi
-        summary["bracket_ok"] = int(lo <= mean <= hi)
-        # the partial template is a privacy break even when incomplete;
-        # exactness is only expected when every coordinate is variable
-        all_variable = len(client_for(config, params).variable_positions()) == params.n
-        summary["ok"] = bool(summary["bracket_ok"] and not (all_variable and summary["exact_failures"]))
-    else:
-        summary["ok"] = bool(summary["violations"] == 0 and summary["exact_failures"] == 0)
+        summary["bracket_ok"] = int(lo <= summary["sessions_mean"] <= hi)
+    # a bracket row never violates, and every coordinate of its client is variable
+    summary["ok"] = summary.get("bracket_ok", 1) == 1 and summary["violations"] == 0 and summary["exact_failures"] == 0
     return summary
 
 

@@ -516,6 +516,15 @@ class TestAccumulation:
         assert client_for(replace(cfg, session_shape="multi"), params).shape is SessionShape.MULTI_ERROR
         assert client_for(replace(cfg, alpha=None), params) == ClientModel.uniform(16)
 
+    @pytest.mark.parametrize("shape", ["single", "multi"])
+    @pytest.mark.parametrize("alpha", [None, 1, 1.5, 7.5, 40])
+    @pytest.mark.parametrize("n", [1, 2, 16, 1024])
+    def test_every_configured_client_has_every_coordinate_variable(self, n, alpha, shape):
+        # the harness's summary expects every accumulation trial to recover
+        # exactly, which needs every coordinate to err with positive chance
+        cfg = ExperimentConfig(2, n, 1, attack="accumulation", alpha=alpha, session_shape=shape)
+        assert client_for(cfg, SpaceParams(2, n, 1)).variable_positions() == tuple(range(1, n + 1))
+
     def test_uniform_collector_mean_smoke(self, rng):
         # classic collector: mean draws near n*H(n) for the single-error model
         params = SpaceParams(2, 10, 2)

@@ -69,17 +69,14 @@ def test_every_session_reaches_the_wrapped_methods(attack, monkeypatch):
 
 @pytest.mark.parametrize(
     "attack,strategy",
-    [
-        ("below_distance", None),
-        ("below_positions", None),
-        ("below_posvalues", None),
-        ("minimal", "fixing"),
-        ("minimal", "greedy"),
-    ],
+    [(attack, None) for attack, spec in attacks.ATTACKS.items() if "strategy" not in spec.reads]
+    + [("minimal", "fixing"), ("minimal", "greedy")],
 )
 def test_every_accept_search_reaches_the_wrapped_search(attack, strategy, monkeypatch):
     # Tracer.install wraps attacks.covering_search; an attack that found its
-    # accepted point on another path would leave its search out of a trace
+    # accepted point on another path would leave its search out of a trace,
+    # and one its registry row does not say opens with a search would be
+    # priced without it
     calls = []
     search = attacks.covering_search
 
@@ -92,9 +89,11 @@ def test_every_accept_search_reaches_the_wrapped_search(attack, strategy, monkey
     params = space.SpaceParams(2, 9, 2)
     rng = np.random.default_rng(7)
     o = oracle.Oracle(space.sample_template(params, rng), params, spec.mode)
-    out = spec.run(o, types.SimpleNamespace(strategy=strategy), rng)
-    assert out.recovered == o.audit_secret()
-    assert len(calls) == 1
+    config = types.SimpleNamespace(strategy=strategy, alpha=None, session_shape="single")
+    out = spec.run(o, config, rng)
+    recovered = out.recovered.coords if isinstance(out.recovered, attacks.PartialTemplate) else out.recovered
+    assert recovered == o.audit_secret()
+    assert len(calls) == (1 if spec.search else 0)
 
 
 @pytest.mark.parametrize("attack", ["below_distance", "both_distance"])

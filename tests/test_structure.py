@@ -1,9 +1,9 @@
 """The package's structure, read from its source with ``ast``: every import
 sits at module level, the module-level imports among the package's modules
-form no cycle, only the oracle's constructor and its one hook touch the
-interaction counters and the tap, only the harness's trial runner reads
-the counters outside the oracle, and no oracle method submits through
-``query``."""
+form no cycle, no module imports another's underscore names, only the
+oracle's constructor and its one hook touch the interaction counters and
+the tap, only the harness's trial runner reads the counters outside the
+oracle, and no oracle method submits through ``query``."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,16 @@ def _nested_imports(tree: ast.AST) -> list[int]:
     })
 
 
+def _package_base(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from ... import`` reads from, "" for the
+    package itself, or None outside the package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "matchleak":
+        return node.module.partition(".")[2]
+    return None
+
+
 def _package_imports(tree: ast.AST, modules=MODULES) -> set[str]:
     """The package modules a module imports at module level, by name; the
     package itself is ``__init__``."""
@@ -51,11 +61,8 @@ def _package_imports(tree: ast.AST, modules=MODULES) -> set[str]:
                 alias.name.split(".")[1] for alias in node.names if alias.name.startswith("matchleak.")
             )
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 1:
-                base = node.module
-            elif node.level == 0 and node.module and node.module.split(".")[0] == "matchleak":
-                base = node.module.partition(".")[2] or None
-            else:
+            base = _package_base(node)
+            if base is None:
                 continue
             if base:
                 found.add(base.split(".")[0])
@@ -63,6 +70,18 @@ def _package_imports(tree: ast.AST, modules=MODULES) -> set[str]:
                 found.update(alias.name if alias.name in modules else "__init__" for alias in node.names)
         found |= _package_imports(node, modules)
     return found
+
+
+def _private_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, "module.name") of every underscore name, dunders aside, that
+    a ``from ... import`` anywhere in the tree takes from the package."""
+    return [
+        (node.lineno, f"{base or '__init__'}.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (base := _package_base(node)) is not None
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
 
 
 def _attribute_sites(tree: ast.AST, match, scope: tuple[str, ...] = ()) -> list[tuple[str, int]]:
@@ -141,6 +160,17 @@ def test_the_checks_find_what_they_look_for():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
     source = (
+        "from .attacks import ATTACKS, _accept_search\n"
+        "from matchleak.space import __all__, _guard\n"
+        "from . import _helper, oracle\n"
+        "from numpy.random import _pickle\n"
+        "def f():\n"
+        "    from .covering import _BallIndex as index\n"
+    )
+    assert _private_imports(ast.parse(source)) == [
+        (1, "attacks._accept_search"), (2, "space._guard"), (3, "__init__._helper"), (6, "covering._BallIndex"),
+    ]
+    source = (
         "class Oracle:\n"
         "    def __init__(self, tap):\n"
         "        self._tap = tap\n"
@@ -186,6 +216,13 @@ def test_no_import_cycle_within_the_package():
     assert graph["harness"] >= {"attacks", "bounds", "oracle", "space"}  # the parse sees the imports
     cycle = _cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_no_module_imports_another_modules_underscore_name():
+    # an underscore name is its own module's business: a caller elsewhere
+    # reaches it through a public name
+    stray = [f"{name}.py:{line} imports {what}" for name in MODULES for line, what in _private_imports(_tree(name))]
+    assert stray == [], "underscore names imported across modules: " + ", ".join(stray)
 
 
 def test_only_the_hook_counts_and_taps():
