@@ -9,8 +9,9 @@ acceptance ball.  Three constructions live here:
 * greedy set cover, whose size bounds.greedy_cover_bound estimates,
 * an exact branch-and-bound minimum (tiny instances; test oracle).
 
-covering_search is the one accept search: a scan over a cover's centers,
-or over the fixing centers without building that cover.
+covering_search is the one accept search: Oracle.scan over a cover's
+centers, or Oracle.scan_fixing over the fixing centers, which the oracle
+module defines (fixing_batches) and answers without building that cover.
 
 Spaces are materialized as integer indices (lexicographic rank), so
 construction is guarded by a point budget rather than allowed to thrash.
@@ -21,12 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, InternalError, UsageError
-from .oracle import PACKED_MAX_N, MatchResponse, Oracle
+from .oracle import SCAN_CHUNK, MatchResponse, Oracle, fixing_batches
 from .space import (
     SpaceParams,
     Template,
@@ -39,8 +39,6 @@ from .space import (
 
 GREEDY_POINT_GUARD = 1 << 24
 EXACT_POINT_GUARD = 1 << 12
-# at most this many candidates per Oracle.scan chunk
-SCAN_CHUNK = 1 << 12
 
 _EXPORT_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -105,47 +103,8 @@ class _BallIndex:
         return out
 
 
-def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
-    """The fixing centers: the q^(n-eps) templates with the last epsilon
-    coordinates pinned to 0, in lexicographic order, as Oracle.scan chunks
-    of at most SCAN_CHUNK candidates, so no q^(n-eps) array is built.
-
-    Every point agrees with one of them on the free coordinates and differs
-    from it on at most epsilon pinned ones, so together they cover Z_q^n.
-
-    A chunk varies the lowest free coordinates over a table built once: as
-    packed uint64 words at q = 2 with n <= PACKED_MAX_N, as rows of digits
-    otherwise.  When q > SCAN_CHUNK the table holds one piece of the lowest
-    free coordinate's range, and each chunk shifts it to its own piece.
-    """
-    q, n, eps = params.q, params.n, params.epsilon
-    free = n - eps
-    low = min(free, 1)
-    while low < free and q ** (low + 1) <= SCAN_CHUNK:
-        low += 1
-    high = free - low
-    if q == 2 and n <= PACKED_MAX_N:
-        words = np.arange(1 << low, dtype=np.uint64) << np.uint64(eps)
-        for h in range(1 << high):
-            yield words | np.uint64(h << (low + eps))
-        return
-    span = q**low
-    block = np.zeros((min(span, SCAN_CHUNK), n), dtype=np.min_scalar_type(q - 1))
-    # Python ints, since q itself may pass int64; a row index is below q
-    # when q > SCAN_CHUNK
-    place = np.array([q**k for k in range(low - 1, -1, -1)])
-    block[:, high:free] = np.arange(len(block))[:, None] // place % min(q, SCAN_CHUNK)
-    for head in itertools.product(range(q), repeat=high):
-        for start in range(0, span, len(block)):
-            rows = block[: span - start].copy()
-            rows[:, :high] = head
-            if start:  # only when q > SCAN_CHUNK, so low = 1
-                rows[:, high] += start
-            yield rows
-
-
 def coordinate_fixing_cover(params: SpaceParams) -> Cover:
-    """The fixing centers as a certified cover (see fixing_batches)."""
+    """The fixing centers as a certified cover (see oracle.fixing_batches)."""
     _guard(params.q ** (params.n - params.epsilon), GREEDY_POINT_GUARD, "coordinate-fixing cover")
     centers = tuple(
         tuple(row)
@@ -242,25 +201,24 @@ def exact_min_cover_size(params: SpaceParams) -> int:
 def covering_search(
     oracle: Oracle, cover: Cover | None = None, exact: bool = False
 ) -> tuple[Template, MatchResponse]:
-    """The accept search, as one Oracle.scan over the centers of a certified
-    cover, in chunks of at most SCAN_CHUNK digit rows, or over the fixing
-    centers (fixing_batches) when cover is None.
+    """The accept search: one Oracle.scan over the centers of a certified
+    cover, in chunks of at most SCAN_CHUNK digit rows, or, when cover is
+    None, Oracle.scan_fixing over the fixing centers (fixing_batches).
 
-    Returns Oracle.scan's hit: the first accepted center with its response
+    Returns the scan's hit: the first accepted center with its response
     or, with ``exact`` (for the distance payload), the first accepted
     center of smallest leaked distance, the scan stopping at distance 0.
     The centers cover the space, so the scan always meets an acceptance;
     running out indicates a broken oracle/cover pairing.
     """
     if cover is None:
-        batches = fixing_batches(oracle.params)
-    else:
-        if not cover.certified:
-            raise UsageError("covering search requires a certified cover")
-        if cover.params != oracle.params:
-            raise UsageError("cover and oracle disagree on space parameters")
-        centers = cover.centers
-        batches = (np.array(centers[i : i + SCAN_CHUNK]) for i in range(0, len(centers), SCAN_CHUNK))
+        return oracle.scan_fixing(exact=exact)
+    if not cover.certified:
+        raise UsageError("covering search requires a certified cover")
+    if cover.params != oracle.params:
+        raise UsageError("cover and oracle disagree on space parameters")
+    centers = cover.centers
+    batches = (np.array(centers[i : i + SCAN_CHUNK]) for i in range(0, len(centers), SCAN_CHUNK))
     hit = oracle.scan(batches, exact=exact)
     if hit is None:
         raise InternalError("covering centers exhausted without an acceptance")

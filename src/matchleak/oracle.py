@@ -27,6 +27,12 @@ the stop falls inside one, restored and advanced by the sessions used.
 Every other client's chunk is one ``genuine_session``.  Counts, taps and
 the generator's final state are those of the per-session loop.
 
+``scan_fixing`` answers ``scan`` over the fixing centers (``fixing_batches``,
+the q^(n-epsilon) templates with the last epsilon coordinates 0, in
+lexicographic order).  Its hit and count are read off the secret's row in
+closed form, and the chunks are drawn only for a tap, so that the tap gets
+the same stream as ``scan``; the one order both use is ``fixing_batches``.
+
 ``climb`` answers the coordinate-wise distance climb over a range of
 positions, and ``_climb_loop`` is the one definition of its probes.  From a
 start that is 0 on the climbed positions and at the distance the caller
@@ -36,8 +42,9 @@ Either way the tap gets the loop's probes, and counts, taps and result are
 those of the loop.
 
 ``query`` answers one submission, checked by ``space.digit_bytes`` as
-``as_template`` checks it.  With the accept searches in ``scan`` and the
-climbs in ``climb``, it carries only the steps taken one query at a time.
+``as_template`` checks it.  With the accept searches in ``scan`` and
+``scan_fixing`` and the climbs in ``climb``, it carries only the steps taken
+one query at a time.
 
 Attack code must reach the secret only through these; ``audit_secret`` exists
 for post-hoc verification and counts its reads so tests can prove that no
@@ -53,7 +60,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,6 +70,8 @@ from .space import BYTE_SEQUENCES, SpaceParams, Template, as_template, digit_byt
 
 # scan compares packed uint64 words at q = 2 up to this dimension
 PACKED_MAX_N = 63
+# at most this many candidates per scan chunk
+SCAN_CHUNK = 1 << 12
 # sessions in watch's first chunk; each further chunk doubles, up to the cap
 _WATCH_CHUNK = 64
 _WATCH_MAX_CHUNK = 1 << 16
@@ -297,6 +306,45 @@ def _normalised_cumsum(weights: Sequence[float]) -> list[float]:
     return [s / total for s in sums]
 
 
+def fixing_batches(params: SpaceParams) -> Iterator[np.ndarray]:
+    """The fixing centers: the q^(n-eps) templates with the last epsilon
+    coordinates pinned to 0, in lexicographic order, as scan chunks of at
+    most SCAN_CHUNK candidates, so no q^(n-eps) array is built.
+
+    Every point agrees with one of them on the free coordinates and differs
+    from it on at most epsilon pinned ones, so together they cover Z_q^n.
+
+    A chunk varies the lowest free coordinates over a table built once: as
+    packed uint64 words at q = 2 with n <= PACKED_MAX_N, as rows of digits
+    otherwise.  When q > SCAN_CHUNK the table holds one piece of the lowest
+    free coordinate's range, and each chunk shifts it to its own piece.
+    """
+    q, n, eps = params.q, params.n, params.epsilon
+    free = n - eps
+    low = min(free, 1)
+    while low < free and q ** (low + 1) <= SCAN_CHUNK:
+        low += 1
+    high = free - low
+    if q == 2 and n <= PACKED_MAX_N:
+        words = np.arange(1 << low, dtype=np.uint64) << np.uint64(eps)
+        for h in range(1 << high):
+            yield words | np.uint64(h << (low + eps))
+        return
+    span = q**low
+    block = np.zeros((min(span, SCAN_CHUNK), n), dtype=np.min_scalar_type(q - 1))
+    # Python ints, since q itself may pass int64; a row index is below q
+    # when q > SCAN_CHUNK
+    place = np.array([q**k for k in range(low - 1, -1, -1)])
+    block[:, high:free] = np.arange(len(block))[:, None] // place % min(q, SCAN_CHUNK)
+    for head in product(range(q), repeat=high):
+        for start in range(0, span, len(block)):
+            rows = block[: span - start].copy()
+            rows[:, :high] = head
+            if start:  # only when q > SCAN_CHUNK, so low = 1
+                rows[:, high] += start
+            yield rows
+
+
 @cache
 def _distance_response(accepted: bool, d: int) -> MatchResponse:
     """The one shared answer carrying the accept bit and distance d; the
@@ -463,8 +511,7 @@ class Oracle:
         None when no answered candidate is accepted.  Without a tap, at most
         one candidate per chunk is decoded and answered in full.
         """
-        if exact and self.mode.payload is Payload.NONE:
-            raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
+        self._check_exact(exact)
         eps = self.params.epsilon
         hit, nearest = None, eps + 1
         for batch in batches:
@@ -481,6 +528,56 @@ class Oracle:
             if len(stops):
                 break
         return hit
+
+    def scan_fixing(self, exact: bool = False) -> tuple[Template, MatchResponse]:
+        """``scan(fixing_batches(params), exact)``, read off the secret:
+        the same hit, count and tap stream, but no chunk is drawn unless a
+        tap is set.
+
+        Let s be the secret's free digits and w the nonzero count of its
+        pinned ones (w <= epsilon).  A center (h, 0) lies at distance
+        |h - s| + w.  With ``exact`` the scan stops at (s, 0) if w = 0, else
+        runs to the end, and (s, 0) is its hit either way.  Otherwise it
+        stops at the lexicographically first h within epsilon - w of s: s
+        with its first epsilon - w nonzero digits set to 0.  A center's
+        place in the scan is the exact-int lexicographic rank of its h.
+        """
+        params = self.params
+        self._check_exact(exact)
+        free = params.n - params.epsilon
+        head = list(self.__secret[:free])
+        d = w = params.epsilon - self.__secret[free:].count(0)
+        if exact:
+            count = template_index(params, head) + 1 if w == 0 else params.q**free
+        else:
+            budget = params.epsilon - w
+            for i, digit in enumerate(head):
+                if not budget:
+                    break
+                if digit:
+                    head[i] = 0
+                    budget -= 1
+                    d += 1
+            count = template_index(params, head) + 1
+        self._charge(count, lambda: self._fixing_answers(count))
+        hit = tuple(head) + (0,) * params.epsilon
+        return hit, self._respond(bytes(hit) if self._digits else hit, d)
+
+    def _fixing_answers(self, count: int) -> Iterator[tuple[Template, MatchResponse]]:
+        """The first ``count`` fixing centers, each with its answer, from
+        the chunks of ``fixing_batches``."""
+        for batch in fixing_batches(self.params):
+            batch = batch[:count]
+            yield from self._answers(batch, self._distances(batch))
+            count -= len(batch)
+            if not count:
+                return
+
+    def _check_exact(self, exact: bool) -> None:
+        """Raise UsageError if ``exact`` asks a scan to stop at distance 0
+        while responses hide the distance."""
+        if exact and self.mode.payload is Payload.NONE:
+            raise UsageError("a scan cannot stop at distance 0 when responses hide the distance")
 
     def _distances(self, batch: np.ndarray) -> np.ndarray:
         """Distance from the secret of every candidate in a scan chunk."""
@@ -769,6 +866,19 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def response_to_json(resp: MatchResponse) -> str:
+    if resp.error_positions is None:
+        return _plain_line(resp.accepted, resp.distance)
+    return _response_line(resp)
+
+
+@cache
+def _plain_line(accepted: bool, distance: int | None) -> str:
+    """The line of a response without positions, encoded once per (accept
+    bit, distance): nearly every line of an audit log is one of a few."""
+    return _response_line(MatchResponse(accepted, distance))
+
+
+def _response_line(resp: MatchResponse) -> str:
     doc: dict = {"accepted": int(resp.accepted)}
     if resp.distance is not None:
         doc["distance"] = resp.distance

@@ -599,11 +599,13 @@ class TestIsolation:
 
 class TestQueryTraffic:
     """At the configurations of perfbench's ``binary`` and ``qary``
-    workloads, ``Oracle.scan`` and ``Oracle.climb`` answer nearly every
-    query, and ``Oracle.query`` sees only the few counted here per trial.
-    A change that routes bulk traffic back through ``query`` fails here;
-    the per-query fast paths dropped while it saw this little traffic
-    should then be measured again."""
+    workloads, ``Oracle.scan_fixing`` and ``Oracle.climb`` answer nearly
+    every query, and ``Oracle.query`` sees only the few counted here per
+    trial.  A change that routes bulk traffic back through ``query`` fails
+    here; the per-query fast paths dropped while it saw this little traffic
+    should then be measured again.  So does one that draws a scan chunk for
+    an untapped fixing accept search, which ``scan_fixing`` answers off the
+    secret's row."""
 
     CASES = [
         ("below_distance", 2, 20, 4, {}),
@@ -644,8 +646,12 @@ class TestQueryTraffic:
         def stepwise(self, *args):
             raise AssertionError("the distance climb ran probe by probe")
 
+        def chunk(self, *args):
+            raise AssertionError("an untapped accept search drew a scan chunk")
+
         monkeypatch.setattr(Oracle, "query", counted)
         monkeypatch.setattr(Oracle, "_climb_stepwise", stepwise)
+        monkeypatch.setattr(Oracle, "_distances", chunk)
         config = ExperimentConfig(q=q, n=n, epsilon=eps, attack=attack, trials=4, master_seed=3, **settings)
         params = harness.validate_config(config)
         bound = harness.attack_bound(config, params)

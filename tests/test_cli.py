@@ -2,6 +2,7 @@
 in argparse, and a config file goes through the same actions as the flags."""
 
 import re
+import time
 from dataclasses import MISSING, fields, replace
 
 import pytest
@@ -310,6 +311,17 @@ def test_config_error_exits_before_any_trial(argv, message, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("attack", ["below_posvalues", "below_distance"])
+def test_untapped_accept_search_over_a_wide_alphabet(attack, capsys):
+    # 2**32 fixing centers: an untapped search reads its stop off the
+    # secret, where a scan would draw up to a million chunks per trial
+    argv = ["attack", "--attack", attack, "--q", str(2**32), "--n", "2", "--epsilon", "1", "--trials", "3"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 20
+    assert "ok: 1" in capsys.readouterr().out
 
 
 def test_largest_alphabet_runs(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from matchleak import covering
 from matchleak import oracle as oracle_module
 from matchleak.attacks import PartialTemplate, accumulation_collect, resolve_error_value
-from matchleak.covering import fixing_batches
 from matchleak.errors import UsageError
 from matchleak.oracle import (
     ClientModel,
@@ -21,6 +20,7 @@ from matchleak.oracle import (
     Payload,
     Scope,
     SessionShape,
+    fixing_batches,
     observation_from_json,
     observation_to_json,
     response_from_json,
@@ -545,6 +545,14 @@ class TestSerialization:
         line = response_to_json(o.query((1,) * 7))
         assert line == '{"accepted":0}'
 
+    def test_lines_without_positions(self):
+        # encoded once per (accept bit, distance) and shared after that
+        for resp in (MatchResponse(True), MatchResponse(False, 4), MatchResponse(True, 0)) * 2:
+            line = response_to_json(resp)
+            assert response_from_json(line) == resp
+        assert response_to_json(MatchResponse(False, 4)) == '{"accepted":0,"distance":4}'
+        assert response_to_json(MatchResponse(True, 0, frozenset())) == '{"accepted":1,"distance":0,"positions":[]}'
+
     def test_observation_roundtrip(self):
         obs = Observation(errors={3: 1, 1: -1})
         assert observation_from_json(observation_to_json(obs)) == obs
@@ -805,9 +813,9 @@ class TestScan:
         "q,n,eps",
         [(2, 10, 3), (2, 12, 4), (3, 6, 2), (5, 5, 2), (2, 70, 64), (2, 64, 59)],
     )
-    @pytest.mark.parametrize("chunk", [7, covering.SCAN_CHUNK])
+    @pytest.mark.parametrize("chunk", [7, oracle_module.SCAN_CHUNK])
     def test_matches_per_query_loop(self, q, n, eps, chunk, rng, monkeypatch):
-        monkeypatch.setattr(covering, "SCAN_CHUNK", chunk)  # small chunks cross boundaries
+        monkeypatch.setattr(oracle_module, "SCAN_CHUNK", chunk)  # small chunks cross boundaries
         params = SpaceParams(q, n, eps)
         secrets = [sample_template(params, rng) for _ in range(12)]
         secrets += [(0,) * n, (q - 1,) * n]  # first candidate; the scan's very end
@@ -919,7 +927,7 @@ class TestScan:
         assert len(next(fixing_batches(SpaceParams(2**40, 2, 1)))) <= 4096  # one coordinate, 2^40 values
 
     def test_chunks_split_an_alphabet_larger_than_a_chunk(self, monkeypatch):
-        monkeypatch.setattr(covering, "SCAN_CHUNK", 7)
+        monkeypatch.setattr(oracle_module, "SCAN_CHUNK", 7)
         params = SpaceParams(10, 3, 1)
         chunks = list(fixing_batches(params))
         assert all(len(chunk) <= 7 for chunk in chunks)
@@ -928,7 +936,7 @@ class TestScan:
     def test_chunks_at_the_largest_alphabet(self):
         # q = 2**63 passes int64, so the chunk table is built from ints: the
         # first chunks are rows 0.. with the pinned coordinate 0
-        q, chunk = 2**63, covering.SCAN_CHUNK
+        q, chunk = 2**63, oracle_module.SCAN_CHUNK
         params = SpaceParams(q, 2, 1)
         batches = fixing_batches(params)
         for lo in (0, chunk):
@@ -954,6 +962,90 @@ class TestScan:
         with pytest.raises(UsageError):
             b.scan([np.array([0], dtype=np.uint64)], exact=True)  # would leak distance 0
         assert o.query_count == b.query_count == 0
+
+
+def _pairs_to(seen: list):
+    """An oracle tap that appends each (submission, answer) pair to seen."""
+    return lambda submission, answer: seen.append((submission, answer))
+
+
+# each distinct mode with the scans it takes: exact ones only where the
+# payload shows the distance
+FIXING_CASES = [
+    (mode, exact)
+    for mode in dict.fromkeys(MODES)
+    for exact in (False, True)
+    if not exact or mode.payload is not Payload.NONE
+]
+
+
+class TestScanFixing:
+    """``scan_fixing`` reads the fixing scan's hit and count off the
+    secret's row; ``scan`` over ``fixing_batches`` answers the same centers
+    one chunk at a time, and both must agree in hit, count and tap."""
+
+    @staticmethod
+    def check(params: SpaceParams, secret, cases, tapped: bool = True):
+        for mode, exact in cases:
+            expect = []
+            scanned = Oracle(secret, params, mode, tap=_pairs_to(expect) if tapped else None)
+            hit = scanned.scan(fixing_batches(params), exact=exact)
+            for tap in ([], None) if tapped else (None,):
+                o = Oracle(secret, params, mode, tap=None if tap is None else _pairs_to(tap))
+                assert o.scan_fixing(exact) == hit, (secret, mode, exact)
+                assert o.query_count == scanned.query_count, (secret, mode, exact)
+                assert tap is None or tap == expect, (secret, mode, exact)
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (2, 6), (3, 3), (4, 3), (5, 2), (11, 2)])
+    def test_every_secret_matches_the_scan(self, q, n):
+        # every epsilon from 0 to n: 0 and n pin nothing and everything
+        for eps in range(n + 1):
+            params = SpaceParams(q, n, eps)
+            for secret in itertools.product(range(q), repeat=n):
+                self.check(params, secret, FIXING_CASES)
+
+    @pytest.mark.parametrize("q,n,eps", [(2, 20, 4), (16, 6, 2), (256, 3, 1), (257, 3, 1)])
+    def test_random_secrets_match_the_scan(self, q, n, eps, rng):
+        # packed words, digit rows and, at q = 257, the int64 row; with
+        # 65,536 centers or more, the full tap stream is compared for one
+        # secret and the two cheapest answers only
+        params = SpaceParams(q, n, eps)
+        secrets = [sample_template(params, rng) for _ in range(3)] + [(q - 1,) * n]
+        for secret in secrets:
+            self.check(params, secret, FIXING_CASES, tapped=False)
+        self.check(params, secrets[0], [(always(Payload.NONE), False), (below(Payload.DISTANCE), True)])
+
+    @pytest.mark.parametrize("q", [2**32, 2**63])
+    def test_count_at_the_largest_alphabets(self, q):
+        # q^(n-eps) = q centers, too many to scan: the count formula alone,
+        # (secret, exact) -> (hit, distance, count)
+        params = SpaceParams(q, 2, 1)
+        top = q - 1
+        expect = {
+            ((0, 0), True): ((0, 0), 0, 1),
+            ((0, top), True): ((0, 0), 1, q),
+            ((top, 0), True): ((top, 0), 0, q),
+            ((5000, 7), True): ((5000, 0), 1, q),
+            ((0, 0), False): ((0, 0), 0, 1),
+            ((0, top), False): ((0, 0), 1, 1),
+            ((top, 0), False): ((0, 0), 1, 1),
+            ((5000, 7), False): ((5000, 0), 1, 5001),
+            ((top, top), False): ((top, 0), 1, q),
+        }
+        for (secret, exact), (hit, d, count) in expect.items():
+            o = Oracle(secret, params, below(Payload.DISTANCE))
+            assert o.scan_fixing(exact) == (hit, MatchResponse(accepted=True, distance=d))
+            assert o.query_count == count
+
+    def test_exact_without_the_distance_does_not_count(self):
+        params = SpaceParams(3, 4, 1)
+        o = Oracle((0, 1, 2, 0), params, always(Payload.NONE))
+        with pytest.raises(UsageError) as expected:
+            o.scan(fixing_batches(params), exact=True)
+        with pytest.raises(UsageError) as raised:
+            o.scan_fixing(exact=True)
+        assert str(raised.value) == str(expected.value)
+        assert o.query_count == 0
 
 
 def _loop_climb(params: SpaceParams, secret, mode: LeakageMode, start, cur: int, positions):

@@ -119,6 +119,32 @@ def test_every_distance_climb_reaches_the_oracle_climb(attack, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "attack,strategy",
+    [("below_distance", None), ("below_positions", None), ("below_posvalues", None), ("minimal", "fixing")],
+)
+def test_every_fixing_search_reaches_the_oracle_scan_fixing(attack, strategy, monkeypatch):
+    # a tracer that wraps Oracle.scan_fixing sees every accept search over
+    # the fixing centers only if each trial searches through it, once
+    calls = []
+    scan_fixing = oracle.Oracle.scan_fixing
+
+    def wrapped(self, *args, **kwargs):
+        calls.append(1)
+        return scan_fixing(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.Oracle, "scan_fixing", wrapped)
+    spec = attacks.ATTACKS[attack]
+    params = space.SpaceParams(2, 9, 2)
+    rng = np.random.default_rng(7)
+    config = types.SimpleNamespace(strategy=strategy, alpha=None, session_shape="single")
+    for trial in range(1, 6):
+        o = oracle.Oracle(space.sample_template(params, rng), params, spec.mode)
+        out = spec.run(o, config, rng)
+        assert out.recovered == o.audit_secret()
+        assert len(calls) == trial
+
+
+@pytest.mark.parametrize(
     "attack,shape", [(attack, "single") for attack in attacks.ATTACKS] + [("accumulation", "multi")]
 )
 @pytest.mark.parametrize("tapped", [False, True])
